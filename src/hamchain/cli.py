@@ -119,24 +119,34 @@ def _verify_subspace(lines: list[str]) -> bool:
     return ok
 
 
+# (scheme, qubit counts, round counts) swept by `verify --scope formulas`
+FORMULA_SWEEPS = (
+    ("ham5", range(2, 6), range(1, 5)),
+    ("ham8", range(2, 5), range(1, 4)),
+)
+
+
 def _verify_formulas(lines: list[str]) -> bool:
+    """Engine against closed forms: T per (n, R), and the step of the last
+    gate of rounds 1..r for every r <= R, which padding relies on."""
     ok = True
-    for n in range(2, 6):
-        for R in range(1, 5):
-            T = f5.enumerate_history5(n, R).T
-            F = f5.step_count_formula5(n, R)
-            good = T == F
-            ok &= good
-            lines.append(f"formula ham5 n={n} R={R}: engine={T} closed-form={F} "
-                         f"{'PASS' if good else 'FAIL'}")
-    for n in range(2, 5):
-        for R in range(1, 4):
-            T = e8.enumerate_history8(Circuit(n, R)).T
-            F = e8.step_count_formula8(n, R)
-            good = T == F
-            ok &= good
-            lines.append(f"formula ham8 n={n} R={R}: engine={T} closed-form={F} "
-                         f"{'PASS' if good else 'FAIL'}")
+    for scheme, ns, rounds in FORMULA_SWEEPS:
+        for n in ns:
+            for R in rounds:
+                if scheme == "ham5":
+                    trace = f5.enumerate_history5(n, R)
+                else:
+                    trace = e8.enumerate_history8(Circuit(n, R))
+                rows = [(f"formula {scheme} n={n} R={R}", trace.T,
+                         walk.closed_form_steps(n, R, R, scheme)[0])]
+                rows += [(f"last-gate {scheme} n={n} R={R} r={r}", trace.last_real_step(r),
+                          walk.closed_form_steps(n, R, r, scheme)[1])
+                         for r in range(1, R + 1)]
+                for label, engine, closed in rows:
+                    good = engine == closed
+                    ok &= good
+                    lines.append(f"{label}: engine={engine} closed-form={closed} "
+                                 f"{'PASS' if good else 'FAIL'}")
     return ok
 
 

@@ -330,6 +330,11 @@ class HistoryTrace8:
     def T(self) -> int:
         return len(self.configs) - 1
 
+    def last_real_step(self, r: int) -> int:
+        """Step of the last logical gate of rounds 1..r, read from the events."""
+        n_real = r * (self.configs[0].layout.n - 1)  # logical firings in rounds 1..r
+        return max((ev.step for ev in self.events.values() if 0 < ev.m <= n_real), default=-1)
+
     def dump(self) -> str:
         return "\n".join(c.dump_block(t) for t, c in enumerate(self.configs))
 
@@ -357,8 +362,38 @@ def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> HistoryTrace8:
 
 
 def step_count_formula8(n: int, R: int) -> int:
-    """The closed-form transition count quoted for this machine."""
+    """The closed-form transition count quoted for this machine; the rule
+    tally behind it is in last_gate_step8."""
     return 6 + (n + 1) * (3 * R * (R - 1) * (n + 1) + 9 * R - 5)
+
+
+def last_gate_step8(n: int, R: int, r: int) -> int:
+    """Step (n+1)[R + 2 + (r-1)(3(n+1)R + 7)] of the last gate of round r.
+
+    Tally of forward rule firings.  The program word has P = R(n+1) letters.
+    The opening left sweep fires rule 1a once, 1c P times and 1b once:
+    P + 2 transitions.  Every later pass fires
+
+      rule 3a or 3b once (turn-around)                    ->  1
+      rule 2a/2b P+1 times and 4a/4b P times (right sweep) ->  2P + 1
+      rule 5a or 5b once (turn left)                      ->  1
+      rule 1a once, 1c P times, 1b once (left sweep)      ->  P + 2
+
+    which is 3P + 5; the last pass stops before its rule 1b.  Each pass
+    shifts the word one cell left, and there are (R-1)(n+1) + 1 passes, so
+    T = (P+2) + ((R-1)(n+1) + 1)(3P+5) - 1, which is step_count_formula8.
+
+    Pass k starts at step (P+2) + (k-1)(3P+5) with its turn-around; the
+    right sweep then alternates 2a and 4a, so the i-th letter of the word
+    fires at offset 2i.  Scaffold 1-bits sit every n+1 cells, so rule 3a
+    (gate-executing sweep) fires on passes 1, n+2, 2n+3, ...: pass
+    (r-1)(n+1) + 1 is the one that lays round r's letters over w1..wn.
+    Those letters are word positions (r-1)(n+1) + 2 .. (r-1)(n+1) + n, so
+    the last fires at step (P+2) + (r-1)(n+1)(3P+5) + 2((r-1)(n+1) + n),
+    which simplifies to the form above.  Unlike the 5-state machine, the
+    step depends on R, because every pass sweeps the whole padded word.
+    """
+    return (n + 1) * (R + 2 + (r - 1) * (3 * (n + 1) * R + 7))
 
 
 # --- translation-invariant local terms ---------------------------------------

@@ -192,6 +192,10 @@ class HistoryTrace:
     def T(self) -> int:
         return len(self.configs) - 1
 
+    def last_real_step(self, r: int) -> int:
+        """Step of the last gate of rounds 1..r, read from the events."""
+        return max((ev.step for ev in self.events.values() if ev.round <= r), default=-1)
+
     def dump(self) -> str:
         return "\n".join(c.dump_line(t) for t, c in enumerate(self.configs)) + "\n"
 
@@ -234,6 +238,20 @@ def step_count_formula5(n: int, R: int) -> int:
     by R-2 elsewhere (it exceeds T by one at R=1).
     """
     return (R - 1) * (3 * n * n + n + 1) + n
+
+
+def last_gate_step5(n: int, r: int) -> int:
+    """Step (n-1) + (r-1)(3n^2+n+1) of the last gate of round r.
+
+    From the tally in step_count_formula5: round 1 is rule 6a followed by
+    its n-1 rule-1 firings, so its last gate fires at step n-1.  Every later
+    round takes 3n^2+n+1 transitions and, like round 1, ends on its last
+    rule-1 firing (the cursor sweep that fires the round's gates is the
+    round's final stretch).  Rounds 1..r never reach the blocks of later
+    rounds, so the step does not depend on the padded total R.  At r = R it
+    is the final transition, T - 1.
+    """
+    return (r - 1) * (3 * n * n + n + 1) + n - 1
 
 
 # --- local Hamiltonian terms -------------------------------------------------

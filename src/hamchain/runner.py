@@ -101,7 +101,12 @@ class RunReport:
 
 
 def padded_history(plan: RunPlan):
-    """(trace, rounds_total, prefix register states) for the padded machine."""
+    """(trace, rounds_total, prefix register states, step of the last real
+    gate) for the padded machine.
+
+    The single enumeration is checked against the closed forms the padding
+    plan relied on; a mismatch raises PaddingError.
+    """
     n, r_real = plan.circuit.n, plan.circuit.rounds
     r_total = walk.padding_plan(n, r_real, plan.q, plan.scheme)
     padded = Circuit(n, r_total, dict(plan.circuit.gates))
@@ -110,17 +115,19 @@ def padded_history(plan: RunPlan):
         trace = f5.enumerate_history5(n, r_total)
         gate_of = lambda ev: padded.slot_matrix(ev.round, ev.position)
         target_of = lambda ev: ev.qubits
-        real_fired = lambda ev: ev.round <= r_real
     else:
         trace = e8.enumerate_history8(padded)
         layout = trace.configs[0].layout
         gate_of = lambda ev: ev.unitary()
         target_of = lambda ev: ev.logical_qubits(layout)
-        n_real = r_real * (n - 1)
-        real_fired = lambda ev: 0 < ev.m <= n_real
+    last_real = trace.last_real_step(r_real)
+    expected = walk.closed_form_steps(n, r_total, r_real, plan.scheme)
+    if (trace.T, last_real) != expected:
+        raise walk.PaddingError(
+            f"engine gives T={trace.T}, last real step {last_real}; "
+            f"closed forms give {expected[0]}, {expected[1]}"
+        )
     prefixes = [initial]
-    real_left = sum(1 for ev in trace.events.values() if real_fired(ev))
-    remaining = [real_left]
     for t in range(trace.T):
         q = prefixes[-1]
         ev = trace.events.get(t)
@@ -128,19 +135,21 @@ def padded_history(plan: RunPlan):
             mat, lq = gate_of(ev), target_of(ev)
             if mat is not None and lq is not None:
                 q = QubitState(q.n, apply_unitary(q.amps, mat, lq, q.n))
-            if real_fired(ev):
-                real_left -= 1
         prefixes.append(q)
-        remaining.append(real_left)
-    return trace, r_total, prefixes, remaining
+    return trace, r_total, prefixes, last_real
 
 
 def run(plan: RunPlan) -> RunReport:
-    trace, r_total, prefixes, remaining = padded_history(plan)
+    trace, r_total, prefixes, last_real = padded_history(plan)
     T = trace.T
     tau0 = plan.tau0 if plan.tau0 is not None else walk.default_tau0(T)
     threshold = walk.tail_threshold(T, plan.q)
     n = plan.circuit.n
+    if threshold <= last_real:
+        # an accepted index t >= threshold must lie after the last real gate
+        raise walk.PaddingError(
+            f"threshold {threshold} does not exceed last real step {last_real}"
+        )
 
     rng = np.random.default_rng(plan.seed)
     taus = rng.uniform(0.0, tau0, plan.shots)
@@ -165,10 +174,6 @@ def run(plan: RunPlan) -> RunReport:
         t = min(t, T)
         steps[s] = t
         if t >= threshold:
-            if remaining[t] != 0:
-                raise AssertionError(
-                    f"accepted index {t} before all real gates fired; padding bug"
-                )
             accepted[s] = True
             pq = np.abs(prefixes[t].amps) ** 2
             pq = pq / pq.sum()

@@ -17,6 +17,8 @@ from io import StringIO
 
 import numpy as np
 
+from . import eight_state, five_state
+
 
 @dataclass(frozen=True)
 class WalkSpec:
@@ -126,30 +128,40 @@ def default_tau0(T: int) -> float:
     return 10.0 * T * np.log(T + 2)
 
 
+class PaddingError(RuntimeError):
+    """Padding leaves the acceptance threshold at or before the last real
+    gate, or the closed forms it relied on disagree with the engine."""
+
+
+def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
+    """(T, step of the last gate of rounds 1..r) of the R-round history."""
+    if scheme == "ham5":
+        return five_state.step_count_formula5(n, R), five_state.last_gate_step5(n, r)
+    if scheme == "ham8":
+        return eight_state.step_count_formula8(n, R), eight_state.last_gate_step8(n, R, r)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
     """Smallest round count R >= r_real such that the last gate of the first
-    r_real rounds fires no later than step floor(T/q) of the padded history."""
-    from . import eight_state, five_state
-    from .circuit import Circuit
+    r_real rounds fires no later than step floor(T/q) of the padded history.
 
-    if scheme not in ("ham5", "ham8"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    r_total = r_real
-    while True:
-        if scheme == "ham5":
-            tr = five_state.enumerate_history5(n, r_total)
-            last_real = max(
-                (ev.step for ev in tr.events.values() if ev.round <= r_real), default=0
-            )
-        else:
-            tr = eight_state.enumerate_history8(Circuit(n, r_total))
-            n_real = r_real * (n - 1)  # logical firings covering the real rounds
-            last_real = max(
-                (ev.step for ev in tr.events.values() if 0 < ev.m <= n_real), default=0
-            )
-        if last_real <= tr.T // q:
+    Pure arithmetic on the closed forms for T and for the last real gate's
+    step, both checked against the engine in the tests and by `verify`.
+    The search stops by R = q r_real.  There, with r = r_real and s the
+    last real gate's step, floor(T/q) >= s holds iff T >= q s, and
+
+      ham5:  T - q s = (q-1)(3n^2+n+1) - (q-1)n + q > 0;
+      ham8:  T - q s = 6 + (n+1)[q r (3(n+1)(q-1) - q + 2) + 5(q-1)] > 0,
+             since 3(n+1)(q-1) - q + 2 >= 8q - 7 > 0 for n >= 2, q >= 2.
+    """
+    if n < 2 or r_real < 1 or q < 2:
+        raise ValueError(f"need n >= 2, r_real >= 1 and q >= 2; got {n}, {r_real}, {q}")
+    for r_total in range(r_real, q * r_real + 1):
+        T, last_real = closed_form_steps(n, r_total, r_real, scheme)
+        if last_real <= T // q:
             return r_total
-        r_total += 1
+    raise PaddingError(f"no round count up to {q * r_real} pads {scheme} n={n} r={r_real} q={q}")
 
 
 # --- CSV emitters -------------------------------------------------------------

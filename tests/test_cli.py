@@ -139,6 +139,11 @@ def test_verify_formulas_reports_known_discrepancy(tmp_path, monkeypatch):
     rows = [line for line in out.read_text().splitlines()
             if line.startswith("formula ")]
     assert rows and all(line.endswith("PASS") for line in rows)
+    # so do the last-gate steps that padding relies on
+    last_gate = [line for line in out.read_text().splitlines()
+                 if line.startswith("last-gate ")]
+    assert {line.split()[1] for line in last_gate} == {"ham5", "ham8"}
+    assert all(line.endswith("PASS") for line in last_gate)
     # the quoted 5-state closed form falls short of the engine count by R-2,
     # so with it injected the sweep fails on exactly the ham5 rows with R != 2
     monkeypatch.setattr(cli.f5, "step_count_formula5",
@@ -147,7 +152,7 @@ def test_verify_formulas_reports_known_discrepancy(tmp_path, monkeypatch):
     lines = out.read_text().splitlines()
     assert lines[-1] == "verify formulas: FAIL"
     for line in lines:
-        if line.startswith("formula ham8"):
+        if line.startswith(("formula ham8", "last-gate ")):
             assert line.endswith("PASS")
         elif line.startswith("formula ham5"):
             r = int(line.split("R=")[1].split(":")[0])

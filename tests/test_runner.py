@@ -96,12 +96,27 @@ def test_sampled_step_distribution_chi_square():
 
 def test_every_accepted_shot_has_all_real_gates_fired(w_circuit_2q):
     plan = RunPlan(w_circuit_2q, "ham5", shots=500, seed=9, initial="10")
-    _, _, _, remaining = runner.padded_history(plan)
+    trace, _, _, last_real = runner.padded_history(plan)
+    assert last_real == max(ev.step for ev in trace.events.values() if ev.round == 1)
     report = run(plan)
     for t, acc in zip(report.steps, report.accepted):
         if acc:
-            assert remaining[t] == 0
+            assert t > last_real
             assert t >= report.threshold
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_unpadded_plan_raises_padding_error(scheme, w_circuit_2q, monkeypatch):
+    # without padding the single round's last gate lies past T/6
+    monkeypatch.setattr(walk, "padding_plan", lambda n, r_real, q, s: r_real)
+    with pytest.raises(walk.PaddingError):
+        run(RunPlan(w_circuit_2q, scheme, q=6, shots=10, seed=1))
+
+
+def test_engine_disagreeing_with_closed_form_raises_padding_error(w_circuit_2q, monkeypatch):
+    monkeypatch.setattr(f5, "last_gate_step5", lambda n, r: 0)
+    with pytest.raises(walk.PaddingError, match="closed forms"):
+        runner.padded_history(RunPlan(w_circuit_2q, "ham5", shots=10, seed=1))
 
 
 def test_infer_step_round_trip():

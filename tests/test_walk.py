@@ -3,7 +3,10 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
+from hamchain import eight_state as e8
+from hamchain import five_state as f5
 from hamchain import walk
+from hamchain.circuit import Circuit
 
 # Constants measured with the quadrature/spectral machinery below and frozen.
 TAIL_LIMIT_T154_Q6 = 0.8301282051282051
@@ -133,6 +136,95 @@ def test_padding_plan_no_padding_when_q_loose():
     # with q=2 the single real round of a 2-qubit circuit already fires
     # before the midpoint of its own history
     assert walk.padding_plan(2, 1, 2, "ham5") == 1
+
+
+def engine_history(scheme: str, n: int, R: int):
+    if scheme == "ham5":
+        return f5.enumerate_history5(n, R)
+    return e8.enumerate_history8(Circuit(n, R))
+
+
+def events_last_real(scheme: str, trace, n: int, r: int) -> int:
+    """Step of the last gate of rounds 1..r, read off the trace's events."""
+    if scheme == "ham5":
+        real = [ev.step for ev in trace.events.values() if ev.round <= r]
+    else:
+        real = [ev.step for ev in trace.events.values() if 0 < ev.m <= r * (n - 1)]
+    return max(real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("R", [1, 2, 3, 4, 5])
+def test_last_gate_step5_matches_engine(n, R):
+    trace = engine_history("ham5", n, R)
+    for r in range(1, R + 1):
+        last = events_last_real("ham5", trace, n, r)
+        assert f5.last_gate_step5(n, r) == last == trace.last_real_step(r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("R", [1, 2, 3, 4, 5, 6])
+def test_last_gate_step8_matches_engine(n, R):
+    trace = engine_history("ham8", n, R)
+    for r in range(1, R + 1):
+        last = events_last_real("ham8", trace, n, r)
+        assert e8.last_gate_step8(n, R, r) == last == trace.last_real_step(r)
+
+
+def engine_padding_ok(scheme: str, n: int, R: int, r_real: int, q: int) -> bool:
+    """The search padding_plan used to run, for one candidate R: does the
+    last real gate fire no later than step floor(T/q)?"""
+    trace = engine_history(scheme, n, R)
+    return events_last_real(scheme, trace, n, r_real) <= trace.T // q
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r_real", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_padding_plan_matches_engine_oracle(scheme, n, r_real, q):
+    # T/q minus the last real step is increasing (ham5) or convex (ham8) in
+    # R, so failing at r_real and at R-1 and holding at R makes R the first
+    # to hold, without enumerating every candidate
+    R = walk.padding_plan(n, r_real, q, scheme)
+    assert r_real <= R <= q * r_real
+    assert engine_padding_ok(scheme, n, R, r_real, q)
+    if R > r_real:
+        assert not engine_padding_ok(scheme, n, r_real, r_real, q)
+        assert not engine_padding_ok(scheme, n, R - 1, r_real, q)
+
+
+def test_padding_plan_pad_workload_shapes():
+    assert walk.padding_plan(2, 8, 6, "ham5") == 44
+    assert walk.padding_plan(2, 3, 6, "ham8") == 14
+
+
+def test_padding_plan_within_bound():
+    for scheme in ("ham5", "ham8"):
+        for n in range(2, 9):
+            for r_real in range(1, 9):
+                for q in range(2, 9):
+                    R = walk.padding_plan(n, r_real, q, scheme)
+                    assert r_real <= R <= q * r_real
+                    T, last_real = walk.closed_form_steps(n, R, r_real, scheme)
+                    assert last_real <= T // q
+
+
+@pytest.mark.parametrize("args", [
+    (2, 1, 1, "ham5"),  # q < 2
+    (2, 0, 6, "ham5"),  # r_real < 1
+    (1, 1, 6, "ham8"),  # n < 2
+    (2, 1, 6, "ham9"),  # unknown scheme
+])
+def test_padding_plan_rejects_bad_arguments(args):
+    with pytest.raises(ValueError):
+        walk.padding_plan(*args)
+
+
+def test_padding_plan_raises_past_its_bound(monkeypatch):
+    monkeypatch.setattr(walk, "closed_form_steps", lambda n, R, r, scheme: (0, 1))
+    with pytest.raises(walk.PaddingError):
+        walk.padding_plan(2, 3, 6, "ham5")
 
 
 def test_csv_emitters():
