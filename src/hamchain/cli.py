@@ -1,7 +1,9 @@
 """Command-line front end: trace histories, tabulate walk probabilities,
 sample the measurement protocol, verify invariants, and rewrite gate sets.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error, or
+a run the engines or the padding plan refuse (RuleEngineError, PaddingError).
+Errors end in one `error: ...` line on stderr, not a traceback.
 """
 from __future__ import annotations
 
@@ -103,17 +105,29 @@ def _verify_identities(lines: list[str]) -> bool:
     return ok
 
 
+def _padded(scheme: str, circuit: Circuit) -> Circuit:
+    """The circuit with the identity rounds `sample` pads it with at q=6."""
+    R = walk.padding_plan(circuit.n, circuit.rounds, 6, scheme)
+    return Circuit(circuit.n, R, dict(circuit.gates))
+
+
 def _verify_subspace(lines: list[str]) -> bool:
     ok = True
+    ws2 = Circuit(2, 2, {(1, 1): gates.W, (2, 1): gates.SWAP})
+    ws3 = Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
+                         (2, 1): gates.SWAP, (2, 2): gates.W})
     cases = [
         ("ham5", Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
                                 (2, 1): gates.CX, (2, 2): gates.W})),
         ("ham8", Circuit(2, 1, {(1, 1): gates.W})),
+        ("ham8", _padded("ham8", ws2)),
+        ("ham5", _padded("ham5", ws3)),
     ]
     for scheme, circ in cases:
         rep = subspace.certify_subspace(scheme, circ)
         ok &= rep.passed
-        lines.append(f"subspace {scheme}: {'PASS' if rep.passed else 'FAIL'}")
+        lines.append(f"subspace {scheme} n={circ.n} R={circ.rounds}: "
+                     f"{'PASS' if rep.passed else 'FAIL'}")
         if not rep.passed:
             lines.extend("  " + ln for ln in rep.lines if "FAIL" in ln)
     return ok
@@ -217,7 +231,8 @@ def main(argv=None) -> int:
         parser.error("evolve needs either a circuit file or --T")
     try:
         return args.fn(args)
-    except (CircuitParseError, UnsupportedGateError, FileNotFoundError, ValueError) as exc:
+    except (CircuitParseError, UnsupportedGateError, FileNotFoundError, ValueError,
+            walk.PaddingError, f5.RuleEngineError, e8.RuleEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

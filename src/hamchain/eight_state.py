@@ -19,6 +19,7 @@ import numpy as np
 
 from . import gates
 from .circuit import Circuit, UnsupportedGateError
+from .five_state import find_all
 
 # cursor symbols
 GAT = "R"  # solid right triangle: executes gates
@@ -107,11 +108,12 @@ class Config8:
             raise ValueError(f"unknown boundary {self.boundary!r}")
         if not (len(self.cursors) == len(self.progs) == len(self.datas) == ncells):
             raise ValueError("register length mismatch")
-        for i, c in enumerate(self.cursors, 1):
-            ok = CURSOR_SYMBOLS | ({XSTOP} if self.boundary == PERIODIC_X else set())
-            if c not in ok:
-                raise ValueError(f"cell {i}: bad cursor symbol {c!r}")
-        if any(p not in PROG_SYMBOLS for p in self.progs):
+        ok = CURSOR_SYMBOLS | ({XSTOP} if self.boundary == PERIODIC_X else set())
+        if not ok.issuperset(self.cursors):
+            for i, c in enumerate(self.cursors, 1):
+                if c not in ok:
+                    raise ValueError(f"cell {i}: bad cursor symbol {c!r}")
+        if not PROG_SYMBOLS.issuperset(self.progs):
             raise ValueError("bad program symbol")
 
     @property
@@ -207,15 +209,45 @@ _RULES8 = (
 _CURSOR_KEYS = ("s-", "s")
 _DATA_KEYS = ("d", "d+")
 
+# Every rule holds one of these at "s" or "s-" on both of its sides, so a
+# window can match only at or just right of a live cursor
+# (tests/test_engine_oracle.py).
+LIVE_CURSORS = CURSOR_SYMBOLS - {STAR}
+
+
+def _rules_by_cursors(reverse: bool) -> dict:
+    """(cursor at s-, cursor at s) -> the rules whose pattern allows that
+    pair, in table order; None stands for the missing cell left of cell 1 on
+    the open chain."""
+    table: dict = {}
+    for rule in _RULES8:
+        pat = rule[2] if reverse else rule[1]
+        lefts = [pat["s-"]] if "s-" in pat else [*CURSOR_SYMBOLS, XSTOP, None]
+        for left in lefts:
+            table.setdefault((left, pat["s"]), []).append(rule)
+    return table
+
+
+_RULES_BY_CURSORS = {False: _rules_by_cursors(False), True: _rules_by_cursors(True)}
+_RULE_BY_NAME = {rule[0]: rule for rule in _RULES8}
+
+
+def _cell_index(c: Config8, key: str, j: int) -> int | None:
+    """1-based cell that window key `key` names at window cell j; None when
+    it falls off the open chain."""
+    last, ncells = key[-1], len(c.cursors)
+    idx = j - 1 if last == "-" else j + 1 if last == "+" else j
+    if c.boundary == PERIODIC_X:
+        return (idx - 1) % ncells + 1
+    return idx if 1 <= idx <= ncells else None
+
 
 def _cell_value(c: Config8, key: str, j: int) -> str | None:
-    off = -1 if key.endswith("-") else (1 if key.endswith("+") else 0)
-    idx = j + off
-    if c.boundary == PERIODIC_X:
-        idx = (idx - 1) % c.ncells + 1
-    elif not (1 <= idx <= c.ncells):
+    idx = _cell_index(c, key, j)
+    if idx is None:
         return None
-    reg = c.cursors if key.startswith("s") else c.progs if key.startswith("p") else c.datas
+    first = key[0]
+    reg = c.cursors if first == "s" else c.progs if first == "p" else c.datas
     return reg[idx - 1]
 
 
@@ -264,17 +296,19 @@ def _apply_at(c: Config8, post: dict, j: int, binding: str | None) -> Config8:
             cursors[idx - 1] = sym
         else:
             progs[idx - 1] = sym
-    return replace(c, cursors=tuple(cursors), progs=tuple(progs))
+    return Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas)
+
+
+def live_cells(c: Config8) -> list[int]:
+    """Cells whose cursor is live (one of LIVE_CURSORS)."""
+    return find_all(c.cursors, LIVE_CURSORS)
 
 
 def _candidate_cells(c: Config8) -> list[int]:
-    """Cells whose window can possibly match: every rule constrains the
-    cursor at the window cell or the one to its left to a non-idle symbol,
-    so only cells at or just right of a live cursor need scanning."""
+    """Window cells that can possibly match: each live cursor's own cell and
+    the cell to its right."""
     out = set()
-    for k, sym in enumerate(c.cursors, 1):
-        if sym in (STAR, XSTOP):
-            continue
+    for k in live_cells(c):
         out.add(k)
         nxt = k + 1
         if c.boundary == PERIODIC_X:
@@ -284,14 +318,22 @@ def _candidate_cells(c: Config8) -> list[int]:
     return sorted(out)
 
 
-def _step(c: Config8, reverse: bool):
+def _matches(c: Config8, reverse: bool) -> list[tuple[int, str, str | None]]:
+    """All (cell j, rule name, bound letter) matches, in scan order.  At each
+    candidate cell only the rules that allow its cursor pair are tried."""
+    table = _RULES_BY_CURSORS[reverse]
     hits = []
     for j in _candidate_cells(c):
-        for name, pre, post in _RULES8:
+        for name, pre, post in table.get((_cell_value(c, "s-", j), _cell_value(c, "s", j)), ()):
             src, dst = (post, pre) if reverse else (pre, post)
             ok, binding = _match_at(c, src, dst, j)
             if ok:
                 hits.append((j, name, binding))
+    return hits
+
+
+def _step(c: Config8, reverse: bool):
+    hits = _matches(c, reverse)
     if not hits:
         return None
     if len(hits) > 1:
@@ -300,14 +342,12 @@ def _step(c: Config8, reverse: bool):
             f"{[(j, n) for j, n, _ in hits]}"
         )
     j, name, binding = hits[0]
-    _, pre, post = next(r for r in _RULES8 if r[0] == name)
-    src, dst = (post, pre) if reverse else (pre, post)
-    nxt = _apply_at(c, dst, j, binding)
+    _, pre, post = _RULE_BY_NAME[name]
+    nxt = _apply_at(c, pre if reverse else post, j, binding)
     event = None
     if name == "4a":
-        letter = binding
         pair = (_cell_value(c, "d", j), _cell_value(c, "d+", j))
-        event = GateEvent8(step=-1, m=0, cell=j, letter=letter, pair=pair, forward=not reverse)
+        event = GateEvent8(step=-1, m=0, cell=j, letter=binding, pair=pair, forward=not reverse)
     return nxt, event
 
 

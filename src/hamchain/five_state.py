@@ -62,6 +62,9 @@ class Config5:
     def __post_init__(self):
         if len(self.symbols) != self.lattice.L:
             raise ValueError(f"expected {self.lattice.L} symbols, got {len(self.symbols)}")
+        syms = self.symbols
+        if ODD_SYMBOLS.issuperset(syms[0::2]) and EVEN_SYMBOLS.issuperset(syms[1::2]):
+            return
         for i, sym in enumerate(self.symbols, 1):
             family = ODD_SYMBOLS if i % 2 == 1 else EVEN_SYMBOLS
             if sym not in family:
@@ -123,21 +126,59 @@ _RULES = (
 )
 
 
+# Every rule window holds one of these on both of its sides, so a window can
+# match only if it covers a site holding one (tests/test_engine_oracle.py).
+LIVE5 = frozenset({G, TUR, MOVLE, MOV})
+
+
+def _rules_by_window(reverse: bool) -> dict:
+    table: dict = {}
+    for rule in _RULES:
+        table.setdefault(rule[2] if reverse else rule[1], []).append(rule)
+    return table
+
+
+_RULES_BY_WINDOW = {False: _rules_by_window(False), True: _rules_by_window(True)}
+_RULE_BY_NAME = {rule[0]: rule for rule in _RULES}
+
+
+def find_all(seq: tuple, symbols) -> list[int]:
+    """Sorted 1-based positions of the entries of `seq` that are in `symbols`.
+
+    Entries are single characters, so `seq` is joined into one string and
+    each symbol is located with str.find, which scans in C; the Python-level
+    work grows with the number of hits, not with len(seq).
+    """
+    text = "".join(seq)
+    out = []
+    for sym in symbols:
+        i = text.find(sym)
+        while i >= 0:
+            out.append(i + 1)
+            i = text.find(sym, i + 1)
+    return sorted(out)
+
+
+def live_sites(c: Config5) -> list[int]:
+    """Sites holding a live symbol (one of LIVE5)."""
+    return find_all(c.symbols, LIVE5)
+
+
 def _matches(c: Config5, reverse: bool):
-    """All (start site s, rule) pairs whose window matches, in scan order."""
+    """All (start site s, rule) pairs whose window matches, in scan order.
+
+    Only the window starts p-2..p around each live site p are tried.
+    """
     syms = c.symbols
     lat = c.lattice
+    table = _RULES_BY_WINDOW[reverse]
+    starts = {s for p in live_sites(c) for s in range(max(p - 2, 1), min(p, lat.L - 2) + 1)}
     out = []
-    for s in range(1, lat.L - 1):
-        window = syms[s - 1 : s + 2]
-        for name, lhs, rhs, bkey in _RULES:
-            pat = rhs if reverse else lhs
-            if window != pat:
-                continue
+    for s in sorted(starts):
+        for name, _, _, bkey in table.get(syms[s - 1 : s + 2], ()):
             if bkey is not None:
                 sign, off = bkey
-                at_boundary = lat.boundary_after(s + off)
-                if (sign == "+") != at_boundary:
+                if (sign == "+") != lat.boundary_after(s + off):
                     continue
             out.append((s, name))
     return out
@@ -160,15 +201,13 @@ def _step(c: Config5, reverse: bool):
             f"{len(hits)} rule instances match {'backward' if reverse else 'forward'}: {hits}"
         )
     s, name = hits[0]
-    _, lhs, rhs, _ = next(r for r in _RULES if r[0] == name)
-    src, dst = (rhs, lhs) if reverse else (lhs, rhs)
-    syms = list(c.symbols)
-    syms[s - 1 : s + 2] = dst
+    _, lhs, rhs, _ = _RULE_BY_NAME[name]
+    dst = lhs if reverse else rhs
     event = None
     if name == "1":
-        r, i = _gate_slot(c.lattice, s if not reverse else s)
+        r, i = _gate_slot(c.lattice, s)
         event = GateEvent(step=-1, m=-1, round=r, position=i, forward=not reverse)
-    return Config5(c.lattice, tuple(syms)), event
+    return Config5(c.lattice, c.symbols[: s - 1] + dst + c.symbols[s + 2 :]), event
 
 
 def forward_step5(c: Config5):

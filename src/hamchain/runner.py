@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
-from scipy.fft import dst
 
 from . import eight_state as e8
 from . import five_state as f5
@@ -98,6 +97,14 @@ class RunReport:
             out.write(f"{key} {self.histogram()[key]}\n")
         out.write(f"acceptance_rate {self.acceptance_rate:.12g}\n")
         return out.getvalue()
+
+
+def dst(x: np.ndarray, type: int = 1) -> np.ndarray:
+    """scipy.fft.dst, imported on the first call so that commands that never
+    sample do not pay for importing scipy."""
+    from scipy.fft import dst as scipy_dst
+
+    return scipy_dst(x, type=type)
 
 
 def padded_history(plan: RunPlan):

@@ -5,7 +5,9 @@ A dressed state is a classical symbol pattern together with the 2^n logical
 register.  Local terms are applied directly to dressed states by window
 matching; no full many-body vector is ever built.  Certification checks, for
 every history index t, that H maps state t to -(state t-1) - (state t+1)
-with the recorded gate unitaries on the register factor.
+with the recorded gate unitaries on the register factor.  Each state is
+matched only against the terms anchored at its live symbols (_term_picker),
+which gives the same images as matching the whole term table.
 """
 from __future__ import annotations
 
@@ -29,13 +31,10 @@ class DressedState:
 
 def _placeholder_rank5(cfg: f5.Config5, site: int) -> int:
     """1-based logical index of the placeholder at `site` (left-to-right rank)."""
-    rank = 0
-    for i, sym in enumerate(cfg.symbols, 1):
-        if sym in (f5.Q, f5.G):
-            rank += 1
-        if i == site:
-            return rank
-    raise ValueError(f"site {site} out of range")
+    if not 1 <= site <= len(cfg.symbols):
+        raise ValueError(f"site {site} out of range")
+    head = cfg.symbols[:site]
+    return head.count(f5.Q) + head.count(f5.G)
 
 
 def apply_H5(terms: list[f5.LocalTerm5], s: DressedState) -> list[tuple[float, DressedState]]:
@@ -98,6 +97,58 @@ def _collect(images: list[tuple[float, DressedState]]) -> dict:
     return acc
 
 
+def _anchors5(term: f5.LocalTerm5, L: int) -> tuple:
+    """Per side (lhs, rhs) of the term, a (site, live symbol) that side
+    needs; None when it holds no live symbol or its window is off the chain."""
+    if not 1 <= term.site <= L - 2:
+        return (None,)
+    return tuple(
+        next(((term.site + k, sym) for k, sym in enumerate(side) if sym in f5.LIVE5), None)
+        for side in (term.lhs, term.rhs)
+    )
+
+
+def _anchors8(term: e8.LocalTerm8, c0: e8.Config8) -> tuple:
+    """Per side (pre, post) of the term, a (cell, live cursor) that side
+    needs; None when it needs no live cursor or names a cell off the chain."""
+    out = []
+    for side in (term.pre, term.post):
+        cells = [(e8._cell_index(c0, key, term.cell), side[key])
+                 for key in ("s", "s-") if side.get(key) in e8.LIVE_CURSORS]
+        out.append(cells[0] if cells and cells[0][0] is not None else None)
+    return tuple(out)
+
+
+def _term_picker(terms: list, anchors, live):
+    """pattern -> the terms that can act on it, in table order.
+
+    A side of a term matches a pattern only if the pattern holds the live
+    symbol that side needs at that side's anchor, so each term is filed
+    under its anchors and tried only on patterns that hold one of them;
+    `live(pattern)` lists the pattern's (position, live symbol) pairs.  A
+    term with a side that has no anchor is tried on every pattern.  Terms
+    that cannot match contribute no image, so applying the picked terms
+    gives the same images, in the same order, as applying the whole table.
+    """
+    always: set[int] = set()
+    by_anchor: dict = {}
+    for i, term in enumerate(terms):
+        sides = anchors(term)
+        if None in sides:
+            always.add(i)
+        else:
+            for anchor in sides:
+                by_anchor.setdefault(anchor, set()).add(i)
+
+    def pick(pattern) -> list:
+        idx = set(always)
+        for anchor in live(pattern):
+            idx.update(by_anchor.get(anchor, ()))
+        return [terms[i] for i in sorted(idx)]
+
+    return pick
+
+
 @dataclass
 class CertReport:
     scheme: str
@@ -111,6 +162,21 @@ class CertReport:
     def text(self) -> str:
         verdict = "PASS" if self.passed else f"FAIL ({self.failures} states)"
         return "\n".join(self.lines + [f"overall: {verdict}"]) + "\n"
+
+
+def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
+    """(term table, term picker, apply function) of the scheme's local terms
+    on the chain of initial configuration c0."""
+    if scheme == "ham5":
+        terms = f5.local_terms5(circuit.n, circuit.rounds, circuit)
+        L = c0.lattice.L
+        pick = _term_picker(terms, lambda t: _anchors5(t, L),
+                            lambda c: [(p, c.symbols[p - 1]) for p in f5.live_sites(c)])
+        return terms, pick, apply_H5
+    terms = e8.local_terms8(circuit)
+    pick = _term_picker(terms, lambda t: _anchors8(t, c0),
+                        lambda c: [(k, c.cursors[k - 1]) for k in e8.live_cells(c)])
+    return terms, pick, apply_H8
 
 
 def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
@@ -142,16 +208,11 @@ def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None =
     if initial is None:
         initial = QubitState.basis("0" * circuit.n)
     states = _dressed_history(scheme, circuit, initial)
-    if scheme == "ham5":
-        terms = f5.local_terms5(circuit.n, circuit.rounds, circuit)
-        apply_H = lambda s: apply_H5(terms, s)
-    else:
-        terms = e8.local_terms8(circuit)
-        apply_H = lambda s: apply_H8(terms, s)
+    _, pick, apply_H = _local_hamiltonian(scheme, circuit, states[0].pattern)
     report = CertReport(scheme)
     T = len(states) - 1
     for t, s in enumerate(states):
-        got = _collect(apply_H(s))
+        got = _collect(apply_H(pick(s.pattern), s))
         want: dict = {}
         for nb in (t - 1, t + 1):
             if 0 <= nb <= T:

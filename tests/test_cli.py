@@ -2,7 +2,9 @@
 import pytest
 
 from hamchain import cli
+from hamchain import eight_state as e8
 from hamchain import five_state as f5
+from hamchain import walk
 
 WS_CIRCUIT = """QUBITS 3
 ROUNDS 2
@@ -171,3 +173,21 @@ def test_verify_identities_scope(tmp_path):
     assert cli.main(["verify", "--scope", "identities", "--out", str(out)]) == 0
     text = out.read_text()
     assert "identity W^8" in text and "FAIL" not in text
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc("refused")
+    return fn
+
+
+@pytest.mark.parametrize("module,name,exc,argv", [
+    (cli, "run", walk.PaddingError, ["sample", "--scheme", "ham5", "--seed", "1"]),
+    (f5, "enumerate_history5", f5.RuleEngineError, ["trace", "--scheme", "ham5"]),
+    (e8, "enumerate_history8", e8.RuleEngineError, ["trace", "--scheme", "ham8"]),
+], ids=["padding", "ham5-engine", "ham8-engine"])
+def test_engine_and_padding_errors_exit_2(module, name, exc, argv, w_file,
+                                          monkeypatch, capsys):
+    monkeypatch.setattr(module, name, _raise(exc))
+    assert cli.main([argv[0], w_file, *argv[1:]]) == 2
+    assert capsys.readouterr().err == "error: refused\n"

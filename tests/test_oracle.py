@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
@@ -85,3 +87,83 @@ def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):
 def test_certify_rejects_unknown_scheme(w_circuit_2q):
     with pytest.raises(ValueError):
         subspace.certify_subspace("ham9", w_circuit_2q)
+
+
+def _images(apply_H, terms, state):
+    return [(w, ds.pattern, ds.qubits.amps) for w, ds in apply_H(terms, state)]
+
+
+@pytest.mark.parametrize("scheme,circuit", [
+    ("ham5", Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
+                            (2, 1): gates.CX, (2, 2): gates.W})),
+    ("ham5", Circuit(2, 4, {(1, 1): gates.W, (3, 1): gates.SWAP})),
+    ("ham8", Circuit(2, 3, {(1, 1): gates.W, (2, 1): gates.SWAP})),
+    ("ham8", Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
+                            (2, 1): gates.SWAP, (2, 2): gates.W})),
+])
+def test_picked_terms_give_the_images_of_all_terms(scheme, circuit):
+    amps = np.arange(1, 2**circuit.n + 1, dtype=complex)
+    init = QubitState(circuit.n, amps / np.linalg.norm(amps))
+    states = subspace._dressed_history(scheme, circuit, init)
+    terms, pick, apply_H = subspace._local_hamiltonian(scheme, circuit, states[0].pattern)
+    for s in states:
+        picked = pick(s.pattern)
+        assert len(picked) < len(terms)
+        want = _images(apply_H, terms, s)
+        got = _images(apply_H, picked, s)
+        assert [(w, p) for w, p, _ in got] == [(w, p) for w, p, _ in want]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+
+
+def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monkeypatch):
+    # (q + q) <-> (q . q) holds no live symbol, so it cannot be filed under a
+    # live site; it must still be tried on every state
+    rogue = f5.LocalTerm5(site=2, lhs=(f5.Q, f5.PLUS, f5.Q), rhs=(f5.Q, f5.BUL, f5.Q),
+                          rule="rogue")
+    assert subspace._anchors5(rogue, 5) == (None, None)
+    terms = f5.local_terms5(2, 1, w_circuit_2q) + [rogue]
+    monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: terms)
+    rep = subspace.certify_subspace("ham5", w_circuit_2q)
+    trace = f5.enumerate_history5(2, 1)
+    hit = {t for t, c in enumerate(trace.configs)
+           if c.symbols[1:4] in (rogue.lhs, rogue.rhs)}
+    assert hit
+    assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
+    assert all("unexpected output pattern" in rep.lines[t] for t in hit)
+
+
+def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monkeypatch):
+    # a template that rewrites the program symbol under an idle cursor holds
+    # no live cursor; it acts on every state whose cell 1 is idle, and none
+    # of those has the rewritten pattern as a neighbour
+    rogue = e8.LocalTerm8(cell=1, rule="rogue", pre={"s": e8.STAR, "p": "."},
+                          post={"s": e8.STAR, "p": "I"})
+    c0 = e8.initial_config8(w_circuit_2q)
+    assert subspace._anchors8(rogue, c0) == (None, None)
+    terms = e8.local_terms8(w_circuit_2q) + [rogue]
+    monkeypatch.setattr(e8, "local_terms8", lambda *a, **k: terms)
+    rep = subspace.certify_subspace("ham8", w_circuit_2q)
+    trace = e8.enumerate_history8(w_circuit_2q)
+    hit = {t for t, c in enumerate(trace.configs)
+           if c.cursors[0] == e8.STAR and c.progs[0] in (".", "I")}
+    assert 0 < len(hit) < len(rep.lines)
+    assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_certify_random_wsi_circuits(data):
+    n = data.draw(st.integers(2, 4), label="n")
+    R = data.draw(st.integers(1, 3), label="R")
+    letters = st.sampled_from([gates.W, gates.SWAP, gates.I1])
+    circuit = Circuit(n, R, {(r, i): data.draw(letters)
+                             for r in range(1, R + 1) for i in range(1, n)})
+    parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 ** (n + 1),
+                               max_size=2 ** (n + 1)), label="amps")
+    amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    init = QubitState(n, amps / norm)
+    for scheme in ("ham5", "ham8"):
+        rep = subspace.certify_subspace(scheme, circuit, init)
+        assert rep.passed, (scheme, [line for line in rep.lines if "FAIL" in line][:3])

@@ -1,4 +1,9 @@
 """Measurement protocol: padding, sampling, acceptance, determinism."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -129,3 +134,15 @@ def test_infer_step_round_trip():
     bogus = f5.initial_config5(3, 3)
     with pytest.raises(NotAHistoryStateError):
         infer_step(trace, bogus)
+
+
+def test_importing_the_package_does_not_import_scipy():
+    # scipy is needed only by the sampler's DST; trace, certify, evolve and
+    # verify processes should not pay for importing it
+    src = str(Path(runner.__file__).resolve().parents[1])
+    code = ("import sys, hamchain, hamchain.cli, hamchain.subspace; "
+            "sys.exit('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert done.returncode == 0
+
