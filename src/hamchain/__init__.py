@@ -34,7 +34,6 @@ from .subspace import CertReport, DressedState, certify_subspace
 from .walk import (
     WalkAmplitudes,
     WalkSpec,
-    avg_prob,
     evolve,
     padding_plan,
     tail_prob,
@@ -49,7 +48,7 @@ __all__ = [
     "identity_target", "synth",
     "RunPlan", "RunReport", "run",
     "CertReport", "DressedState", "certify_subspace",
-    "WalkAmplitudes", "WalkSpec", "avg_prob", "evolve", "padding_plan",
+    "WalkAmplitudes", "WalkSpec", "evolve", "padding_plan",
     "tail_prob", "tail_prob_limit",
 ]
 

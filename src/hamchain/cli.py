@@ -43,12 +43,8 @@ def _write(out_path: str | None, text: str) -> None:
 
 def cmd_trace(args) -> int:
     circuit = _read_circuit(args.circuit)
-    if args.scheme == "ham5":
-        text = f5.enumerate_history5(circuit.n, circuit.rounds).dump()
-    else:
-        boundary = e8.PERIODIC_X if args.periodic_x else e8.OPEN
-        text = e8.enumerate_history8(circuit, boundary).dump()
-    _write(args.out, text)
+    boundary = e8.PERIODIC_X if args.periodic_x else e8.OPEN
+    _write(args.out, walk.enumerate_history(args.scheme, circuit, boundary).dump())
     return 0
 
 
@@ -56,11 +52,7 @@ def cmd_evolve(args) -> int:
     if args.T is not None:
         T = args.T
     else:
-        circuit = _read_circuit(args.circuit)
-        if args.scheme == "ham5":
-            T = f5.enumerate_history5(circuit.n, circuit.rounds).T
-        else:
-            T = e8.enumerate_history8(circuit).T
+        T = walk.enumerate_history(args.scheme, _read_circuit(args.circuit)).T
     try:
         taus = [float(x) for x in args.taus.split(",") if x.strip() != ""]
     except ValueError as exc:
@@ -147,13 +139,10 @@ def _verify_formulas(lines: list[str]) -> bool:
     for scheme, ns, rounds in FORMULA_SWEEPS:
         for n in ns:
             for R in rounds:
-                if scheme == "ham5":
-                    trace = f5.enumerate_history5(n, R)
-                else:
-                    trace = e8.enumerate_history8(Circuit(n, R))
-                rows = [(f"formula {scheme} n={n} R={R}", trace.T,
+                history = walk.enumerate_history(scheme, Circuit(n, R))
+                rows = [(f"formula {scheme} n={n} R={R}", history.T,
                          walk.closed_form_steps(n, R, R, scheme)[0])]
-                rows += [(f"last-gate {scheme} n={n} R={R} r={r}", trace.last_real_step(r),
+                rows += [(f"last-gate {scheme} n={n} R={R} r={r}", history.last_real_step(r),
                           walk.closed_form_steps(n, R, r, scheme)[1])
                          for r in range(1, R + 1)]
                 for label, engine, closed in rows:

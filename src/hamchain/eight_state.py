@@ -13,13 +13,13 @@ D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import gates
 from .circuit import Circuit, UnsupportedGateError
-from .five_state import find_all
+from .five_state import History, find_all
 
 # cursor symbols
 GAT = "R"  # solid right triangle: executes gates
@@ -148,17 +148,25 @@ class GateEvent8:
 
     step: int  # transition index t; -1 if unset
     m: int  # 1-based count of LOGICAL gate firings so far; 0 for scaffold/no-ops
+    round: int  # circuit round of a logical firing, from m; 0 for scaffold/no-ops
     cell: int  # window cell j: letter read from p_{j+1}, applied at (d_j, d_{j+1})
     letter: str  # I, S, or W
     pair: tuple[str, str]  # data tokens under the gate
     forward: bool
 
-    def logical_qubits(self, layout: ProgramLayout) -> tuple[int, int] | None:
+    def logical_qubits(self) -> tuple[int, int] | None:
         """(i, i+1) if both data tokens are qubit placeholders, else None."""
         a, b = self.pair
         if a.startswith("w") and b.startswith("w"):
             return int(a[1:]), int(b[1:])
         return None
+
+    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
+        """(unitary, logical pair) of a logical firing, else None.  The
+        unitary comes from the fired letter, not from `circuit`, so a letter
+        that would disturb the scaffold raises GateOnScaffoldError."""
+        mat, pair = self.unitary(), self.logical_qubits()
+        return None if mat is None or pair is None else (mat, pair)
 
     def unitary(self) -> np.ndarray | None:
         """4x4 matrix on the logical pair, or None for a trivial firing.
@@ -347,7 +355,8 @@ def _step(c: Config8, reverse: bool):
     event = None
     if name == "4a":
         pair = (_cell_value(c, "d", j), _cell_value(c, "d+", j))
-        event = GateEvent8(step=-1, m=0, cell=j, letter=binding, pair=pair, forward=not reverse)
+        event = GateEvent8(step=-1, m=0, round=0, cell=j, letter=binding, pair=pair,
+                           forward=not reverse)
     return nxt, event
 
 
@@ -361,28 +370,10 @@ def backward_step8(c: Config8):
     return _step(c, reverse=True)
 
 
-@dataclass
-class HistoryTrace8:
-    configs: list = field(default_factory=list)
-    events: dict = field(default_factory=dict)  # step t -> GateEvent8 on edge t -> t+1
-
-    @property
-    def T(self) -> int:
-        return len(self.configs) - 1
-
-    def last_real_step(self, r: int) -> int:
-        """Step of the last logical gate of rounds 1..r, read from the events."""
-        n_real = r * (self.configs[0].layout.n - 1)  # logical firings in rounds 1..r
-        return max((ev.step for ev in self.events.values() if 0 < ev.m <= n_real), default=-1)
-
-    def dump(self) -> str:
-        return "\n".join(c.dump_block(t) for t, c in enumerate(self.configs))
-
-
-def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> HistoryTrace8:
-    trace = HistoryTrace8()
+def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> History:
+    history = History()
     c = initial_config8(circuit, boundary)
-    trace.configs.append(c)
+    history.configs.append(c)
     m = 0
     while True:
         nxt = forward_step8(c)
@@ -390,15 +381,15 @@ def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> HistoryTrace8:
             break
         c, event = nxt
         if event is not None:
-            t = len(trace.configs) - 1
-            if event.logical_qubits(c.layout) is not None:
+            t = history.T
+            if event.logical_qubits() is not None:
                 m += 1
-                event = replace(event, step=t, m=m)
+                event = replace(event, step=t, m=m, round=(m - 1) // (circuit.n - 1) + 1)
             else:
                 event = replace(event, step=t)
-            trace.events[t] = event
-        trace.configs.append(c)
-    return trace
+            history.events[t] = event
+        history.configs.append(c)
+    return history
 
 
 def step_count_formula8(n: int, R: int) -> int:

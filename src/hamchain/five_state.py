@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import gates
+
 # odd-site symbols
 MOV = ">"  # right-mover
 MOVLE = "<"  # left-mover (also swaps placeholder and blank)
@@ -98,6 +100,10 @@ class GateEvent:
     @property
     def qubits(self) -> tuple[int, int]:
         return (self.position, self.position + 1)
+
+    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]]:
+        """The circuit's unitary for this slot, on its logical pair."""
+        return circuit.slot_matrix(self.round, self.position), self.qubits
 
 
 def initial_config5(n: int, R: int) -> Config5:
@@ -221,8 +227,13 @@ def backward_step5(c: Config5):
 
 
 @dataclass
-class HistoryTrace:
-    """T+1 configurations; events[t] is the gate fired on the t -> t+1 edge."""
+class History:
+    """T+1 configurations of either machine; events[t] is the machine's gate
+    event (GateEvent or GateEvent8) fired on the edge t -> t+1.
+
+    Every event has a `round`, 0 for a ham8 scaffold firing, and answers
+    `gate(circuit)` with (4x4 unitary, logical pair) or None.
+    """
 
     configs: list = field(default_factory=list)
     events: dict = field(default_factory=dict)
@@ -233,16 +244,33 @@ class HistoryTrace:
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""
-        return max((ev.step for ev in self.events.values() if ev.round <= r), default=-1)
+        return max((ev.step for ev in self.events.values() if 0 < ev.round <= r), default=-1)
+
+    def registers(self, circuit, initial: gates.QubitState):
+        """Register state at t = 0..T: `initial` with the gates of the events
+        on edges 0..t-1 applied, first fired first."""
+        q = initial
+        yield q
+        for t in range(self.T):
+            ev = self.events.get(t)
+            gate = ev.gate(circuit) if ev is not None else None
+            if gate is not None:
+                mat, pair = gate
+                q = gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
+            yield q
 
     def dump(self) -> str:
-        return "\n".join(c.dump_line(t) for t, c in enumerate(self.configs)) + "\n"
+        """ham5: one line per configuration; ham8: one [t] block each, with a
+        blank line between blocks."""
+        if isinstance(self.configs[0], Config5):
+            return "".join(c.dump_line(t) + "\n" for t, c in enumerate(self.configs))
+        return "\n".join(c.dump_block(t) for t, c in enumerate(self.configs))
 
 
-def enumerate_history5(n: int, R: int) -> HistoryTrace:
-    trace = HistoryTrace()
+def enumerate_history5(n: int, R: int) -> History:
+    history = History()
     c = initial_config5(n, R)
-    trace.configs.append(c)
+    history.configs.append(c)
     m = 0
     while True:
         nxt = forward_step5(c)
@@ -251,9 +279,10 @@ def enumerate_history5(n: int, R: int) -> HistoryTrace:
         c, event = nxt
         if event is not None:
             m += 1
-            trace.events[len(trace.configs) - 1] = replace(event, step=len(trace.configs) - 1, m=m)
-        trace.configs.append(c)
-    return trace
+            t = history.T
+            history.events[t] = replace(event, step=t, m=m)
+        history.configs.append(c)
+    return history
 
 
 def step_count_formula5(n: int, R: int) -> int:

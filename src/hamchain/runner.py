@@ -2,30 +2,32 @@
 sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
-|c_t(tau)|^2 comes from the walk module, and the accepted readout comes from
-the gate-event prefix product at the sampled index.  This is exact because
-distinct configurations are orthogonal basis patterns.
+|c_t(tau)|^2 comes from the walk module, and the readout of an accepted
+index t comes from the register at t.  This is exact because distinct
+configurations are orthogonal basis patterns.
+
+Only one register is kept: the one after the last real gate.  Padding puts
+the acceptance threshold past that gate, and every later event is an
+identity of a padding round or a silent ham8 scaffold firing.  Multiplying
+by an identity changes at most the sign of a zero amplitude, which the
+readout's |amplitude|^2 removes, so every accepted index reads the same
+register bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import islice
 
 import numpy as np
 
-from . import eight_state as e8
-from . import five_state as f5
 from . import walk
 from .circuit import Circuit
-from .gates import QubitState, apply_unitary
+from .gates import QubitState
 
 GENERATOR_NAME = "numpy-default_rng-PCG64"
 
 SCHEMES = ("ham5", "ham8")
-
-
-class NotAHistoryStateError(KeyError):
-    """Pattern is not one of the enumerated history configurations."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,9 @@ class RunReport:
         for tau, t, acc, r in zip(self.taus, self.steps, self.accepted, self.readouts):
             out.write(f"{tau:.12g} {t} {int(acc)} {r if r is not None else '-'}\n")
         out.write("histogram\n")
-        for key in sorted(self.histogram()):
-            out.write(f"{key} {self.histogram()[key]}\n")
+        hist = self.histogram()
+        for key in sorted(hist):
+            out.write(f"{key} {hist[key]}\n")
         out.write(f"acceptance_rate {self.acceptance_rate:.12g}\n")
         return out.getvalue()
 
@@ -108,52 +111,38 @@ def dst(x: np.ndarray, type: int = 1) -> np.ndarray:
 
 
 def padded_history(plan: RunPlan):
-    """(trace, rounds_total, prefix register states, step of the last real
-    gate) for the padded machine.
+    """(history, rounds_total, register after the last real gate, step of the
+    last real gate) for the padded machine.
 
     The single enumeration is checked against the closed forms the padding
-    plan relied on; a mismatch raises PaddingError.
+    plan relied on; a mismatch raises PaddingError.  The replay stops at the
+    last real gate.
     """
     n, r_real = plan.circuit.n, plan.circuit.rounds
     r_total = walk.padding_plan(n, r_real, plan.q, plan.scheme)
     padded = Circuit(n, r_total, dict(plan.circuit.gates))
-    initial = QubitState.basis(plan.initial or "0" * n)
-    if plan.scheme == "ham5":
-        trace = f5.enumerate_history5(n, r_total)
-        gate_of = lambda ev: padded.slot_matrix(ev.round, ev.position)
-        target_of = lambda ev: ev.qubits
-    else:
-        trace = e8.enumerate_history8(padded)
-        layout = trace.configs[0].layout
-        gate_of = lambda ev: ev.unitary()
-        target_of = lambda ev: ev.logical_qubits(layout)
-    last_real = trace.last_real_step(r_real)
+    history = walk.enumerate_history(plan.scheme, padded)
+    last_real = history.last_real_step(r_real)
     expected = walk.closed_form_steps(n, r_total, r_real, plan.scheme)
-    if (trace.T, last_real) != expected:
+    if (history.T, last_real) != expected:
         raise walk.PaddingError(
-            f"engine gives T={trace.T}, last real step {last_real}; "
+            f"engine gives T={history.T}, last real step {last_real}; "
             f"closed forms give {expected[0]}, {expected[1]}"
         )
-    prefixes = [initial]
-    for t in range(trace.T):
-        q = prefixes[-1]
-        ev = trace.events.get(t)
-        if ev is not None:
-            mat, lq = gate_of(ev), target_of(ev)
-            if mat is not None and lq is not None:
-                q = QubitState(q.n, apply_unitary(q.amps, mat, lq, q.n))
-        prefixes.append(q)
-    return trace, r_total, prefixes, last_real
+    initial = QubitState.basis(plan.initial or "0" * n)
+    register = next(islice(history.registers(padded, initial), last_real + 1, None))
+    return history, r_total, register, last_real
 
 
 def run(plan: RunPlan) -> RunReport:
-    trace, r_total, prefixes, last_real = padded_history(plan)
-    T = trace.T
+    history, r_total, register, last_real = padded_history(plan)
+    T = history.T
     tau0 = plan.tau0 if plan.tau0 is not None else walk.default_tau0(T)
     threshold = walk.tail_threshold(T, plan.q)
     n = plan.circuit.n
     if threshold <= last_real:
-        # an accepted index t >= threshold must lie after the last real gate
+        # an accepted index t >= threshold must lie after the last real gate,
+        # so that `register` is the register state at t
         raise walk.PaddingError(
             f"threshold {threshold} does not exceed last real step {last_real}"
         )
@@ -169,6 +158,8 @@ def run(plan: RunPlan) -> RunReport:
     k = np.arange(1, T + 2)
     lam = -2.0 * np.cos(k * np.pi / (T + 2))
     sin0 = np.sin(k * np.pi / (T + 2))
+    pq = np.abs(register.amps) ** 2
+    read_cdf = np.cumsum(pq / pq.sum())
 
     steps = np.empty(plan.shots, dtype=int)
     accepted = np.zeros(plan.shots, dtype=bool)
@@ -182,9 +173,7 @@ def run(plan: RunPlan) -> RunReport:
         steps[s] = t
         if t >= threshold:
             accepted[s] = True
-            pq = np.abs(prefixes[t].amps) ** 2
-            pq = pq / pq.sum()
-            x = int(np.searchsorted(np.cumsum(pq), u_read[s], side="right"))
+            x = int(np.searchsorted(read_cdf, u_read[s], side="right"))
             readouts[s] = format(min(x, 2**n - 1), f"0{n}b")
     return RunReport(
         plan=plan, T=T, rounds_total=r_total, tau0=float(tau0),
@@ -192,10 +181,3 @@ def run(plan: RunPlan) -> RunReport:
         readouts=readouts,
     )
 
-
-def infer_step(trace, pattern) -> int:
-    """Index of `pattern` within the enumerated history."""
-    for t, cfg in enumerate(trace.configs):
-        if cfg == pattern:
-            return t
-    raise NotAHistoryStateError("pattern is not a history configuration")

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import eight_state as e8
 from . import five_state as f5
+from . import walk
 from .circuit import Circuit
 from .gates import QubitState, apply_unitary
 
@@ -74,13 +75,12 @@ def apply_H8(terms: list[e8.LocalTerm8], s: DressedState) -> list[tuple[float, D
                     e8._cell_value(cfg, "d", term.cell),
                     e8._cell_value(cfg, "d+", term.cell),
                 )
-                ev = e8.GateEvent8(
-                    step=-1, m=0, cell=term.cell, letter=binding, pair=pair,
+                gate = e8.GateEvent8(
+                    step=-1, m=0, round=0, cell=term.cell, letter=binding, pair=pair,
                     forward=not dagger,
-                )
-                mat = ev.unitary()
-                lq = ev.logical_qubits(cfg.layout)
-                if mat is not None and lq is not None:
+                ).gate(None)  # the unitary comes from the letter, not a circuit
+                if gate is not None:
+                    mat, lq = gate
                     qubits = QubitState(
                         qubits.n, apply_unitary(qubits.amps, mat, lq, qubits.n)
                     )
@@ -181,26 +181,9 @@ def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
 
 def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
     """History configurations with the register state carried along each edge."""
-    if scheme == "ham5":
-        trace = f5.enumerate_history5(circuit.n, circuit.rounds)
-        gate_of = lambda ev: circuit.slot_matrix(ev.round, ev.position)
-        target_of = lambda ev: ev.qubits
-    elif scheme == "ham8":
-        trace = e8.enumerate_history8(circuit)
-        gate_of = lambda ev: ev.unitary()
-        target_of = lambda ev: ev.logical_qubits(trace.configs[0].layout)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    states = [DressedState(trace.configs[0], initial)]
-    for t in range(trace.T):
-        q = states[-1].qubits
-        ev = trace.events.get(t)
-        if ev is not None:
-            mat, lq = gate_of(ev), target_of(ev)
-            if mat is not None and lq is not None:
-                q = QubitState(q.n, apply_unitary(q.amps, mat, lq, q.n))
-        states.append(DressedState(trace.configs[t + 1], q))
-    return states
+    history = walk.enumerate_history(scheme, circuit)
+    return [DressedState(c, q)
+            for c, q in zip(history.configs, history.registers(circuit, initial))]
 
 
 def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None = None) -> CertReport:

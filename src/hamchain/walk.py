@@ -76,33 +76,18 @@ def evolve(T: int, tau: float) -> WalkAmplitudes:
     return WalkAmplitudes(tau, amps)
 
 
-def avg_prob(T: int, m: int, tau0: float) -> float:
-    """Time average of |c_m(tau)|^2 over tau uniform on [0, tau0], exactly.
+def avg_prob_all(T: int, tau0: float) -> np.ndarray:
+    """Time average of |c_m(tau)|^2 over tau uniform on [0, tau0], exactly,
+    for every m = 0..T.
 
     |c_m|^2 = sum_{k,l} e^{-i(lam_k - lam_l) tau} v_k(m) v_k(0) v_l(m) v_l(0);
     averaging each cross term gives sin(d tau0)/(d tau0) with d = lam_k - lam_l.
     """
-    if not 0 <= m <= T:
-        raise ValueError(f"m={m} outside 0..{T}")
     lam, v = eigensystem(T)
-    w = v[m, :] * v[0, :]
     d = lam[:, None] - lam[None, :]
     avg = np.sinc(d * tau0 / np.pi)  # np.sinc(x) = sin(pi x)/(pi x); 1 at d=0
-    return float(w @ avg @ w)
-
-
-def avg_prob_all(T: int, tau0: float) -> np.ndarray:
-    lam, v = eigensystem(T)
-    d = lam[:, None] - lam[None, :]
-    avg = np.sinc(d * tau0 / np.pi)
     w = v * v[0, :]  # w[m, k] = v_k(m) v_k(0)
     return np.einsum("mk,kl,ml->m", w, avg, w)
-
-
-def avg_prob_limit(T: int, m: int) -> float:
-    """tau0 -> infinity limit: sum_k v_k(m)^2 v_k(0)^2."""
-    _, v = eigensystem(T)
-    return float(np.sum(v[m, :] ** 2 * v[0, :] ** 2))
 
 
 def tail_threshold(T: int, q: int) -> int:
@@ -142,6 +127,16 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
+    """The scheme's history of `circuit`.  ham5 reads only n and the round
+    count from it and has only the open chain; `boundary` is ham8's."""
+    if scheme == "ham5":
+        return five_state.enumerate_history5(circuit.n, circuit.rounds)
+    if scheme == "ham8":
+        return eight_state.enumerate_history8(circuit, boundary)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
     """Smallest round count R >= r_real such that the last gate of the first
     r_real rounds fires no later than step floor(T/q) of the padded history.
@@ -176,10 +171,3 @@ def probability_table_csv(T: int, taus) -> str:
             out.write(f"{tau:.12g},{m},{p:.12g}\n")
     return out.getvalue()
 
-
-def averaged_table_csv(T: int, tau0: float) -> str:
-    out = StringIO()
-    out.write("m,avg_p\n")
-    for m, p in enumerate(avg_prob_all(T, tau0)):
-        out.write(f"{m},{p:.12g}\n")
-    return out.getvalue()

@@ -89,7 +89,7 @@ def oracle_step8(c, reverse):
     event = None
     if name == "4a":
         pair = (e8._cell_value(c, "d", j), e8._cell_value(c, "d+", j))
-        event = e8.GateEvent8(step=-1, m=0, cell=j, letter=binding, pair=pair,
+        event = e8.GateEvent8(step=-1, m=0, round=0, cell=j, letter=binding, pair=pair,
                               forward=not reverse)
     return e8.Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas), event
 

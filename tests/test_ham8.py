@@ -1,4 +1,6 @@
 """Eight-state translation-invariant machine: layout, rules, histories."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,6 @@ def test_uniqueness_reversibility_distinctness(n, R, ws_circuit_3q2r, w_circuit_
 
 def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    layout = tr.configs[0].layout
     logical = [ev for _, ev in sorted(tr.events.items()) if ev.m > 0]
     assert [(ev.step, ev.m, ev.letter) for ev in logical] == [
         (14, 1, "W"), (16, 2, "S"), (138, 3, "S"), (140, 4, "W"),
@@ -95,8 +96,29 @@ def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     u = np.eye(8, dtype=complex)
     for ev in logical:
         from hamchain.gates import full_matrix
-        u = full_matrix(ev.unitary(), ev.logical_qubits(layout), 3) @ u
+        u = full_matrix(ev.unitary(), ev.logical_qubits(), 3) @ u
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
+
+
+# SHA-256 of the full `trace --scheme ham8` text of ws_circuit_3q2r
+DUMP_SHA256 = {
+    e8.OPEN: "4240b0414d8dc83e1da5323ca023fc90566b8db5407d45a4ca4734ad929768f5",
+    e8.PERIODIC_X: "4bdd8b3736db89d925b362f7b88aa3af3007d8955b0ffc84fd66da65dca9e558",
+}
+
+
+@pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
+def test_full_dump_digest(ws_circuit_3q2r, boundary):
+    text = e8.enumerate_history8(ws_circuit_3q2r, boundary).dump()
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[boundary]
+
+
+def test_events_carry_their_round(ws_circuit_3q2r):
+    tr = e8.enumerate_history8(ws_circuit_3q2r)
+    events = [ev for _, ev in sorted(tr.events.items())]
+    assert [(ev.m, ev.round) for ev in events if ev.m > 0] == [(1, 1), (2, 1), (3, 2), (4, 2)]
+    assert all(ev.round == 0 for ev in events if ev.m == 0)
+    assert tr.last_real_step(1) == 16 and tr.last_real_step(2) == 140
 
 
 def test_scaffold_firings_are_silent(ws_circuit_3q2r):
@@ -107,13 +129,16 @@ def test_scaffold_firings_are_silent(ws_circuit_3q2r):
 
 
 def test_gate_on_scaffold_detection():
-    ev = e8.GateEvent8(step=0, m=0, cell=1, letter="W", pair=("0", "w1"), forward=True)
+    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="W", pair=("0", "w1"),
+                       forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
         ev.unitary()
-    ev = e8.GateEvent8(step=0, m=0, cell=1, letter="W", pair=("1", "0"), forward=True)
+    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="W", pair=("1", "0"),
+                       forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
         ev.unitary()  # W maps |10> off itself
-    ev = e8.GateEvent8(step=0, m=0, cell=1, letter="S", pair=("0", "0"), forward=True)
+    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="S", pair=("0", "0"),
+                       forward=True)
     assert ev.unitary() is None  # swap fixes |00>
 
 

@@ -1,5 +1,6 @@
 """Measurement protocol: padding, sampling, acceptance, determinism."""
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from scipy.stats import chisquare
 
 from hamchain import five_state as f5
 from hamchain import gates, runner, walk
-from hamchain.circuit import Circuit
-from hamchain.runner import NotAHistoryStateError, RunPlan, infer_step, run
+from hamchain.circuit import Circuit, simulate_circuit
+from hamchain.gates import QubitState
+from hamchain.runner import RunPlan, run
 
 
 def test_plan_validation(w_circuit_2q):
@@ -124,16 +126,26 @@ def test_engine_disagreeing_with_closed_form_raises_padding_error(w_circuit_2q, 
         runner.padded_history(RunPlan(w_circuit_2q, "ham5", shots=10, seed=1))
 
 
-def test_infer_step_round_trip():
-    trace = f5.enumerate_history5(3, 2)
-    lat = trace.configs[0].lattice
-    for t in (0, 17, 34):
-        line = trace.configs[t].dump_line(t)
-        _, cfg = f5.parse_dump_line(line, lat)
-        assert infer_step(trace, cfg) == t
-    bogus = f5.initial_config5(3, 3)
-    with pytest.raises(NotAHistoryStateError):
-        infer_step(trace, bogus)
+def _random_circuits(count: int, seed: int):
+    rng = random.Random(seed)
+    letters = {"W": gates.W, "S": gates.SWAP, "I": None}
+    for _ in range(count):
+        n, R = rng.randint(2, 4), rng.randint(1, 3)
+        slots = {(r, i): letters[rng.choice("WSI")]
+                 for r in range(1, R + 1) for i in range(1, n)}
+        initial = "".join(rng.choice("01") for _ in range(n))
+        yield Circuit(n, R, {k: g for k, g in slots.items() if g is not None}), initial
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_register_after_last_real_gate_is_the_circuit_output(scheme):
+    # the one register the runner reads out is the circuit's output state
+    for circuit, initial in _random_circuits(8, seed=5):
+        plan = RunPlan(circuit, scheme, shots=1, seed=0, initial=initial)
+        history, _, register, last_real = runner.padded_history(plan)
+        assert 0 <= last_real < history.T
+        want = simulate_circuit(circuit, QubitState.basis(initial))
+        assert np.max(np.abs(register.amps - want.amps)) <= 1e-12
 
 
 def test_importing_the_package_does_not_import_scipy():

@@ -1,0 +1,21 @@
+"""Smoke tests of the example scripts."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_export_traces_writes_the_reference_ham5_trace(tmp_path, fixtures_dir):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "export_traces.py"),
+         "--n", "3", "--rounds", "2", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    golden = (fixtures_dir / "ham5_n3r2.txt").read_bytes()
+    assert (tmp_path / "ham5_trace.txt").read_bytes() == golden
+    for name in ("ham5_events.txt", "ham8_trace.txt", "ham8_events.txt"):
+        assert (tmp_path / name).stat().st_size > 0

@@ -76,7 +76,7 @@ def test_avg_prob_matches_quadrature():
     lam, v = walk.eigensystem(T)
     amps_m = v[m, :] @ (np.exp(-1j * np.outer(lam, taus)) * v[0, :][:, None])
     quad = simpson(np.abs(amps_m) ** 2, x=taus) / tau0
-    assert abs(walk.avg_prob(T, m, tau0) - quad) <= 1e-6
+    assert abs(walk.avg_prob_all(T, tau0)[m] - quad) <= 1e-6
 
 
 def test_avg_prob_sums_to_one():
@@ -85,11 +85,16 @@ def test_avg_prob_sums_to_one():
 
 
 def test_avg_prob_infinite_time_limits():
+    def limit(T, m):  # tau0 -> infinity: sum_k v_k(m)^2 v_k(0)^2
+        _, v = walk.eigensystem(T)
+        return float(np.sum(v[m, :] ** 2 * v[0, :] ** 2))
+
     # two-site line: average of cos^2 is 1/2
-    assert abs(walk.avg_prob_limit(1, 0) - 0.5) <= 1e-12
+    assert abs(limit(1, 0) - 0.5) <= 1e-12
     # large tau0 converges to the spectral limit
+    avg = walk.avg_prob_all(34, 1e7)
     for m in (0, 10, 34):
-        assert abs(walk.avg_prob(34, m, 1e7) - walk.avg_prob_limit(34, m)) <= 1e-4
+        assert abs(avg[m] - limit(34, m)) <= 1e-4
 
 
 def test_tail_threshold_floor_convention():
@@ -123,8 +128,6 @@ def test_spec_validation():
         walk.WalkSpec(10, 1, 1.0)
     with pytest.raises(ValueError):
         walk.WalkSpec(10, 6, 0.0)
-    with pytest.raises(ValueError):
-        walk.avg_prob(10, 11, 1.0)
 
 
 @pytest.mark.parametrize("scheme,expected", [("ham5", 2), ("ham8", 2)])
@@ -231,7 +234,3 @@ def test_csv_emitters():
     table = walk.probability_table_csv(1, [0.0]).splitlines()
     assert table[0] == "tau,m,p"
     assert table[1].startswith("0,0,1")
-    avg = walk.averaged_table_csv(1, 10.0).splitlines()
-    assert avg[0] == "m,avg_p"
-    total = sum(float(line.split(",")[1]) for line in avg[1:])
-    assert abs(total - 1.0) <= 1e-9
