@@ -2,9 +2,10 @@
 sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
-|c_t(tau)|^2 comes from the walk module, and the readout of an accepted
-index t comes from the register at t.  This is exact because distinct
-configurations are orthogonal basis patterns.
+|c_t(tau)|^2 comes from `walk.propagate`, which transforms the shots' times
+in batches, and the readout of an accepted index t comes from the register
+at t.  This is exact because distinct configurations are orthogonal basis
+patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
 the acceptance threshold past that gate, and every later event is an
@@ -102,14 +103,6 @@ class RunReport:
         return out.getvalue()
 
 
-def dst(x: np.ndarray, type: int = 1) -> np.ndarray:
-    """scipy.fft.dst, imported on the first call so that commands that never
-    sample do not pay for importing scipy."""
-    from scipy.fft import dst as scipy_dst
-
-    return scipy_dst(x, type=type)
-
-
 def padded_history(plan: RunPlan):
     """(history, rounds_total, register after the last real gate, step of the
     last real gate) for the padded machine.
@@ -152,20 +145,13 @@ def run(plan: RunPlan) -> RunReport:
     u_step = rng.random(plan.shots)
     u_read = rng.random(plan.shots)
 
-    # The path-graph eigenbasis is a discrete sine basis, so the propagator
-    # column c_t(tau) is a type-I DST of the phased spectrum: O(T log T) per
-    # shot with O(T) memory, instead of the dense (T+1)^2 eigenvector matrix.
-    k = np.arange(1, T + 2)
-    lam = -2.0 * np.cos(k * np.pi / (T + 2))
-    sin0 = np.sin(k * np.pi / (T + 2))
     pq = np.abs(register.amps) ** 2
     read_cdf = np.cumsum(pq / pq.sum())
 
     steps = np.empty(plan.shots, dtype=int)
     accepted = np.zeros(plan.shots, dtype=bool)
     readouts: list = [None] * plan.shots
-    for s in range(plan.shots):
-        amps = dst(np.exp(-1j * lam * taus[s]) * sin0, type=1) / (T + 2)
+    for s, amps in enumerate(walk.propagate(T, taus)):
         probs = np.abs(amps) ** 2
         cdf = np.cumsum(probs / probs.sum())
         t = int(np.searchsorted(cdf, u_step[s], side="right"))

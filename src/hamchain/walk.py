@@ -9,9 +9,15 @@ hopping matrix with -1 couplings.  Its eigensystem is closed-form:
 so both the propagator and its time average over [0, tau0] are evaluated
 exactly (the spectrum is nondegenerate, so only the k = l diagonal needs no
 oscillatory factor).  Couplings have unit magnitude; tau is dimensionless.
+
+The eigenbasis is a discrete sine basis, so `propagate` evaluates the
+propagator for a batch of times as type-I DSTs; the sampler (`runner.run`)
+and `evolve` both read their amplitudes from it.  Only the time average
+`avg_prob_all` builds the dense eigenvectors.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -60,20 +66,58 @@ def hopping_matrix(T: int) -> np.ndarray:
     return h
 
 
+def _angles(T: int) -> np.ndarray:
+    """theta_k = k pi / (T+2) for k = 1..T+1: lambda_k = -2 cos theta_k."""
+    return np.arange(1, T + 2) * np.pi / (T + 2)
+
+
 def eigensystem(T: int) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (eigenvalues, eigenvectors[t, k]) of hopping_matrix(T)."""
     k = np.arange(1, T + 2)
-    lam = -2.0 * np.cos(k * np.pi / (T + 2))
+    lam = -2.0 * np.cos(_angles(T))
     t = np.arange(T + 1)
     vecs = np.sqrt(2.0 / (T + 2)) * np.sin(np.outer(t + 1, k) * np.pi / (T + 2))
     return lam, vecs
 
 
+PROPAGATE_BYTES = 2 * 2**20  # bytes of complex rows `propagate` transforms at once
+
+
+def propagate(T: int, taus):
+    """Rows c_t(tau), t = 0..T, starting from history index 0: one complex
+    row of length T+1 per tau, in the order of `taus`.
+
+    c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
+    type-I DST of the phased spectrum e^{-i lambda_k tau} sin theta_k:
+    O(T log T) per tau and O(T) memory per row, instead of the dense
+    (T+1)^2 eigenvector matrix.  Rows are transformed together, at most
+    PROPAGATE_BYTES of them (and at least one) at a time, on
+    os.cpu_count() threads; every row is bit-identical to a one-dimensional
+    transform of that row alone.  A batch is computed when its first row is
+    requested, so memory stays O(batch T) however many taus are given.  When T+2 is prime the FFT takes its
+    Bluestein path; padding the transform to a fast length would change the
+    bits, so it is not done.  scipy is imported on the first call, so that
+    commands which never propagate do not pay for importing it.
+    """
+    from scipy.fft import dst
+
+    theta = _angles(T)
+    lam = -2.0 * np.cos(theta)
+    sin0 = np.sin(theta)
+    taus = np.asarray(taus, dtype=float)
+    rows = max(1, PROPAGATE_BYTES // (16 * (T + 1)))
+    for start in range(0, len(taus), rows):
+        z = -1j * lam * taus[start:start + rows, None]
+        np.exp(z, out=z)
+        z *= sin0
+        z = dst(z, type=1, axis=-1, overwrite_x=True, workers=os.cpu_count())
+        z /= T + 2
+        yield from z
+
+
 def evolve(T: int, tau: float) -> WalkAmplitudes:
     """Amplitudes c_t(tau) starting from history index 0."""
-    lam, v = eigensystem(T)
-    amps = v @ (np.exp(-1j * lam * tau) * v[0, :])
-    return WalkAmplitudes(tau, amps)
+    return WalkAmplitudes(tau, next(propagate(T, [tau])))
 
 
 def avg_prob_all(T: int, tau0: float) -> np.ndarray:
@@ -87,7 +131,7 @@ def avg_prob_all(T: int, tau0: float) -> np.ndarray:
     d = lam[:, None] - lam[None, :]
     avg = np.sinc(d * tau0 / np.pi)  # np.sinc(x) = sin(pi x)/(pi x); 1 at d=0
     w = v * v[0, :]  # w[m, k] = v_k(m) v_k(0)
-    return np.einsum("mk,kl,ml->m", w, avg, w)
+    return ((w @ avg) * w).sum(1)
 
 
 def tail_threshold(T: int, q: int) -> int:
@@ -103,9 +147,21 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
 
 
 def tail_prob_limit(T: int, q: int) -> float:
-    _, v = eigensystem(T)
-    m0 = tail_threshold(T, q)
-    return float(np.sum((v[m0:, :] ** 2) @ (v[0, :] ** 2)))
+    """tau0 -> infinity limit of tail_prob: sum_k v_k(0)^2 sum_{m >= m0}
+    v_k(m)^2, in O(T) time and memory.  With j = m+1 over [a, b] = [m0+1, T+1]
+    and N = b - a + 1,
+
+      sum_{j=a}^{b} sin^2(j theta)
+          = N/2 - [sin((2b+1) theta) - sin((2a-1) theta)] / (4 sin theta),
+
+    from sin^2 = (1 - cos 2j theta)/2 and a telescoping sum of cosines;
+    sin theta_k > 0 for every k."""
+    theta = _angles(T)
+    a, b = tail_threshold(T, q) + 1, T + 1
+    sin_theta = np.sin(theta)
+    tail = (b - a + 1) / 2 - (np.sin((2 * b + 1) * theta)
+                              - np.sin((2 * a - 1) * theta)) / (4 * sin_theta)
+    return float((2.0 / (T + 2)) ** 2 * np.sum(sin_theta**2 * tail))
 
 
 def default_tau0(T: int) -> float:
@@ -131,6 +187,8 @@ def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
     """The scheme's history of `circuit`.  ham5 reads only n and the round
     count from it and has only the open chain; `boundary` is ham8's."""
     if scheme == "ham5":
+        if boundary != eight_state.OPEN:
+            raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
         return five_state.enumerate_history5(circuit.n, circuit.rounds)
     if scheme == "ham8":
         return eight_state.enumerate_history8(circuit, boundary)
@@ -165,8 +223,8 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
 def probability_table_csv(T: int, taus) -> str:
     out = StringIO()
     out.write("tau,m,p\n")
-    for tau in taus:
-        probs = evolve(T, tau).probabilities()
+    for tau, amps in zip(taus, propagate(T, taus)):
+        probs = WalkAmplitudes(tau, amps).probabilities()
         for m, p in enumerate(probs):
             out.write(f"{tau:.12g},{m},{p:.12g}\n")
     return out.getvalue()

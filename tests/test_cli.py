@@ -55,6 +55,14 @@ def test_trace_identity_circuit_has_formula_length(tmp_path):
     assert len(out.read_text().splitlines()) == T + 1
 
 
+def test_trace_ham5_rejects_periodic_x(ws_file, capsys):
+    # ham5 has no ring variant: the flag is refused, not ignored
+    assert cli.main(["trace", ws_file, "--scheme", "ham5", "--periodic-x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_evolve_tau_zero_row(tmp_path):
     out = tmp_path / "e.csv"
     assert cli.main(["evolve", "--T", "3", "--taus", "0,1", "--out", str(out)]) == 0

@@ -149,8 +149,8 @@ def test_register_after_last_real_gate_is_the_circuit_output(scheme):
 
 
 def test_importing_the_package_does_not_import_scipy():
-    # scipy is needed only by the sampler's DST; trace, certify, evolve and
-    # verify processes should not pay for importing it
+    # scipy is needed only by walk.propagate's DST (sample and evolve);
+    # trace, certify and verify processes should not pay for importing it
     src = str(Path(runner.__file__).resolve().parents[1])
     code = ("import sys, hamchain, hamchain.cli, hamchain.subspace; "
             "sys.exit('scipy' in sys.modules)")

@@ -1,6 +1,9 @@
 """History-line dynamics: spectra, evolution, time averages, padding."""
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import simpson, solve_ivp
 
 from hamchain import eight_state as e8
@@ -53,6 +56,53 @@ def test_evolve_matches_ode_oracle(T, tau):
     assert dev <= 1e-8
 
 
+def one_dimensional_dst_row(T: int, tau: float) -> np.ndarray:
+    """The sampler's propagator row as it was computed one shot at a time:
+    a 1-D type-I DST of the phased spectrum."""
+    k = np.arange(1, T + 2)
+    lam = -2.0 * np.cos(k * np.pi / (T + 2))
+    sin0 = np.sin(k * np.pi / (T + 2))
+    return scipy.fft.dst(np.exp(-1j * lam * tau) * sin0, type=1) / (T + 2)
+
+
+@pytest.mark.parametrize("T", [1719, 2962, 220])  # T+2 prime, composite, composite
+def test_propagate_rows_bit_identical_to_one_dimensional_dst(T):
+    budget = max(1, walk.PROPAGATE_BYTES // (16 * (T + 1)))
+    rng = np.random.default_rng(T)
+    # one batch of 1, 7 and exactly `budget` rows; then two full batches
+    # and an uneven remainder
+    for count in (1, 7, budget, 2 * budget + 5):
+        taus = rng.uniform(0.0, walk.default_tau0(T), count)
+        rows = list(walk.propagate(T, taus))
+        assert len(rows) == count
+        for tau, row in zip(taus, rows):
+            want = one_dimensional_dst_row(T, tau)
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.cumsum(np.abs(row) ** 2), np.cumsum(np.abs(want) ** 2))
+
+
+@pytest.mark.parametrize("T", [1, 7, 34, 154])
+def test_propagate_matches_dense_eigensystem(T):
+    lam, v = walk.eigensystem(T)
+    taus = [0.0, 0.4, 3.7, 50.0, walk.default_tau0(T)]
+    for tau, row in zip(taus, walk.propagate(T, taus)):
+        dense = v @ (np.exp(-1j * lam * tau) * v[0, :])
+        assert np.max(np.abs(row - dense)) <= 1e-12
+
+
+def test_evolve_builds_no_dense_matrix():
+    # the (T+1)^2 eigenvector matrix would take 80 GB here; one row is 1.6 MB
+    walk.evolve(10, 1.0)  # import scipy.fft outside the measurement
+    tracemalloc.start()
+    try:
+        amps = walk.evolve(100000, 3.0).amps
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.shape == (100001,)
+    assert peak < 32 * 2**20
+
+
 def test_norm_conserved_and_group_property():
     T = 34
     for tau in (0.0, 3.7, 50.0):
@@ -77,6 +127,19 @@ def test_avg_prob_matches_quadrature():
     amps_m = v[m, :] @ (np.exp(-1j * np.outer(lam, taus)) * v[0, :][:, None])
     quad = simpson(np.abs(amps_m) ** 2, x=taus) / tau0
     assert abs(walk.avg_prob_all(T, tau0)[m] - quad) <= 1e-6
+
+
+@pytest.mark.parametrize("T", [7, 34, 200])
+def test_avg_prob_all_matches_einsum_oracle(T):
+    lam, v = walk.eigensystem(T)
+    w = v * v[0, :]
+    # horizons from T up, as the tail sweep and the sampler use; far below T
+    # the sums round at a few ulps of |c_0|^2 ~ 1, and there the einsum is
+    # the less accurate of the two against an extended-precision sum
+    for tau0 in (T, 10.0 * T, 100.0 * T, walk.default_tau0(T), 1e7):
+        avg = np.sinc((lam[:, None] - lam[None, :]) * tau0 / np.pi)
+        oracle = np.einsum("mk,kl,ml->m", w, avg, w)
+        assert np.max(np.abs(walk.avg_prob_all(T, tau0) - oracle)) <= 1e-15
 
 
 def test_avg_prob_sums_to_one():
@@ -110,6 +173,15 @@ def test_tail_prob_two_site_limit():
 def test_tail_limit_frozen_value():
     assert abs(walk.tail_prob_limit(154, 6) - TAIL_LIMIT_T154_Q6) <= 1e-12
     assert walk.tail_prob_limit(154, 6) >= 5.0 / 6.0 - TAIL_DELTA
+
+
+@pytest.mark.parametrize("T", [1, 7, 34, 154, 800])
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_tail_limit_matches_dense_form(T, q):
+    _, v = walk.eigensystem(T)
+    m0 = walk.tail_threshold(T, q)
+    dense = float(np.sum((v[m0:, :] ** 2) @ (v[0, :] ** 2)))
+    assert abs(walk.tail_prob_limit(T, q) - dense) <= 1e-12
 
 
 @pytest.mark.parametrize("T", [18, 34, 154])
