@@ -93,6 +93,17 @@ def controlled(gate: Gate) -> Gate:
     return Gate("C" + gate.label, gate.arity + 1, m)
 
 
+REGISTER_BYTES = 2**30  # memory budget of one 2^n-amplitude complex register
+
+
+def check_register_size(n: int) -> None:
+    """Refuse, before anything is allocated, a register over REGISTER_BYTES."""
+    most = (REGISTER_BYTES // 16).bit_length() - 1
+    if n > most:
+        raise ValueError(f"a {n}-qubit register needs 16 * 2^{n} bytes; "
+                         f"at most {most} qubits fit in {REGISTER_BYTES} bytes")
+
+
 @dataclass(frozen=True)
 class QubitState:
     """Normalized 2^n amplitude vector for the logical register."""
@@ -112,6 +123,7 @@ class QubitState:
     @classmethod
     def basis(cls, bits: str) -> "QubitState":
         n = len(bits)
+        check_register_size(n)
         amps = np.zeros(2**n, dtype=complex)
         amps[int(bits, 2)] = 1.0
         return cls(n, amps)

@@ -3,9 +3,11 @@ sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
 |c_t(tau)|^2 comes from `walk.propagate`, which transforms the shots' times
-in batches, and the readout of an accepted index t comes from the register
-at t.  This is exact because distinct configurations are orthogonal basis
-patterns.
+in batches on worker threads and turns each batch into per-row CDFs there
+(`step_cdfs`); the main thread only draws the indices by `searchsorted` and
+builds the readouts.  The readout of an accepted index t comes from the
+register at t.  This is exact because distinct configurations are
+orthogonal basis patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
 the acceptance threshold past that gate, and every later event is an
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import walk
 from .circuit import Circuit
-from .gates import QubitState
+from .gates import QubitState, check_register_size
 
 GENERATOR_NAME = "numpy-default_rng-PCG64"
 
@@ -52,6 +54,7 @@ class RunPlan:
             len(self.initial) != self.circuit.n or set(self.initial) - {"0", "1"}
         ):
             raise ValueError("initial must be an n-qubit bit string")
+        check_register_size(self.circuit.n)
 
 
 @dataclass
@@ -127,6 +130,15 @@ def padded_history(plan: RunPlan):
     return history, r_total, register, last_real
 
 
+def step_cdfs(amps: np.ndarray) -> np.ndarray:
+    """Cumulative history-index distribution of each row of amplitudes,
+    |c_t|^2 normalised by its row sum; `walk.propagate` runs it on the
+    batch's worker thread."""
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum(axis=1, keepdims=True)
+    return np.cumsum(probs, axis=1)
+
+
 def run(plan: RunPlan) -> RunReport:
     history, r_total, register, last_real = padded_history(plan)
     T = history.T
@@ -151,9 +163,7 @@ def run(plan: RunPlan) -> RunReport:
     steps = np.empty(plan.shots, dtype=int)
     accepted = np.zeros(plan.shots, dtype=bool)
     readouts: list = [None] * plan.shots
-    for s, amps in enumerate(walk.propagate(T, taus)):
-        probs = np.abs(amps) ** 2
-        cdf = np.cumsum(probs / probs.sum())
+    for s, cdf in enumerate(walk.propagate(T, taus, step_cdfs)):
         t = int(np.searchsorted(cdf, u_step[s], side="right"))
         t = min(t, T)
         steps[s] = t

@@ -11,15 +11,18 @@ exactly (the spectrum is nondegenerate, so only the k = l diagonal needs no
 oscillatory factor).  Couplings have unit magnitude; tau is dimensionless.
 
 The eigenbasis is a discrete sine basis, so `propagate` evaluates the
-propagator for a batch of times as type-I DSTs; the sampler (`runner.run`)
-and `evolve` both read their amplitudes from it.  Only the time average
+propagator for a batch of times as type-I DSTs, through numpy's real FFT
+and on every core; the sampler (`runner.run`) and `evolve` both read their
+amplitudes from it.  It needs numpy alone.  Only the time average
 `avg_prob_all` builds the dense eigenvectors.
 """
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import islice
 
 import numpy as np
 
@@ -83,36 +86,66 @@ def eigensystem(T: int) -> tuple[np.ndarray, np.ndarray]:
 PROPAGATE_BYTES = 2 * 2**20  # bytes of complex rows `propagate` transforms at once
 
 
-def propagate(T: int, taus):
+def propagate(T: int, taus, finish=None):
     """Rows c_t(tau), t = 0..T, starting from history index 0: one complex
-    row of length T+1 per tau, in the order of `taus`.
+    row of length T+1 per tau, in the order of `taus`.  With `finish`, the
+    rows of finish(batch) instead, where batch holds consecutive rows.
 
     c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
     type-I DST of the phased spectrum e^{-i lambda_k tau} sin theta_k:
     O(T log T) per tau and O(T) memory per row, instead of the dense
-    (T+1)^2 eigenvector matrix.  Rows are transformed together, at most
-    PROPAGATE_BYTES of them (and at least one) at a time, on
-    os.cpu_count() threads; every row is bit-identical to a one-dimensional
-    transform of that row alone.  A batch is computed when its first row is
-    requested, so memory stays O(batch T) however many taus are given.  When T+2 is prime the FFT takes its
-    Bluestein path; padding the transform to a fast length would change the
-    bits, so it is not done.  scipy is imported on the first call, so that
-    commands which never propagate do not pay for importing it.
+    (T+1)^2 eigenvector matrix.  The DST of length T+1 is minus the
+    imaginary part of bins 1..T+1 of the real FFT of the odd extension
+    [0, x, 0, -reversed x], of length 2(T+2), which is how pocketfft computes
+    it too; the real and imaginary parts of the spectrum go in as two real
+    rows.  Every row is bit-identical to a one-dimensional transform of that
+    row alone.  When T+2 is prime the FFT takes its Bluestein path; padding
+    the transform to a fast length would change the bits, so it is not done.
+
+    The phase stays a complex `np.exp`: building it from `cos`/`sin` of the
+    real angle gives the same bits only where numpy's real and complex
+    paths round alike, which depends on the CPU's dispatch.
+
+    Batches of at most PROPAGATE_BYTES of rows (at least one row) are
+    computed, `finish` included, on os.cpu_count() threads.  At most that
+    many batches are in flight besides the one being read, so memory stays
+    O(workers * batch) however many taus are given.
     """
-    from scipy.fft import dst
+    # imported here: concurrent.futures imports logging, about 8 ms that
+    # commands which never propagate should not pay
+    from concurrent.futures import ThreadPoolExecutor
 
     theta = _angles(T)
     lam = -2.0 * np.cos(theta)
     sin0 = np.sin(theta)
     taus = np.asarray(taus, dtype=float)
     rows = max(1, PROPAGATE_BYTES // (16 * (T + 1)))
-    for start in range(0, len(taus), rows):
+
+    def batch(start):
         z = -1j * lam * taus[start:start + rows, None]
         np.exp(z, out=z)
         z *= sin0
-        z = dst(z, type=1, axis=-1, overwrite_x=True, workers=os.cpu_count())
+        ext = np.zeros((2 * len(z), 2 * (T + 2)))
+        x = ext[:, 1:T + 2]
+        x[0::2] = z.real
+        x[1::2] = z.imag
+        np.negative(x[:, ::-1], out=ext[:, T + 3:])
+        spectrum = np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2]
+        np.negative(spectrum[0::2], out=z.real)
+        np.negative(spectrum[1::2], out=z.imag)
         z /= T + 2
-        yield from z
+        return z if finish is None else finish(z)
+
+    workers = os.cpu_count() or 1
+    starts = iter(range(0, len(taus), rows))
+    with ThreadPoolExecutor(workers) as pool:
+        pending = deque(pool.submit(batch, s) for s in islice(starts, workers))
+        while pending:
+            done = pending.popleft().result()
+            start = next(starts, None)
+            if start is not None:
+                pending.append(pool.submit(batch, start))
+            yield from done
 
 
 def evolve(T: int, tau: float) -> WalkAmplitudes:

@@ -1,4 +1,9 @@
 """Command-line front end: subcommands, exit codes, byte-stable outputs."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hamchain import cli
@@ -61,6 +66,22 @@ def test_trace_ham5_rejects_periodic_x(ws_file, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_sample_refuses_a_register_over_budget(scheme, tmp_path):
+    # 2^40 amplitudes would take 16 TiB; the run must end before allocating
+    circuit = tmp_path / "big.txt"
+    circuit.write_text("QUBITS 40\nROUNDS 1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "hamchain.cli", "sample", str(circuit),
+         "--scheme", scheme, "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_evolve_tau_zero_row(tmp_path):

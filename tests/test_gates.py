@@ -145,3 +145,18 @@ def test_sequence_matrix_is_matrix_product_order():
     # [X(1), Z(1)] as a sequence means X @ Z (Z applied to the state first)
     m = sequence_matrix([(gates.X, (1,)), (gates.Z, (1,))], 1)
     assert np.allclose(m, gates.X.matrix @ gates.Z.matrix)
+
+
+def test_register_budget_refuses_the_first_register_that_does_not_fit():
+    def fits(n):
+        try:
+            gates.check_register_size(n)
+        except ValueError:
+            return False
+        return True
+
+    largest = max(n for n in range(64) if fits(n))
+    assert all(fits(n) for n in range(largest + 1))
+    assert 16 * 2**largest <= gates.REGISTER_BYTES < 16 * 2 ** (largest + 1)
+    with pytest.raises(ValueError):
+        gates.QubitState.basis("0" * (largest + 1))

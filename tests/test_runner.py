@@ -27,6 +27,8 @@ def test_plan_validation(w_circuit_2q):
         RunPlan(w_circuit_2q, "ham5", tau0=0.0)
     with pytest.raises(ValueError):
         RunPlan(w_circuit_2q, "ham5", initial="012")
+    with pytest.raises(ValueError):  # a 2^40 register, refused before padding
+        RunPlan(Circuit(40, 1), "ham8")
 
 
 def test_identity_circuit_readouts_echo_initial():
@@ -149,8 +151,8 @@ def test_register_after_last_real_gate_is_the_circuit_output(scheme):
 
 
 def test_importing_the_package_does_not_import_scipy():
-    # scipy is needed only by walk.propagate's DST (sample and evolve);
-    # trace, certify and verify processes should not pay for importing it
+    # the package needs no scipy at run time (tests and the benchmark use it
+    # as an oracle), so no process should pay for importing it
     src = str(Path(runner.__file__).resolve().parents[1])
     code = ("import sys, hamchain, hamchain.cli, hamchain.subspace; "
             "sys.exit('scipy' in sys.modules)")
@@ -158,3 +160,29 @@ def test_importing_the_package_does_not_import_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
     assert done.returncode == 0
 
+
+def test_sample_and_evolve_do_not_import_scipy(tmp_path):
+    circuit = tmp_path / "w.txt"
+    circuit.write_text("QUBITS 2\nROUNDS 1\nGATE W 1 1\n")
+    src = str(Path(runner.__file__).resolve().parents[1])
+    code = ("import sys; from hamchain import cli; "
+            "a = cli.main(['sample', sys.argv[1], '--scheme', 'ham8', '--shots', '50', "
+            "'--seed', '0', '--out', sys.argv[2] + '/r.txt']); "
+            "b = cli.main(['evolve', '--T', '50', '--taus', '0,1', '--out', sys.argv[2] + '/e.csv']); "
+            "print(a, b, 'scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, str(circuit), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.stdout == "0 0 False\n", done.stderr
+
+
+@pytest.mark.parametrize("T", [220, 1719, 2962])
+def test_step_cdfs_bit_identical_to_per_row_cumsum(T):
+    # one full batch and a partial one
+    taus = np.random.default_rng(T).uniform(
+        0.0, walk.default_tau0(T), walk.PROPAGATE_BYTES // (16 * (T + 1)) + 5)
+    cdfs = list(walk.propagate(T, taus, runner.step_cdfs))
+    assert len(cdfs) == len(taus)
+    for amps, cdf in zip(walk.propagate(T, taus), cdfs):
+        probs = np.abs(amps) ** 2
+        assert np.array_equal(cdf, np.cumsum(probs / probs.sum()))

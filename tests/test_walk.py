@@ -1,4 +1,6 @@
 """History-line dynamics: spectra, evolution, time averages, padding."""
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,42 @@ def test_propagate_rows_bit_identical_to_one_dimensional_dst(T):
             assert np.array_equal(np.cumsum(np.abs(row) ** 2), np.cumsum(np.abs(want) ** 2))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 5])
+def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
+    # 3-row batches, so 47 taus make 16 batches spread over the threads
+    T = 220
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 3 * 16 * (T + 1))
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    taus = np.random.default_rng(0).uniform(0.0, walk.default_tau0(T), 47)
+    rows = list(walk.propagate(T, taus))
+    assert len(rows) == len(taus)
+    for tau, row in zip(taus, rows):
+        assert np.array_equal(row, one_dimensional_dst_row(T, tau))
+
+
+def test_propagate_keeps_few_batches_in_flight(monkeypatch):
+    # 50 batches of 4 rows on 2 threads, read by a consumer that stalls
+    # after its first row; threads that ran ahead through every batch would
+    # hold 50 batches, the bound allows about a third of that
+    T, per_batch, batches, workers = 2962, 4, 50, 2
+    batch_bytes = per_batch * 16 * (T + 1)
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", batch_bytes)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    taus = np.linspace(0.0, walk.default_tau0(T), per_batch * batches)
+    next(walk.propagate(T, [1.0]))  # lazy set-up stays outside the measurement
+    tracemalloc.start()
+    try:
+        rows = walk.propagate(T, taus)
+        next(rows)
+        time.sleep(0.5)
+        count = 1 + sum(1 for _ in rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == per_batch * batches
+    assert peak < 6 * (workers + 1) * batch_bytes
+
+
 @pytest.mark.parametrize("T", [1, 7, 34, 154])
 def test_propagate_matches_dense_eigensystem(T):
     lam, v = walk.eigensystem(T)
@@ -92,7 +130,7 @@ def test_propagate_matches_dense_eigensystem(T):
 
 def test_evolve_builds_no_dense_matrix():
     # the (T+1)^2 eigenvector matrix would take 80 GB here; one row is 1.6 MB
-    walk.evolve(10, 1.0)  # import scipy.fft outside the measurement
+    walk.evolve(10, 1.0)  # lazy imports and FFT set-up stay outside the measurement
     tracemalloc.start()
     try:
         amps = walk.evolve(100000, 3.0).amps
