@@ -30,13 +30,15 @@ def main(argv=None) -> int:
     } if (args.n, args.rounds) == (3, 2) else {})
 
     tr5 = f5.enumerate_history5(args.n, args.rounds)
-    (out / "ham5_trace.txt").write_text(tr5.dump())
+    with open(out / "ham5_trace.txt", "w") as fh:
+        fh.writelines(tr5.dump())
     ev5 = "\n".join(f"t={t} gate=({e.round},{e.position}) m={e.m}"
                     for t, e in sorted(tr5.events.items()))
     (out / "ham5_events.txt").write_text(ev5 + "\n")
 
     tr8 = e8.enumerate_history8(circuit)
-    (out / "ham8_trace.txt").write_text(tr8.dump())
+    with open(out / "ham8_trace.txt", "w") as fh:
+        fh.writelines(tr8.dump())
     ev8 = "\n".join(f"t={t} cell={e.cell} letter={e.letter} pair={e.pair} m={e.m}"
                     for t, e in sorted(tr8.events.items()))
     (out / "ham8_events.txt").write_text(ev8 + "\n")

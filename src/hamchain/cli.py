@@ -8,6 +8,7 @@ Errors end in one `error: ...` line on stderr, not a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -25,20 +26,19 @@ from .circuit import (
 )
 from .runner import RunPlan, run
 
-IDENTITY_TOL = 1e-12
-
 
 def _read_circuit(path: str) -> Circuit:
     with open(path) as fh:
         return parse_circuit(fh.read())
 
 
-def _write(out_path: str | None, text: str) -> None:
+def _write(out_path: str | None, chunks) -> None:
+    """Write the strings of `chunks` as they come, to stdout or a file."""
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_trace(args) -> int:
@@ -51,6 +51,8 @@ def cmd_trace(args) -> int:
 def cmd_evolve(args) -> int:
     if args.T is not None:
         T = args.T
+        if not 0 <= T <= walk.MAX_T:
+            raise SystemExit(f"--T must lie in 0..{walk.MAX_T}, got {T}")
     else:
         T = walk.enumerate_history(args.scheme, _read_circuit(args.circuit)).T
     try:
@@ -59,7 +61,9 @@ def cmd_evolve(args) -> int:
         raise SystemExit(f"bad tau grid: {exc}")
     if not taus:
         raise SystemExit("bad tau grid: empty")
-    _write(args.out, walk.probability_table_csv(T, taus))
+    if not all(math.isfinite(tau) for tau in taus):
+        raise SystemExit("bad tau grid: times must be finite")
+    _write(args.out, [walk.probability_table_csv(T, taus)])
     return 0
 
 
@@ -72,13 +76,13 @@ def cmd_sample(args) -> int:
         shots=args.shots, seed=args.seed, initial=args.initial,
     )
     report = run(plan)
-    _write(args.out, report.serialize())
+    _write(args.out, [report.serialize()])
     return 0
 
 
 def cmd_rewrite(args) -> int:
     circuit = _read_circuit(args.circuit)
-    _write(args.out, serialize_circuit(rewrite_to_ws(circuit)))
+    _write(args.out, [serialize_circuit(rewrite_to_ws(circuit))])
     return 0
 
 
@@ -86,12 +90,12 @@ def _verify_identities(lines: list[str]) -> bool:
     ok = True
     for name in gates.identity_names():
         dev = gates.check_identity(gates.synth(name), gates.identity_target(name))
-        good = dev <= IDENTITY_TOL
+        good = dev <= gates.IDENTITY_TOL
         ok &= good
         lines.append(f"identity {name}: dev={dev:.3e} {'PASS' if good else 'FAIL'}")
     w8 = np.linalg.matrix_power(gates.W.matrix, 8)
     dev = float(np.max(np.abs(w8 - np.eye(4))))
-    good = dev <= IDENTITY_TOL
+    good = dev <= gates.IDENTITY_TOL
     ok &= good
     lines.append(f"identity W^8: dev={dev:.3e} {'PASS' if good else 'FAIL'}")
     return ok
@@ -163,7 +167,7 @@ def cmd_verify(args) -> int:
     if args.scope in ("formulas", "all"):
         ok &= _verify_formulas(lines)
     lines.append(f"verify {args.scope}: {'PASS' if ok else 'FAIL'}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, ["\n".join(lines) + "\n"])
     return 0 if ok else 1
 
 
@@ -221,7 +225,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CircuitParseError, UnsupportedGateError, FileNotFoundError, ValueError,
-            walk.PaddingError, f5.RuleEngineError, e8.RuleEngineError) as exc:
+            walk.PaddingError, f5.RuleEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

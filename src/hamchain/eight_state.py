@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gates
 from .circuit import Circuit, UnsupportedGateError
-from .five_state import History, find_all
+from .five_state import History, RuleEngineError, find_all
 
 # cursor symbols
 GAT = "R"  # solid right triangle: executes gates
@@ -40,10 +40,6 @@ OPEN = "open"
 PERIODIC_X = "periodic-x"
 
 
-class RuleEngineError(RuntimeError):
-    """Zero/multiple matches, or a rule condition read a qubit placeholder."""
-
-
 class GateOnScaffoldError(RuleEngineError):
     """A non-trivial gate fired on data it must leave untouched."""
 
@@ -60,11 +56,6 @@ class ProgramLayout:
     @property
     def L(self) -> int:
         return self.n + 4 + 2 * (self.R - 1) * (self.n + 1)
-
-    @property
-    def omega_start(self) -> int:
-        """Cell holding w1 (1-based)."""
-        return (self.R - 1) * (self.n + 1) + 3
 
 
 def program_layout(circuit: Circuit) -> ProgramLayout:
@@ -371,24 +362,10 @@ def backward_step8(c: Config8):
 
 
 def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> History:
-    history = History()
-    c = initial_config8(circuit, boundary)
-    history.configs.append(c)
-    m = 0
-    while True:
-        nxt = forward_step8(c)
-        if nxt is None:
-            break
-        c, event = nxt
-        if event is not None:
-            t = history.T
-            if event.logical_qubits() is not None:
-                m += 1
-                event = replace(event, step=t, m=m, round=(m - 1) // (circuit.n - 1) + 1)
-            else:
-                event = replace(event, step=t)
-            history.events[t] = event
-        history.configs.append(c)
+    history = History.record(initial_config8(circuit, boundary), forward_step8)
+    logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
+    for m, t in enumerate(logical, 1):
+        history.events[t] = replace(history.events[t], m=m, round=(m - 1) // (circuit.n - 1) + 1)
     return history
 
 

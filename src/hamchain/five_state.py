@@ -9,6 +9,7 @@ boundaries are static lattice metadata consulted by a few rules, not symbols.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +32,8 @@ EVEN_SYMBOLS = frozenset({Q, G, BLANK})
 
 
 class RuleEngineError(RuntimeError):
-    """Zero or multiple rule matches where exactly one was required."""
+    """Zero or multiple rule matches where exactly one was required, in
+    either machine, or a ham8 rule condition that read a qubit placeholder."""
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,6 @@ class Config5:
             if self.lattice.boundary_after(i) and i < self.lattice.L:
                 toks.append("|")
         return f"{step}\t" + " ".join(toks)
-
-
-def parse_dump_line(line: str, lattice: Lattice5) -> tuple[int, Config5]:
-    step_s, _, rest = line.partition("\t")
-    syms = tuple(t for t in rest.split() if t != "|")
-    return int(step_s), Config5(lattice, syms)
 
 
 @dataclass(frozen=True)
@@ -228,19 +224,43 @@ def backward_step5(c: Config5):
 
 @dataclass
 class History:
-    """T+1 configurations of either machine; events[t] is the machine's gate
-    event (GateEvent or GateEvent8) fired on the edge t -> t+1.
+    """The history of either machine, stored as its first configuration, its
+    forward step, its length T and its gate events; events[t] is the event
+    (GateEvent or GateEvent8) fired on the edge t -> t+1.
+
+    No configuration besides the first is kept: `configs()` steps the
+    machine again from `first` and holds one configuration at a time, so a
+    history costs O(L + events) memory rather than O(T L).
 
     Every event has a `round`, 0 for a ham8 scaffold firing, and answers
     `gate(circuit)` with (4x4 unitary, logical pair) or None.
     """
 
-    configs: list = field(default_factory=list)
+    first: object
+    step: Callable
     events: dict = field(default_factory=dict)
+    T: int = 0
 
-    @property
-    def T(self) -> int:
-        return len(self.configs) - 1
+    @classmethod
+    def record(cls, first, step) -> History:
+        """Step from `first` until `step` returns None, keeping each event
+        with its transition index as `step`."""
+        history = cls(first, step)
+        c = first
+        while (nxt := step(c)) is not None:
+            c, event = nxt
+            if event is not None:
+                history.events[history.T] = replace(event, step=history.T)
+            history.T += 1
+        return history
+
+    def configs(self):
+        """The configurations at t = 0..T, stepped again from `first`."""
+        c = self.first
+        yield c
+        for _ in range(self.T):
+            c = self.step(c)[0]
+            yield c
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""
@@ -259,29 +279,21 @@ class History:
                 q = gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
             yield q
 
-    def dump(self) -> str:
-        """ham5: one line per configuration; ham8: one [t] block each, with a
-        blank line between blocks."""
-        if isinstance(self.configs[0], Config5):
-            return "".join(c.dump_line(t) + "\n" for t, c in enumerate(self.configs))
-        return "\n".join(c.dump_block(t) for t, c in enumerate(self.configs))
+    def dump(self):
+        """The text of the history, one configuration at a time.  ham5: one
+        line per configuration; ham8: one [t] block each, with a blank line
+        between blocks."""
+        for t, c in enumerate(self.configs()):
+            if isinstance(c, Config5):
+                yield c.dump_line(t) + "\n"
+            else:
+                yield ("\n" if t else "") + c.dump_block(t)
 
 
 def enumerate_history5(n: int, R: int) -> History:
-    history = History()
-    c = initial_config5(n, R)
-    history.configs.append(c)
-    m = 0
-    while True:
-        nxt = forward_step5(c)
-        if nxt is None:
-            break
-        c, event = nxt
-        if event is not None:
-            m += 1
-            t = history.T
-            history.events[t] = replace(event, step=t, m=m)
-        history.configs.append(c)
+    history = History.record(initial_config5(n, R), forward_step5)
+    for m, (t, event) in enumerate(history.events.items(), 1):
+        history.events[t] = replace(event, m=m)
     return history
 
 

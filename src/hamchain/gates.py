@@ -117,7 +117,7 @@ class QubitState:
         if a.shape != (2**self.n,):
             raise ValueError(f"amplitude vector has shape {a.shape}, expected ({2**self.n},)")
         norm = np.sum(np.abs(a) ** 2)
-        if abs(norm - 1.0) > UNITARY_TOL:
+        if not abs(norm - 1.0) <= UNITARY_TOL:  # NaN fails too
             raise ValueError(f"state not normalized: |amps|^2 = {norm}")
 
     @classmethod

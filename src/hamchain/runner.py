@@ -18,6 +18,7 @@ register bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from io import StringIO
 from itertools import islice
@@ -31,6 +32,8 @@ from .gates import QubitState, check_register_size
 GENERATOR_NAME = "numpy-default_rng-PCG64"
 
 SCHEMES = ("ham5", "ham8")
+
+MAX_SHOTS = 10**7  # most shots in one run, which keeps arrays and a report line per shot
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,10 @@ class RunPlan:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.shots < 1 or self.q < 2:
-            raise ValueError("need shots >= 1 and q >= 2")
-        if self.tau0 is not None and not self.tau0 > 0:
-            raise ValueError("need tau0 > 0")
+        if not 1 <= self.shots <= MAX_SHOTS or self.q < 2:
+            raise ValueError(f"need 1 <= shots <= {MAX_SHOTS} and q >= 2")
+        if self.tau0 is not None and not 0 < self.tau0 < math.inf:
+            raise ValueError("need a finite tau0 > 0")
         if self.initial is not None and (
             len(self.initial) != self.circuit.n or set(self.initial) - {"0", "1"}
         ):

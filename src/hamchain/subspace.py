@@ -5,7 +5,9 @@ A dressed state is a classical symbol pattern together with the 2^n logical
 register.  Local terms are applied directly to dressed states by window
 matching; no full many-body vector is ever built.  Certification checks, for
 every history index t, that H maps state t to -(state t-1) - (state t+1)
-with the recorded gate unitaries on the register factor.  Each state is
+with the recorded gate unitaries on the register factor.  The history is
+read as a stream, from its configurations and register replay, and no more
+than three dressed states (t-1, t, t+1) are held at once.  Each state is
 matched only against the terms anchored at its live symbols (_term_picker),
 which gives the same images as matching the whole term table.
 """
@@ -179,40 +181,31 @@ def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
     return terms, pick, apply_H8
 
 
-def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
-    """History configurations with the register state carried along each edge."""
-    history = walk.enumerate_history(scheme, circuit)
-    return [DressedState(c, q)
-            for c, q in zip(history.configs, history.registers(circuit, initial))]
-
-
 def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None = None) -> CertReport:
     """Check closure of the dressed history span under the local terms."""
     if initial is None:
         initial = QubitState.basis("0" * circuit.n)
-    states = _dressed_history(scheme, circuit, initial)
-    _, pick, apply_H = _local_hamiltonian(scheme, circuit, states[0].pattern)
+    history = walk.enumerate_history(scheme, circuit)
+    _, pick, apply_H = _local_hamiltonian(scheme, circuit, history.first)
+    states = map(DressedState, history.configs(), history.registers(circuit, initial))
     report = CertReport(scheme)
-    T = len(states) - 1
-    for t, s in enumerate(states):
-        got = _collect(apply_H(pick(s.pattern), s))
-        want: dict = {}
-        for nb in (t - 1, t + 1):
-            if 0 <= nb <= T:
-                want[states[nb].pattern] = -1.0 * states[nb].qubits.amps
-        neighbor_of = {states[nb].pattern: nb for nb in (t - 1, t + 1) if 0 <= nb <= T}
+    prev, cur = None, next(states)
+    for t in range(history.T + 1):
+        nxt = next(states, None)
+        got = _collect(apply_H(pick(cur.pattern), cur))
+        want = {s.pattern: (nb, -1.0 * s.qubits.amps)
+                for nb, s in ((t - 1, prev), (t + 1, nxt)) if s is not None}
         errs = []
         for pat, vec in got.items():
             if pat not in want:
                 errs.append("unexpected output pattern")
-            elif np.max(np.abs(vec - want[pat])) > QUBIT_TOL:
-                errs.append(f"register mismatch vs t'={neighbor_of[pat]}")
-        for pat in want:
-            if pat not in got:
-                errs.append("missing neighbor pattern")
+            elif np.max(np.abs(vec - want[pat][1])) > QUBIT_TOL:
+                errs.append(f"register mismatch vs t'={want[pat][0]}")
+        errs += ["missing neighbor pattern" for pat in want if pat not in got]
         if errs:
             report.failures += 1
             report.lines.append(f"t={t} FAIL: {'; '.join(errs)}")
         else:
             report.lines.append(f"t={t} PASS")
+        prev, cur = cur, nxt
     return report

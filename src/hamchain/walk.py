@@ -53,7 +53,7 @@ class WalkAmplitudes:
         a = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", a)
         norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"walk amplitudes not normalized: {norm}")
 
     def probabilities(self) -> np.ndarray:
@@ -84,6 +84,7 @@ def eigensystem(T: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 PROPAGATE_BYTES = 2 * 2**20  # bytes of complex rows `propagate` transforms at once
+MAX_T = 2**24  # longest history line: one complex propagator row is then 256 MiB
 
 
 def propagate(T: int, taus, finish=None):
@@ -204,7 +205,8 @@ def default_tau0(T: int) -> float:
 
 class PaddingError(RuntimeError):
     """Padding leaves the acceptance threshold at or before the last real
-    gate, or the closed forms it relied on disagree with the engine."""
+    gate, the padded history would be longer than MAX_T, or the closed
+    forms it relied on disagree with the engine."""
 
 
 def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
@@ -218,7 +220,12 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
 
 def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
     """The scheme's history of `circuit`.  ham5 reads only n and the round
-    count from it and has only the open chain; `boundary` is ham8's."""
+    count from it and has only the open chain; `boundary` is ham8's.  A
+    history whose closed-form T exceeds MAX_T is refused before any step."""
+    T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
+    if T > MAX_T:
+        raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T}, "
+                         f"over the limit of {MAX_T}")
     if scheme == "ham5":
         if boundary != eight_state.OPEN:
             raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
@@ -234,7 +241,8 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
 
     Pure arithmetic on the closed forms for T and for the last real gate's
     step, both checked against the engine in the tests and by `verify`.
-    The search stops by R = q r_real.  There, with r = r_real and s the
+    The search stops at the first R whose T exceeds MAX_T, since T grows
+    with R, and otherwise by R = q r_real.  There, with r = r_real and s the
     last real gate's step, floor(T/q) >= s holds iff T >= q s, and
 
       ham5:  T - q s = (q-1)(3n^2+n+1) - (q-1)n + q > 0;
@@ -245,6 +253,9 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
         raise ValueError(f"need n >= 2, r_real >= 1 and q >= 2; got {n}, {r_real}, {q}")
     for r_total in range(r_real, q * r_real + 1):
         T, last_real = closed_form_steps(n, r_total, r_real, scheme)
+        if T > MAX_T:
+            raise PaddingError(f"{scheme} n={n} padded to {r_total} rounds has T={T}, "
+                               f"over the limit of {MAX_T}")
         if last_real <= T // q:
             return r_total
     raise PaddingError(f"no round count up to {q * r_real} pads {scheme} n={n} r={r_real} q={q}")

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, exit codes, byte-stable outputs."""
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,35 @@ def test_sample_refuses_a_register_over_budget(scheme, tmp_path):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+def _limit_address_space():
+    # a refusal that regresses into an allocation fails with MemoryError
+    # instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "W", "--scheme", "ham5", "--seed", "0", "--tau0", "inf"],
+    ["evolve", "--T", "3", "--taus", "nan,inf"],
+    ["sample", "BIG", "--scheme", "ham8", "--seed", "0"],
+    ["trace", "BIG", "--scheme", "ham5"],
+    ["evolve", "--T", "1000000000", "--taus", "1"],
+    ["evolve", "--T", "-1", "--taus", "1"],
+    ["sample", "W", "--scheme", "ham5", "--seed", "0", "--shots", "100000000000"],
+], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
+        "T-past-max-T", "T-negative", "shots-past-max"])
+def test_refused_input_exits_2_with_one_line(argv, tmp_path):
+    files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "hamchain.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_evolve_tau_zero_row(tmp_path):

@@ -120,7 +120,8 @@ def test_every_ham8_rule_has_a_live_cursor_at_s_or_s_minus():
 @pytest.mark.parametrize("n,R", SIZES)
 def test_ham5_matches_full_scan_oracle(n, R):
     tr = f5.enumerate_history5(n, R)
-    for c in tr.configs:
+    configs = list(tr.configs())
+    for c in configs:
         for reverse in (False, True):
             assert f5._matches(c, reverse) == oracle_matches5(c, reverse)
             assert outcome(f5._step, c, reverse) == outcome(oracle_step5, c, reverse)
@@ -130,12 +131,13 @@ def test_ham5_matches_full_scan_oracle(n, R):
 @pytest.mark.parametrize("n,R", SIZES)
 def test_ham8_matches_cursor_scan_oracle(n, R, boundary):
     tr = e8.enumerate_history8(ws_circuit(n, R), boundary)
-    for c in tr.configs:
+    configs = list(tr.configs())
+    for c in configs:
         for reverse in (False, True):
             assert outcome(e8._matches, c, reverse) == outcome(oracle_matches8, c, reverse)
             assert outcome(e8._step, c, reverse) == outcome(oracle_step8, c, reverse)
     # the ring's extra backward match at t=0 is reproduced, not filtered out
-    back = e8.backward_step8(tr.configs[0])
+    back = e8.backward_step8(configs[0])
     assert (back is not None) == (boundary == e8.PERIODIC_X)
 
 

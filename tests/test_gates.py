@@ -37,6 +37,11 @@ def test_nonunitary_matrix_rejected():
         Gate("bad", 1, np.array([[1, 0], [0, 2]]))
 
 
+def test_non_finite_state_is_not_normalised():
+    with pytest.raises(ValueError):
+        QubitState(1, np.array([np.nan, 0.0]))
+
+
 def test_apply_identity_leaves_state_unchanged():
     s = QubitState.basis("01")
     out = apply_gate(s, gates.I1, (2,))

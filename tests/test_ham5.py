@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from hamchain import five_state as f5
+from hamchain import walk
 
 # Transition counts measured directly from the rule engine and frozen here.
 # They exceed the quoted closed form (R-1)(3n^2+n)+n+1 by R-2, so the two
@@ -51,21 +52,23 @@ def test_config_rejects_wrong_parity_symbol():
 
 def test_golden_trace_3_2_bit_exact(fixtures_dir):
     golden = (fixtures_dir / "ham5_n3r2.txt").read_text()
-    assert f5.enumerate_history5(3, 2).dump() == golden
+    assert "".join(f5.enumerate_history5(3, 2).dump()) == golden
 
 
 def test_trace_ends_at_final_configuration():
     tr = f5.enumerate_history5(3, 2)
+    configs = list(tr.configs())
     assert tr.T == 34
-    assert f5.forward_step5(tr.configs[-1]) is None
-    assert f5.backward_step5(tr.configs[0]) is None
+    assert f5.forward_step5(configs[-1]) is None
+    assert f5.backward_step5(configs[0]) is None
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (3, 2), (2, 3), (4, 2)])
 def test_uniqueness_reversibility_distinctness(n, R):
     tr = f5.enumerate_history5(n, R)
-    assert len(set(c.symbols for c in tr.configs)) == len(tr.configs)
-    for t, c in enumerate(tr.configs):
+    configs = list(tr.configs())
+    assert len(set(c.symbols for c in configs)) == len(configs)
+    for t, c in enumerate(configs):
         fwd = f5._matches(c, reverse=False)
         bwd = f5._matches(c, reverse=True)
         assert len(fwd) == (0 if t == tr.T else 1)
@@ -96,7 +99,8 @@ def test_rule_tally_derives_step_count(n, R):
     # docstring of step_count_formula5: round 1 fires 6a and n-1 gates,
     # every later round fires the same 3n^2+n+1 rewrites.
     tr = f5.enumerate_history5(n, R)
-    tally = Counter(name for c in tr.configs[:-1] for _, name in f5._matches(c, False))
+    configs = list(tr.configs())
+    tally = Counter(name for c in configs[:-1] for _, name in f5._matches(c, False))
     later = R - 1
     expected = {
         "1": R * (n - 1), "2": later, "3": n * later, "4": n * n * later,
@@ -118,13 +122,6 @@ def test_gate_events_cover_schedule_in_order(n, R):
     ]
     assert [e.m for e in events] == list(range(1, len(events) + 1))
     assert all(e.qubits == (e.position, e.position + 1) for e in events)
-
-
-def test_dump_line_round_trips():
-    tr = f5.enumerate_history5(3, 2)
-    for t in (0, 7, 34):
-        step, cfg = f5.parse_dump_line(tr.configs[t].dump_line(t), tr.configs[t].lattice)
-        assert step == t and cfg == tr.configs[t]
 
 
 def test_rule_engine_flags_ambiguity():
@@ -155,3 +152,13 @@ def test_local_terms_boundary_placement():
     lat = f5.Lattice5(n, R)
     assert len(rule2) == R - 1
     assert all(lat.boundary_after(t.site + 1) for t in rule2)
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_configs_steps_the_history_again(scheme, ws_circuit_3q2r):
+    tr = walk.enumerate_history(scheme, ws_circuit_3q2r)
+    configs = list(tr.configs())
+    assert len(configs) == tr.T + 1
+    assert configs[0] == tr.first
+    assert list(tr.configs()) == configs
+    assert tr.step(configs[-1]) is None

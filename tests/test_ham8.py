@@ -1,5 +1,6 @@
 """Eight-state translation-invariant machine: layout, rules, histories."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,9 +46,10 @@ def test_initial_config_has_single_left_cursor(ws_circuit_3q2r):
 def test_reference_steps_bit_exact(fixtures_dir, ws_circuit_3q2r):
     golden = (fixtures_dir / "ham8_n3r2_reference.txt").read_text()
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    assert tr.T == 154 and len(tr.configs) == 155
+    configs = list(tr.configs())
+    assert tr.T == 154 and len(configs) == 155
     got = "".join(
-        tr.configs[t].dump_block(t)
+        configs[t].dump_block(t)
         for t in [0, 1, 2] + list(range(9, 14)) + list(range(26, 31))
         + list(range(38, 43)) + list(range(55, 60)) + [154]
     )
@@ -56,12 +58,13 @@ def test_reference_steps_bit_exact(fixtures_dir, ws_circuit_3q2r):
 
 def test_final_configuration_shape(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    last = tr.configs[-1]
+    configs = list(tr.configs())
+    last = configs[-1]
     assert last.cursors[0] == e8.MOVLE
     assert all(s == e8.STAR for s in last.cursors[1:])
     # program word shifted fully left, data pattern unchanged
-    assert last.progs[:9] == (".",) + tr.configs[0].layout.program
-    assert last.datas == tr.configs[0].datas
+    assert last.progs[:9] == (".",) + configs[0].layout.program
+    assert last.datas == configs[0].datas
     assert e8.forward_step8(last) is None
 
 
@@ -75,16 +78,17 @@ def test_step_count_formula_exact(n, R):
 def test_uniqueness_reversibility_distinctness(n, R, ws_circuit_3q2r, w_circuit_2q):
     circ = w_circuit_2q if (n, R) == (2, 1) else ws_circuit_3q2r
     tr = e8.enumerate_history8(circ)
-    keys = [(c.cursors, c.progs) for c in tr.configs]
+    configs = list(tr.configs())
+    keys = [(c.cursors, c.progs) for c in configs]
     assert len(set(keys)) == len(keys)
-    for t, c in enumerate(tr.configs):
+    for t, c in enumerate(configs):
         if t < tr.T:
             nxt, _ = e8.forward_step8(c)
             back, _ = e8.backward_step8(nxt)
             assert back == c
         else:
             assert e8.forward_step8(c) is None
-    assert e8.backward_step8(tr.configs[0]) is None
+    assert e8.backward_step8(configs[0]) is None
 
 
 def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
@@ -109,7 +113,7 @@ DUMP_SHA256 = {
 
 @pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
 def test_full_dump_digest(ws_circuit_3q2r, boundary):
-    text = e8.enumerate_history8(ws_circuit_3q2r, boundary).dump()
+    text = "".join(e8.enumerate_history8(ws_circuit_3q2r, boundary).dump())
     assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[boundary]
 
 
@@ -150,13 +154,15 @@ def test_rule_conditions_never_read_qubit_placeholders(w_circuit_2q):
 
 def test_periodic_variant_same_length_and_fixed_stopper(ws_circuit_3q2r):
     tro = e8.enumerate_history8(ws_circuit_3q2r)
+    open_configs = list(tro.configs())
     trp = e8.enumerate_history8(ws_circuit_3q2r, e8.PERIODIC_X)
+    ring_configs = list(trp.configs())
     assert trp.T == tro.T
-    for c in trp.configs:
+    for c in ring_configs:
         assert c.cursors[-1] == e8.XSTOP
         assert c.progs[-1] == "."
     # open-chain content identical cell for cell
-    for co, cp in zip(tro.configs, trp.configs):
+    for co, cp in zip(open_configs, ring_configs):
         assert cp.cursors[:-1] == co.cursors
         assert cp.progs[:-1] == co.progs
 
@@ -166,11 +172,12 @@ def test_periodic_variant_reversible_after_first_step(w_circuit_2q):
     # (a left-cursor step wrapping through the stopper cell), so the history
     # is only forward-terminated; every later configuration reverses cleanly.
     trp = e8.enumerate_history8(w_circuit_2q, e8.PERIODIC_X)
-    assert e8.backward_step8(trp.configs[0]) is not None
+    ring_configs = list(trp.configs())
+    assert e8.backward_step8(ring_configs[0]) is not None
     for t in range(1, trp.T):
-        nxt, _ = e8.forward_step8(trp.configs[t])
+        nxt, _ = e8.forward_step8(ring_configs[t])
         back, _ = e8.backward_step8(nxt)
-        assert back == trp.configs[t]
+        assert back == ring_configs[t]
 
 
 def test_rule_engine_flags_ambiguity(w_circuit_2q):
@@ -188,3 +195,17 @@ def test_local_terms_tile_every_cell(w_circuit_2q):
     assert rules == {name for name, _, _ in e8._RULES8}
     # interior cells carry all 11 templates
     assert sum(1 for t in terms if t.cell == 3) == 11
+
+
+def test_enumeration_keeps_no_configurations():
+    # n=2, R=14 (T=5283, the `pad` shape): its 5284 configurations take
+    # about 8 MB, its first configuration and 588 events about 0.14 MB
+    e8.enumerate_history8(Circuit(2, 2))  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        tr = e8.enumerate_history8(Circuit(2, 14))
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.T == 5283
+    assert kept < 1e6

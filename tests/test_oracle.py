@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates, subspace
+from hamchain import gates, subspace, walk
 from hamchain.circuit import Circuit
 from hamchain.gates import QubitState
 
@@ -34,20 +34,22 @@ def test_certify_with_superposed_register(w_circuit_2q):
 
 def test_apply_h5_at_endpoints(w_circuit_2q):
     trace = f5.enumerate_history5(2, 1)
+    configs = list(trace.configs())
     terms = f5.local_terms5(2, 1, w_circuit_2q)
-    s0 = subspace.DressedState(trace.configs[0], QubitState.basis("00"))
+    s0 = subspace.DressedState(configs[0], QubitState.basis("00"))
     images = subspace.apply_H5(terms, s0)
     assert len(images) == 1
     weight, ds = images[0]
-    assert weight == -1.0 and ds.pattern == trace.configs[1]
+    assert weight == -1.0 and ds.pattern == configs[1]
 
 
 def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
     trace = f5.enumerate_history5(2, 1)
+    configs = list(trace.configs())
     terms = f5.local_terms5(2, 1, w_circuit_2q)
-    s = subspace.DressedState(trace.configs[1], QubitState.basis("00"))
+    s = subspace.DressedState(configs[1], QubitState.basis("00"))
     patterns = {ds.pattern for _, ds in subspace.apply_H5(terms, s)}
-    assert patterns == {trace.configs[0], trace.configs[2]}
+    assert patterns == {configs[0], configs[2]}
 
 
 def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
@@ -104,8 +106,9 @@ def _images(apply_H, terms, state):
 def test_picked_terms_give_the_images_of_all_terms(scheme, circuit):
     amps = np.arange(1, 2**circuit.n + 1, dtype=complex)
     init = QubitState(circuit.n, amps / np.linalg.norm(amps))
-    states = subspace._dressed_history(scheme, circuit, init)
-    terms, pick, apply_H = subspace._local_hamiltonian(scheme, circuit, states[0].pattern)
+    history = walk.enumerate_history(scheme, circuit)
+    states = list(map(subspace.DressedState, history.configs(), history.registers(circuit, init)))
+    terms, pick, apply_H = subspace._local_hamiltonian(scheme, circuit, history.first)
     for s in states:
         picked = pick(s.pattern)
         assert len(picked) < len(terms)
@@ -125,7 +128,8 @@ def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: terms)
     rep = subspace.certify_subspace("ham5", w_circuit_2q)
     trace = f5.enumerate_history5(2, 1)
-    hit = {t for t, c in enumerate(trace.configs)
+    configs = list(trace.configs())
+    hit = {t for t, c in enumerate(configs)
            if c.symbols[1:4] in (rogue.lhs, rogue.rhs)}
     assert hit
     assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
@@ -144,7 +148,8 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     monkeypatch.setattr(e8, "local_terms8", lambda *a, **k: terms)
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     trace = e8.enumerate_history8(w_circuit_2q)
-    hit = {t for t, c in enumerate(trace.configs)
+    configs = list(trace.configs())
+    hit = {t for t, c in enumerate(configs)
            if c.cursors[0] == e8.STAR and c.progs[0] in (".", "I")}
     assert 0 < len(hit) < len(rep.lines)
     assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
@@ -167,3 +172,18 @@ def test_certify_random_wsi_circuits(data):
     for scheme in ("ham5", "ham8"):
         rep = subspace.certify_subspace(scheme, circuit, init)
         assert rep.passed, (scheme, [line for line in rep.lines if "FAIL" in line][:3])
+
+
+def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r, monkeypatch):
+    # the last gate's rule-1 term is the only one joining t=T-1 and t=T, the
+    # last state of the certificate's window, which has no successor
+    n, R = ws_circuit_3q2r.n, ws_circuit_3q2r.rounds
+    terms = f5.local_terms5(n, R, ws_circuit_3q2r)
+    kept = [term for term in terms if term.slot != (R, n - 1)]
+    assert len(kept) == len(terms) - 1
+    monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: kept)
+    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
+    T = f5.step_count_formula5(n, R)
+    assert len(rep.lines) == T + 1
+    assert [t for t, line in enumerate(rep.lines) if "FAIL" in line] == [T - 1, T]
+    assert rep.lines[T] == f"t={T} FAIL: missing neighbor pattern"

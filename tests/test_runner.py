@@ -31,6 +31,15 @@ def test_plan_validation(w_circuit_2q):
         RunPlan(Circuit(40, 1), "ham8")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tau0", float("inf")), ("tau0", float("nan")), ("shots", runner.MAX_SHOTS + 1),
+])
+def test_plan_refuses_non_finite_times_and_shots_past_the_limit(w_circuit_2q, field, value):
+    with pytest.raises(ValueError):
+        RunPlan(w_circuit_2q, "ham5", **{field: value})
+    RunPlan(w_circuit_2q, "ham5", shots=runner.MAX_SHOTS)
+
+
 def test_identity_circuit_readouts_echo_initial():
     plan = RunPlan(Circuit(2, 1), "ham5", shots=300, seed=5, initial="10")
     report = run(plan)

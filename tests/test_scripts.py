@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -19,3 +21,15 @@ def test_export_traces_writes_the_reference_ham5_trace(tmp_path, fixtures_dir):
     assert (tmp_path / "ham5_trace.txt").read_bytes() == golden
     for name in ("ham5_events.txt", "ham8_trace.txt", "ham8_events.txt"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("script,args,first", [
+    ("protocol_demo.py", ["--shots", "200"], "ham5: T="),
+    ("tail_probability_sweep.py", ["--T", "34", "--factors", "1", "10"], "# T=34 q=6"),
+])
+def test_script_runs(script, args, first):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(first)

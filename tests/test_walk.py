@@ -344,3 +344,18 @@ def test_csv_emitters():
     table = walk.probability_table_csv(1, [0.0]).splitlines()
     assert table[0] == "tau,m,p"
     assert table[1].startswith("0,0,1")
+
+
+def test_padding_plan_refuses_a_history_past_max_T(monkeypatch):
+    calls = []
+    closed = walk.closed_form_steps
+    monkeypatch.setattr(walk, "closed_form_steps",
+                        lambda *a: calls.append(a) or closed(*a))
+    with pytest.raises(walk.PaddingError, match="over the limit"):
+        walk.padding_plan(2, 10**9, 6, "ham8")
+    assert len(calls) == 1  # T grows with R, so the first candidate decides
+
+
+def test_non_finite_amplitudes_are_not_normalised():
+    with pytest.raises(ValueError):
+        walk.WalkAmplitudes(0.0, np.array([np.nan, 0.0]))
