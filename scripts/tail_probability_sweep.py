@@ -19,16 +19,20 @@ def main(argv=None) -> int:
                     default=[1, 3, 10, 30, 100, 300, 1000],
                     help="averaging horizons as multiples of T")
     args = ap.parse_args(argv)
+    try:
+        specs = [walk.WalkSpec(args.T, args.q, f * args.T) for f in args.factors]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     limit = walk.tail_prob_limit(args.T, args.q)
     print(f"# T={args.T} q={args.q} threshold={walk.tail_threshold(args.T, args.q)} "
           f"limit={limit:.12g} target=(q-1)/q={1 - 1 / args.q:.12g}")
     print("tau0_over_T,tail_prob,residual,residual_times_tau0_over_T")
-    for f in args.factors:
-        tau0 = f * args.T
-        tail = walk.tail_prob(args.T, args.q, tau0)
+    for f, spec in zip(args.factors, specs):
+        tail = walk.tail_prob(spec.T, spec.q, spec.tau0)
         resid = abs(tail - limit)
-        print(f"{f:g},{tail:.12g},{resid:.6g},{resid * tau0 / args.T:.6g}")
+        print(f"{f:g},{tail:.12g},{resid:.6g},{resid * f:.6g}")
     return 0
 
 

@@ -54,7 +54,7 @@ def cmd_evolve(args) -> int:
         if not 0 <= T <= walk.MAX_T:
             raise SystemExit(f"--T must lie in 0..{walk.MAX_T}, got {T}")
     else:
-        T = walk.enumerate_history(args.scheme, _read_circuit(args.circuit)).T
+        T = walk.history_length(args.scheme, _read_circuit(args.circuit))
     try:
         taus = [float(x) for x in args.taus.split(",") if x.strip() != ""]
     except ValueError as exc:

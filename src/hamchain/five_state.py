@@ -241,26 +241,31 @@ class History:
     events: dict = field(default_factory=dict)
     T: int = 0
 
-    @classmethod
-    def record(cls, first, step) -> History:
-        """Step from `first` until `step` returns None, keeping each event
-        with its transition index as `step`."""
-        history = cls(first, step)
+    @staticmethod
+    def stream(first, step):
+        """Step from `first` until `step` returns None, yielding each
+        configuration with the event on its outgoing edge (None where no
+        gate fires, and after the last configuration)."""
         c = first
         while (nxt := step(c)) is not None:
-            c, event = nxt
+            yield c, nxt[1]
+            c = nxt[0]
+        yield c, None
+
+    @classmethod
+    def record(cls, first, step) -> History:
+        """The history stepped from `first`, keeping each event with its
+        transition index as `step`."""
+        history = cls(first, step)
+        for t, (_, event) in enumerate(cls.stream(first, step)):
             if event is not None:
-                history.events[history.T] = replace(event, step=history.T)
-            history.T += 1
+                history.events[t] = replace(event, step=t)
+            history.T = t
         return history
 
     def configs(self):
         """The configurations at t = 0..T, stepped again from `first`."""
-        c = self.first
-        yield c
-        for _ in range(self.T):
-            c = self.step(c)[0]
-            yield c
+        return (c for c, _ in self.stream(self.first, self.step))
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""
@@ -272,11 +277,7 @@ class History:
         q = initial
         yield q
         for t in range(self.T):
-            ev = self.events.get(t)
-            gate = ev.gate(circuit) if ev is not None else None
-            if gate is not None:
-                mat, pair = gate
-                q = gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
+            q = fire(self.events.get(t), circuit, q)
             yield q
 
     def dump(self):
@@ -288,6 +289,15 @@ class History:
                 yield c.dump_line(t) + "\n"
             else:
                 yield ("\n" if t else "") + c.dump_block(t)
+
+
+def fire(event, circuit, q: gates.QubitState) -> gates.QubitState:
+    """The register `q` after `event` (None for no event) fires."""
+    gate = event.gate(circuit) if event is not None else None
+    if gate is None:
+        return q
+    mat, pair = gate
+    return gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
 
 
 def enumerate_history5(n: int, R: int) -> History:

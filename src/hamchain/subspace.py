@@ -6,14 +6,16 @@ register.  Local terms are applied directly to dressed states by window
 matching; no full many-body vector is ever built.  Certification checks, for
 every history index t, that H maps state t to -(state t-1) - (state t+1)
 with the recorded gate unitaries on the register factor.  The history is
-read as a stream, from its configurations and register replay, and no more
-than three dressed states (t-1, t, t+1) are held at once.  Each state is
+read as a stream from one stepping pass of the machine, the register
+advancing as each edge's event arrives, and no more than three dressed
+states (t-1, t, t+1) are held at once.  Each state is
 matched only against the terms anchored at its live symbols (_term_picker),
 which gives the same images as matching the whole term table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -181,17 +183,30 @@ def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
     return terms, pick, apply_H8
 
 
+def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
+    """The scheme's dressed states at t = 0..T, from one stepping pass: the
+    register advances as each edge's event arrives.  What
+    walk.history_length refuses is refused before the first step."""
+    walk.history_length(scheme, circuit)
+    if scheme == "ham5":
+        first, step = f5.initial_config5(circuit.n, circuit.rounds), f5.forward_step5
+    else:
+        first, step = e8.initial_config8(circuit), e8.forward_step8
+    q = initial
+    for c, event in f5.History.stream(first, step):
+        yield DressedState(c, q)
+        q = f5.fire(event, circuit, q)
+
+
 def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None = None) -> CertReport:
     """Check closure of the dressed history span under the local terms."""
     if initial is None:
         initial = QubitState.basis("0" * circuit.n)
-    history = walk.enumerate_history(scheme, circuit)
-    _, pick, apply_H = _local_hamiltonian(scheme, circuit, history.first)
-    states = map(DressedState, history.configs(), history.registers(circuit, initial))
-    report = CertReport(scheme)
+    states = _dressed_history(scheme, circuit, initial)
     prev, cur = None, next(states)
-    for t in range(history.T + 1):
-        nxt = next(states, None)
+    _, pick, apply_H = _local_hamiltonian(scheme, circuit, cur.pattern)
+    report = CertReport(scheme)
+    for t, nxt in enumerate(chain(states, [None])):
         got = _collect(apply_H(pick(cur.pattern), cur))
         want = {s.pattern: (nb, -1.0 * s.qubits.amps)
                 for nb, s in ((t - 1, prev), (t + 1, nxt)) if s is not None}

@@ -14,10 +14,12 @@ The eigenbasis is a discrete sine basis, so `propagate` evaluates the
 propagator for a batch of times as type-I DSTs, through numpy's real FFT
 and on every core; the sampler (`runner.run`) and `evolve` both read their
 amplitudes from it.  It needs numpy alone.  Only the time average
-`avg_prob_all` builds the dense eigenvectors.
+`avg_prob_all` builds the dense eigenvectors; `tail_prob` sums its tail in
+closed form from one O(T) table, in O(T^2) time and O(T) memory.
 """
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,6 +27,7 @@ from io import StringIO
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import eight_state, five_state
 
@@ -40,8 +43,8 @@ class WalkSpec:
             raise ValueError("need T >= 1")
         if self.q < 2:
             raise ValueError("need q >= 2")
-        if not self.tau0 > 0:
-            raise ValueError("need tau0 > 0")
+        if not (self.tau0 > 0 and math.isfinite(self.tau0)):
+            raise ValueError(f"need a finite tau0 > 0, got {self.tau0}")
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,68 @@ def tail_threshold(T: int, q: int) -> int:
     return T // q + 1
 
 
+TAIL_BLOCK_BYTES = 2**19  # bytes of each row block of the tail's pair matrix
+
+
 def tail_prob(T: int, q: int, tau0: float) -> float:
-    """Time-averaged probability of landing at m > T/q."""
+    """Time-averaged probability of landing at m > T/q, in O(T^2) time and
+    O(T) memory, without the eigenvectors.
+
+    Summing avg_prob_all over the tail m >= m0 gives
+
+      sum_{k,l} v_k(0) v_l(0) S_kl sinc((lam_k - lam_l) tau0),
+      S_kl = sum_{m >= m0} v_k(m) v_l(m).
+
+    With phi = pi/(T+2), j = m+1 over [a, b] = [m0+1, T+1] and
+    2 sin x sin y = cos(x-y) - cos(x+y),
+
+      S_kl = [C(|k-l|) - C(k+l)] / (T+2),   C(s) = sum_{j=a}^{b} cos(j s phi),
+
+    where C(0) = b - a + 1 and otherwise, telescoping,
+
+      C(s) = [sin((b+1/2) s phi) - sin((a-1/2) s phi)] / (2 sin(s phi/2)),
+
+    with sin(s phi/2) > 0 for s = 1..2T+2.  So one table of C over
+    s = 0..2T+2 gives every S_kl.  The k = l terms sum to tail_prob_limit.
+    For k != l, sin(d tau0) with d = lam_k - lam_l is s_k c_l - c_k s_l,
+    where s_k = sin(lam_k tau0) and c_k = cos(lam_k tau0); as M_kl =
+    S_kl / (lam_k - lam_l) is antisymmetric, both halves add up to
+
+      tail = tail_prob_limit + (2/tau0) (s o v0)^T M (c o v0),
+
+    with M_kl = 0 on the diagonal.  Taking sqrt(2/(T+2)) out of each v0 and
+    1/(T+2) out of S leaves the factor 4 / (tau0 (T+2)^2).  No transcendental
+    is evaluated per pair.  M is built in blocks of rows of at most
+    TAIL_BLOCK_BYTES (one row at least): its Toeplitz part C(|k-l|) and
+    Hankel part C(k+l) are windows onto the table.
+    """
     WalkSpec(T, q, tau0)
-    probs = avg_prob_all(T, tau0)
-    return float(np.sum(probs[tail_threshold(T, q) :]))
+    a, b = tail_threshold(T, q) + 1, T + 1
+    n = T + 1
+    phi = np.pi / (T + 2)
+    angle = np.arange(1, 2 * n + 1) * phi  # s phi for s = 1..2T+2
+    dirichlet = np.empty(2 * n + 1)  # C(s) for s = 0..2T+2
+    dirichlet[0] = b - a + 1
+    dirichlet[1:] = ((np.sin((b + 0.5) * angle) - np.sin((a - 0.5) * angle))
+                     / (2 * np.sin(angle / 2)))
+    # toeplitz[T - i, j] = C(|i - j|) and hankel[i, j] = C(i + j + 2), for
+    # rows i = k-1 and columns j = l-1
+    toeplitz = sliding_window_view(np.concatenate([dirichlet[n - 1:0:-1], dirichlet[:n]]), n)
+    hankel = sliding_window_view(dirichlet[2:], n)
+    theta = _angles(T)
+    lam = -2.0 * np.cos(theta)
+    x = np.sin(theta) * np.sin(lam * tau0)  # (s o v0) and (c o v0), each
+    y = np.sin(theta) * np.cos(lam * tau0)  # without its factor sqrt(2/(T+2))
+    rows = max(1, TAIL_BLOCK_BYTES // (8 * n))
+    total = 0.0
+    for k0 in range(0, n, rows):
+        k1 = min(k0 + rows, n)
+        block = toeplitz[T + 1 - k1:T + 1 - k0][::-1] - hankel[k0:k1]
+        d = lam[k0:k1, None] - lam
+        np.fill_diagonal(d[:, k0:], np.inf)  # M_kk = 0
+        block /= d
+        total += float(x[k0:k1] @ (block @ y))
+    return tail_prob_limit(T, q) + 4.0 * total / (tau0 * (T + 2) ** 2)
 
 
 def tail_prob_limit(T: int, q: int) -> float:
@@ -218,21 +278,30 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
-    """The scheme's history of `circuit`.  ham5 reads only n and the round
-    count from it and has only the open chain; `boundary` is ham8's.  A
-    history whose closed-form T exceeds MAX_T is refused before any step."""
+def history_length(scheme: str, circuit, boundary: str = eight_state.OPEN) -> int:
+    """T of the scheme's history of `circuit`, in closed form, without a
+    step.  What enumerate_history refuses before stepping is refused here:
+    a T over MAX_T, a ham5 boundary other than the open chain, and a ham8
+    gate letter outside {W,S,I}."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
     if T > MAX_T:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T}, "
                          f"over the limit of {MAX_T}")
-    if scheme == "ham5":
-        if boundary != eight_state.OPEN:
-            raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
-        return five_state.enumerate_history5(circuit.n, circuit.rounds)
+    if scheme == "ham5" and boundary != eight_state.OPEN:
+        raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
     if scheme == "ham8":
-        return eight_state.enumerate_history8(circuit, boundary)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        eight_state.program_layout(circuit)  # raises on a letter outside {W,S,I}
+    return T
+
+
+def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
+    """The scheme's history of `circuit`.  ham5 reads only n and the round
+    count from it and has only the open chain; `boundary` is ham8's.  What
+    history_length refuses is refused before any step."""
+    history_length(scheme, circuit, boundary)
+    if scheme == "ham5":
+        return five_state.enumerate_history5(circuit.n, circuit.rounds)
+    return eight_state.enumerate_history8(circuit, boundary)
 
 
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:

@@ -99,8 +99,9 @@ def _limit_address_space():
     ["evolve", "--T", "1000000000", "--taus", "1"],
     ["evolve", "--T", "-1", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5", "--seed", "0", "--shots", "100000000000"],
+    ["evolve", "BIG", "--scheme", "ham8", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
-        "T-past-max-T", "T-negative", "shots-past-max"])
+        "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
@@ -123,6 +124,36 @@ def test_evolve_tau_zero_row(tmp_path):
     for tau in ("0", "1"):
         total = sum(float(l.split(",")[2]) for l in lines[1:] if l.startswith(tau + ","))
         assert abs(total - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_evolve_of_a_circuit_equals_evolve_of_its_length(scheme, ws_file, tmp_path):
+    T = walk.enumerate_history(scheme, cli._read_circuit(ws_file)).T
+    by_circuit, by_length = tmp_path / "c.csv", tmp_path / "t.csv"
+    taus = ["--taus", "0,2.5,40"]
+    assert cli.main(["evolve", ws_file, "--scheme", scheme, *taus,
+                     "--out", str(by_circuit)]) == 0
+    assert cli.main(["evolve", "--T", str(T), *taus, "--out", str(by_length)]) == 0
+    assert by_circuit.read_bytes() == by_length.read_bytes()
+
+
+def test_evolve_of_a_circuit_steps_no_machine(ws_file, monkeypatch):
+    def no_step(c):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(f5, "forward_step5", no_step)
+    monkeypatch.setattr(e8, "forward_step8", no_step)
+    for scheme in ("ham5", "ham8"):
+        assert cli.main(["evolve", ws_file, "--scheme", scheme, "--taus", "1",
+                         "--out", os.devnull]) == 0
+
+
+def test_evolve_ham8_refuses_a_letter_outside_wsi(tmp_path, capsys):
+    p = tmp_path / "z.txt"
+    p.write_text("QUBITS 2\nROUNDS 1\nGATE Z 1 1\n")
+    assert cli.main(["evolve", str(p), "--scheme", "ham8", "--taus", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: gate Z at (1,1) is outside {W,S,I}; rewrite the circuit first\n"
 
 
 def test_evolve_requires_circuit_or_T(capsys):

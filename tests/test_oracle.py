@@ -86,6 +86,29 @@ def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):
     assert any("missing neighbor" in line for line in rep.lines)
 
 
+@pytest.mark.parametrize("scheme,module,step", [
+    ("ham5", f5, "forward_step5"), ("ham8", e8, "forward_step8")])
+def test_certify_steps_the_machine_once(scheme, module, step, ws_circuit_3q2r, monkeypatch):
+    calls = []
+    forward = getattr(module, step)
+    monkeypatch.setattr(module, step, lambda c: calls.append(c) or forward(c))
+    rep = subspace.certify_subspace(scheme, ws_circuit_3q2r)
+    T = walk.history_length(scheme, ws_circuit_3q2r)
+    assert rep.passed and len(rep.lines) == T + 1
+    assert len(calls) == T + 1  # each configuration once, the last finding no successor
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_certify_refuses_a_history_past_max_T_before_any_step(scheme, monkeypatch):
+    def no_step(c):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(f5, "forward_step5", no_step)
+    monkeypatch.setattr(e8, "forward_step8", no_step)
+    with pytest.raises(ValueError, match="over the limit"):
+        subspace.certify_subspace(scheme, Circuit(2, 10**9))
+
+
 def test_certify_rejects_unknown_scheme(w_circuit_2q):
     with pytest.raises(ValueError):
         subspace.certify_subspace("ham9", w_circuit_2q)

@@ -33,3 +33,20 @@ def test_script_runs(script, args, first):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(first)
+
+
+@pytest.mark.parametrize("args", [
+    ["--factors", "0"],
+    ["--T", "0"],
+    ["--q", "1"],
+    ["--factors", "inf"],
+    ["--factors", "1", "nan"],
+], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan"])
+def test_tail_sweep_refuses_bad_input_with_one_line(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "tail_probability_sweep.py"), *args],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

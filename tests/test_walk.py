@@ -208,6 +208,45 @@ def test_tail_prob_two_site_limit():
     assert abs(walk.tail_prob(1, 2, 1e7) - 0.5) <= 1e-4
 
 
+def dense_tail(T: int, q: int, tau0: float) -> float:
+    return float(np.sum(walk.avg_prob_all(T, tau0)[walk.tail_threshold(T, q):]))
+
+
+@pytest.mark.parametrize("T", [1, 2, 7, 34, 154])
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_tail_prob_matches_dense_time_average(T, q):
+    for tau0 in (1e-3, 1.0, T, 10.0 * T, 1e4 * T):
+        assert abs(walk.tail_prob(T, q, tau0) - dense_tail(T, q, tau0)) <= 1e-12
+
+
+def test_tail_prob_matches_dense_time_average_at_prime_length():
+    T = 807  # T+2 = 809 is prime
+    for tau0 in (1.0, T, 1e4 * T):
+        assert abs(walk.tail_prob(T, 6, tau0) - dense_tail(T, 6, tau0)) <= 1e-12
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 34])
+def test_tail_prob_does_not_depend_on_its_row_blocks(block_rows, monkeypatch):
+    # of the T+1 = 35 rows, 3-row blocks leave 2 over and 34-row blocks 1
+    T, q, tau0 = 34, 3, 340.0
+    want = dense_tail(T, q, tau0)
+    monkeypatch.setattr(walk, "TAIL_BLOCK_BYTES", 8 * (T + 1) * block_rows)
+    assert abs(walk.tail_prob(T, q, tau0) - want) <= 1e-12
+
+
+def test_tail_prob_builds_no_dense_matrix():
+    # one (T+1)^2 float64 matrix would take 128 MB here
+    T = 4000
+    walk.tail_prob(10, 6, 10.0)
+    tracemalloc.start()
+    try:
+        walk.tail_prob(T, 6, 10.0 * T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (T + 1) ** 2 / 4
+
+
 def test_tail_limit_frozen_value():
     assert abs(walk.tail_prob_limit(154, 6) - TAIL_LIMIT_T154_Q6) <= 1e-12
     assert walk.tail_prob_limit(154, 6) >= 5.0 / 6.0 - TAIL_DELTA
@@ -238,6 +277,14 @@ def test_spec_validation():
         walk.WalkSpec(10, 1, 1.0)
     with pytest.raises(ValueError):
         walk.WalkSpec(10, 6, 0.0)
+
+
+@pytest.mark.parametrize("tau0", [np.inf, -np.inf, np.nan])
+def test_tail_prob_refuses_a_non_finite_horizon(tau0):
+    with pytest.raises(ValueError, match="finite"):
+        walk.WalkSpec(34, 6, tau0)
+    with pytest.raises(ValueError, match="finite"):
+        walk.tail_prob(34, 6, tau0)
 
 
 @pytest.mark.parametrize("scheme,expected", [("ham5", 2), ("ham8", 2)])
