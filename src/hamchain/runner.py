@@ -2,12 +2,12 @@
 sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
-|c_t(tau)|^2 comes from `walk.propagate`, which transforms the shots' times
-in batches on worker threads and turns each batch into per-row CDFs there
-(`step_cdfs`); the main thread only draws the indices by `searchsorted` and
-builds the readouts.  The readout of an accepted index t comes from the
-register at t.  This is exact because distinct configurations are
-orthogonal basis patterns.
+|c_t(tau)|^2 = D_t(tau)^2 comes from the real rows D of `walk.propagate`,
+one real DST per shot, which it computes in batches on worker threads and
+turns into per-row CDFs there (`step_cdfs`); the main thread only draws the
+indices by `searchsorted` and builds the readouts.  The readout of an
+accepted index t comes from the register at t.  This is exact because
+distinct configurations are orthogonal basis patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
 the acceptance threshold past that gate, and every later event is an
@@ -133,11 +133,11 @@ def padded_history(plan: RunPlan):
     return history, r_total, register, last_real
 
 
-def step_cdfs(amps: np.ndarray) -> np.ndarray:
-    """Cumulative history-index distribution of each row of amplitudes,
-    |c_t|^2 normalised by its row sum; `walk.propagate` runs it on the
-    batch's worker thread."""
-    probs = np.abs(amps) ** 2
+def step_cdfs(rows: np.ndarray) -> np.ndarray:
+    """Cumulative history-index distribution of each of `walk.propagate`'s
+    real rows D, |c_t|^2 = D_t^2 normalised by its row sum; `walk.propagate`
+    runs it on the batch's worker thread."""
+    probs = np.square(rows)
     probs /= probs.sum(axis=1, keepdims=True)
     return np.cumsum(probs, axis=1)
 

@@ -12,10 +12,11 @@ oscillatory factor).  Couplings have unit magnitude; tau is dimensionless.
 
 The eigenbasis is a discrete sine basis, so `propagate` evaluates the
 propagator for a batch of times as type-I DSTs, through numpy's real FFT
-and on every core; the sampler (`runner.run`) and `evolve` both read their
-amplitudes from it.  It needs numpy alone.  Only the time average
-`avg_prob_all` builds the dense eigenvectors; `tail_prob` sums its tail in
-closed form from one O(T) table, in O(T^2) time and O(T) memory.
+and on every core: one real DST per time, since the line is bipartite and
+c_t = i^(t mod 2) D_t with D real.  The sampler (`runner.run`) and `evolve`
+read D.  It needs numpy alone.  Only the time average `avg_prob_all` builds
+the dense eigenvectors; `tail_prob` sums its tail in closed form from one
+O(T) table, in O(T^2) time and O(T) memory.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,33 +87,34 @@ def eigensystem(T: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-PROPAGATE_BYTES = 2 * 2**20  # bytes of complex rows `propagate` transforms at once
-MAX_T = 2**24  # longest history line: one complex propagator row is then 256 MiB
+PROPAGATE_BYTES = 2 * 2**20  # bytes of odd-extension rows `propagate` transforms at once
+MAX_T = 2**24  # longest history line: one row's odd extension is then 256 MiB
 
 
 def propagate(T: int, taus, finish=None):
-    """Rows c_t(tau), t = 0..T, starting from history index 0: one complex
-    row of length T+1 per tau, in the order of `taus`.  With `finish`, the
-    rows of finish(batch) instead, where batch holds consecutive rows.
+    """Real rows D(tau) of the propagator from history index 0, with
+    c_t(tau) = i^(t mod 2) D_t(tau): one row of length T+1 per tau, in the
+    order of `taus`.  With `finish`, the rows of finish(batch) instead,
+    where batch holds consecutive rows.
 
     c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
-    type-I DST of the phased spectrum e^{-i lambda_k tau} sin theta_k:
-    O(T log T) per tau and O(T) memory per row, instead of the dense
-    (T+1)^2 eigenvector matrix.  The DST of length T+1 is minus the
-    imaginary part of bins 1..T+1 of the real FFT of the odd extension
-    [0, x, 0, -reversed x], of length 2(T+2), which is how pocketfft computes
-    it too; the real and imaginary parts of the spectrum go in as two real
-    rows.  Every row is bit-identical to a one-dimensional transform of that
-    row alone.  When T+2 is prime the FFT takes its Bluestein path; padding
-    the transform to a fast length would change the bits, so it is not done.
+    type-I DST of e^{-i lambda_k tau} sin theta_k.  The line is bipartite:
+    pairing k with T+2-k negates lambda_k, keeps sin theta_k and multiplies
+    v_k(t) by (-1)^t, so the sin(lambda tau) half cancels at even t and the
+    cos half at odd t.  As cos x - sin x = sqrt(2) cos(x + pi/4),
+    D = DST-I[sqrt(2) sin theta_k cos(lambda_k tau + pi/4)] / (T+2): one
+    real DST and one cosine per k, O(T log T) time and O(T) memory per row.
+    Rounding lambda_k tau + pi/4 leaves D about 1e-12 from the complex DST
+    at tau = default_tau0(T).  The DST is minus the imaginary part of bins
+    1..T+1 of the real FFT of the odd extension [0, x, 0, -reversed x] of
+    length 2(T+2), as in pocketfft; each row is bit-identical to a batch of
+    that row alone.  When T+2 is prime the FFT takes its Bluestein path;
+    padding to a fast length would change the bits, so it is not done.
 
-    The phase stays a complex `np.exp`: building it from `cos`/`sin` of the
-    real angle gives the same bits only where numpy's real and complex
-    paths round alike, which depends on the CPU's dispatch.
-
-    Batches of at most PROPAGATE_BYTES of rows (at least one row) are
-    computed, `finish` included, on os.cpu_count() threads.  At most that
-    many batches are in flight besides the one being read, so memory stays
+    A batch holds PROPAGATE_BYTES // (16 (T+2)) odd extensions (at least
+    one); the FFT's output and the rows add about 1.5 times that.  Batches
+    are computed, `finish` included, on os.cpu_count() threads, at most that
+    many in flight besides the one being read, so memory stays
     O(workers * batch) however many taus are given.
     """
     # imported here: concurrent.futures imports logging, about 8 ms that
@@ -121,24 +123,21 @@ def propagate(T: int, taus, finish=None):
 
     theta = _angles(T)
     lam = -2.0 * np.cos(theta)
-    sin0 = np.sin(theta)
+    weight = np.sqrt(2.0) * np.sin(theta)
     taus = np.asarray(taus, dtype=float)
-    rows = max(1, PROPAGATE_BYTES // (16 * (T + 1)))
+    rows = max(1, PROPAGATE_BYTES // (16 * (T + 2)))
 
     def batch(start):
-        z = -1j * lam * taus[start:start + rows, None]
-        np.exp(z, out=z)
-        z *= sin0
-        ext = np.zeros((2 * len(z), 2 * (T + 2)))
+        tau = taus[start:start + rows, None]
+        ext = np.zeros((len(tau), 2 * (T + 2)))
         x = ext[:, 1:T + 2]
-        x[0::2] = z.real
-        x[1::2] = z.imag
+        np.multiply(tau, lam, out=x)
+        x += np.pi / 4
+        np.cos(x, out=x)
+        x *= weight
         np.negative(x[:, ::-1], out=ext[:, T + 3:])
-        spectrum = np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2]
-        np.negative(spectrum[0::2], out=z.real)
-        np.negative(spectrum[1::2], out=z.imag)
-        z /= T + 2
-        return z if finish is None else finish(z)
+        d = np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2] / -(T + 2)
+        return d if finish is None else finish(d)
 
     workers = os.cpu_count() or 1
     starts = iter(range(0, len(taus), rows))
@@ -153,8 +152,9 @@ def propagate(T: int, taus, finish=None):
 
 
 def evolve(T: int, tau: float) -> WalkAmplitudes:
-    """Amplitudes c_t(tau) starting from history index 0."""
-    return WalkAmplitudes(tau, next(propagate(T, [tau])))
+    """Amplitudes c_t(tau) = i^(t mod 2) D_t(tau) starting from history index 0."""
+    row = next(propagate(T, [tau]))
+    return WalkAmplitudes(tau, np.where(np.arange(T + 1) % 2, 1j, 1.0) * row)
 
 
 def avg_prob_all(T: int, tau0: float) -> np.ndarray:
@@ -336,9 +336,8 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
 def probability_table_csv(T: int, taus) -> str:
     out = StringIO()
     out.write("tau,m,p\n")
-    for tau, amps in zip(taus, propagate(T, taus)):
-        probs = WalkAmplitudes(tau, amps).probabilities()
-        for m, p in enumerate(probs):
-            out.write(f"{tau:.12g},{m},{p:.12g}\n")
+    for tau, row in zip(taus, propagate(T, taus)):
+        probs = WalkAmplitudes(tau, row).probabilities()  # D^2, norm checked
+        cells = chain.from_iterable(zip(range(T + 1), probs.tolist()))
+        out.write(f"{tau:.12g},%d,%.12g\n" * (T + 1) % tuple(cells))
     return out.getvalue()
-

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.stats import chisquare
 
 from hamchain import five_state as f5
@@ -189,9 +190,28 @@ def test_sample_and_evolve_do_not_import_scipy(tmp_path):
 def test_step_cdfs_bit_identical_to_per_row_cumsum(T):
     # one full batch and a partial one
     taus = np.random.default_rng(T).uniform(
-        0.0, walk.default_tau0(T), walk.PROPAGATE_BYTES // (16 * (T + 1)) + 5)
+        0.0, walk.default_tau0(T), walk.PROPAGATE_BYTES // (16 * (T + 2)) + 5)
     cdfs = list(walk.propagate(T, taus, runner.step_cdfs))
     assert len(cdfs) == len(taus)
     for amps, cdf in zip(walk.propagate(T, taus), cdfs):
         probs = np.abs(amps) ** 2
         assert np.array_equal(cdf, np.cumsum(probs / probs.sum()))
+
+
+def test_sampled_steps_match_the_complex_dst_oracle():
+    # the `shots` workload's ham8 n=2 shape (T=1719, T+2 prime): every shot
+    # draws the step that its uniform picks from the complex oracle's CDF
+    plan = RunPlan(Circuit(2, 2), "ham8", shots=3000, seed=0)
+    report = run(plan)
+    rng = np.random.default_rng(plan.seed)
+    taus = rng.uniform(0.0, report.tau0, plan.shots)
+    u_step = rng.random(plan.shots)
+    assert np.array_equal(taus, report.taus)
+    T = report.T
+    k = np.arange(1, T + 2)
+    lam = -2.0 * np.cos(k * np.pi / (T + 2))
+    sin0 = np.sin(k * np.pi / (T + 2))
+    for tau, u, t in zip(taus, u_step, report.steps):
+        probs = np.abs(scipy.fft.dst(np.exp(-1j * lam * tau) * sin0, type=1)) ** 2
+        want = np.searchsorted(np.cumsum(probs / probs.sum()), u, side="right")
+        assert t == min(want, T)

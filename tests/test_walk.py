@@ -59,41 +59,59 @@ def test_evolve_matches_ode_oracle(T, tau):
 
 
 def one_dimensional_dst_row(T: int, tau: float) -> np.ndarray:
-    """The sampler's propagator row as it was computed one shot at a time:
-    a 1-D type-I DST of the phased spectrum."""
+    """The oracle: the complex propagator row c_t(tau) as a 1-D type-I DST
+    of the phased spectrum, as the sampler once computed it shot by shot."""
     k = np.arange(1, T + 2)
     lam = -2.0 * np.cos(k * np.pi / (T + 2))
     sin0 = np.sin(k * np.pi / (T + 2))
     return scipy.fft.dst(np.exp(-1j * lam * tau) * sin0, type=1) / (T + 2)
 
 
+def parity_phase(T: int) -> np.ndarray:
+    """i^(t mod 2): the complex amplitudes are c_t = i^(t mod 2) D_t."""
+    return np.where(np.arange(T + 1) % 2, 1j, 1.0)
+
+
+def batch_rows(T: int) -> int:
+    return max(1, walk.PROPAGATE_BYTES // (16 * (T + 2)))
+
+
 @pytest.mark.parametrize("T", [1719, 2962, 220])  # T+2 prime, composite, composite
 def test_propagate_rows_bit_identical_to_one_dimensional_dst(T):
-    budget = max(1, walk.PROPAGATE_BYTES // (16 * (T + 1)))
+    # one-dimensional: a batch of one row; batches of 1, 7 and exactly
+    # `batch_rows` rows; then two full batches and an uneven remainder
     rng = np.random.default_rng(T)
-    # one batch of 1, 7 and exactly `budget` rows; then two full batches
-    # and an uneven remainder
-    for count in (1, 7, budget, 2 * budget + 5):
+    for count in (1, 7, batch_rows(T), 2 * batch_rows(T) + 5):
         taus = rng.uniform(0.0, walk.default_tau0(T), count)
         rows = list(walk.propagate(T, taus))
         assert len(rows) == count
         for tau, row in zip(taus, rows):
-            want = one_dimensional_dst_row(T, tau)
-            assert np.array_equal(row, want)
-            assert np.array_equal(np.cumsum(np.abs(row) ** 2), np.cumsum(np.abs(want) ** 2))
+            assert np.array_equal(row, next(walk.propagate(T, [tau])))
+
+
+@pytest.mark.parametrize("T", [1719, 2962, 220])
+def test_propagate_rows_match_the_complex_dst_oracle(T):
+    taus = np.concatenate([[0.0, walk.default_tau0(T)],
+                           np.random.default_rng(T).uniform(0.0, walk.default_tau0(T), 40)])
+    phase = parity_phase(T)
+    for tau, row in zip(taus, walk.propagate(T, taus)):
+        assert np.max(np.abs(phase * row - one_dimensional_dst_row(T, tau))) <= 1e-11
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
     # 3-row batches, so 47 taus make 16 batches spread over the threads
     T = 220
-    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 3 * 16 * (T + 1))
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 3 * 16 * (T + 2))
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    assert batch_rows(T) == 3
     taus = np.random.default_rng(0).uniform(0.0, walk.default_tau0(T), 47)
     rows = list(walk.propagate(T, taus))
     assert len(rows) == len(taus)
     for tau, row in zip(taus, rows):
-        assert np.array_equal(row, one_dimensional_dst_row(T, tau))
+        assert row.dtype == np.float64
+        assert np.array_equal(row, next(walk.propagate(T, [tau])))
+        assert np.max(np.abs(parity_phase(T) * row - one_dimensional_dst_row(T, tau))) <= 1e-11
 
 
 def test_propagate_keeps_few_batches_in_flight(monkeypatch):
@@ -101,7 +119,7 @@ def test_propagate_keeps_few_batches_in_flight(monkeypatch):
     # after its first row; threads that ran ahead through every batch would
     # hold 50 batches, the bound allows about a third of that
     T, per_batch, batches, workers = 2962, 4, 50, 2
-    batch_bytes = per_batch * 16 * (T + 1)
+    batch_bytes = per_batch * 16 * (T + 2)
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", batch_bytes)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     taus = np.linspace(0.0, walk.default_tau0(T), per_batch * batches)
@@ -125,7 +143,8 @@ def test_propagate_matches_dense_eigensystem(T):
     taus = [0.0, 0.4, 3.7, 50.0, walk.default_tau0(T)]
     for tau, row in zip(taus, walk.propagate(T, taus)):
         dense = v @ (np.exp(-1j * lam * tau) * v[0, :])
-        assert np.max(np.abs(row - dense)) <= 1e-12
+        assert np.max(np.abs(parity_phase(T) * row - dense)) <= 1e-12
+        assert np.array_equal(walk.evolve(T, tau).amps, parity_phase(T) * row)
 
 
 def test_evolve_builds_no_dense_matrix():
@@ -391,6 +410,23 @@ def test_csv_emitters():
     table = walk.probability_table_csv(1, [0.0]).splitlines()
     assert table[0] == "tau,m,p"
     assert table[1].startswith("0,0,1")
+
+
+def test_probability_table_csv_equals_per_line_formatting():
+    T, taus = 220, [0.0, 1.5, walk.default_tau0(220)]
+    lines = ["tau,m,p\n"]
+    for tau, row in zip(taus, walk.propagate(T, taus)):
+        lines += [f"{tau:.12g},{m},{p:.12g}\n" for m, p in enumerate(np.abs(row) ** 2)]
+    assert walk.probability_table_csv(T, taus) == "".join(lines)
+
+
+def test_evolve_table_matches_the_complex_dst_oracle():
+    # the `spectral` workload's table: `evolve --T 2962 --taus 3,...,30000`
+    T, taus = 2962, [3.0, 30.0, 300.0, 3000.0, 30000.0]
+    table = np.loadtxt(walk.probability_table_csv(T, taus).splitlines()[1:], delimiter=",")
+    want = np.concatenate([np.abs(one_dimensional_dst_row(T, tau)) ** 2 for tau in taus])
+    assert np.array_equal(table[:, 1], np.tile(np.arange(T + 1), len(taus)))
+    assert np.max(np.abs(table[:, 2] - want)) <= 1e-12
 
 
 def test_padding_plan_refuses_a_history_past_max_T(monkeypatch):
