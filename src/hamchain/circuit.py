@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .gates import Gate, GateSequence, QubitState
+from .gates import Gate, QubitState
 
 GATE_NAMES: dict[str, Gate] = {
     "I": gates.I1,
@@ -179,8 +179,3 @@ def rewrite_to_ws(circuit: Circuit) -> Circuit:
     rounds = max(1, len(apps))
     return Circuit(circuit.n, rounds, {(r, i): g for r, (g, i) in enumerate(apps, 1)})
 
-
-def circuit_matrix(circuit: Circuit) -> np.ndarray:
-    """Dense 2^n unitary of the whole circuit (test/oracle helper)."""
-    seq: GateSequence = list(reversed(circuit.applications()))
-    return gates.sequence_matrix(seq, circuit.n)

@@ -53,6 +53,8 @@ def cmd_evolve(args) -> int:
         T = args.T
         if not 0 <= T <= walk.MAX_T:
             raise SystemExit(f"--T must lie in 0..{walk.MAX_T}, got {T}")
+    elif args.scheme is None:
+        raise SystemExit("evolve of a circuit needs --scheme ham5 or ham8")
     else:
         T = walk.history_length(args.scheme, _read_circuit(args.circuit))
     try:
@@ -186,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)")
     ev.add_argument("circuit", nargs="?")
     ev.add_argument("--T", type=int, help="history length directly (skip the circuit)")
-    ev.add_argument("--scheme", choices=["ham5", "ham8"], default="ham5")
+    ev.add_argument("--scheme", choices=["ham5", "ham8"], help="needed with a circuit")
     ev.add_argument("--taus", required=True, help="comma-separated times")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_evolve)

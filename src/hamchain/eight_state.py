@@ -287,14 +287,8 @@ def _apply_at(c: Config8, post: dict, j: int, binding: str | None) -> Config8:
     for key, val in post.items():
         if key in _DATA_KEYS:
             continue
-        idx = j + (-1 if key.endswith("-") else (1 if key.endswith("+") else 0))
-        if c.boundary == PERIODIC_X:
-            idx = (idx - 1) % c.ncells + 1
-        sym = binding if val == "A" else val
-        if key in _CURSOR_KEYS:
-            cursors[idx - 1] = sym
-        else:
-            progs[idx - 1] = sym
+        reg = cursors if key in _CURSOR_KEYS else progs
+        reg[_cell_index(c, key, j) - 1] = binding if val == "A" else val
     return Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas)
 
 
@@ -309,10 +303,8 @@ def _candidate_cells(c: Config8) -> list[int]:
     out = set()
     for k in live_cells(c):
         out.add(k)
-        nxt = k + 1
-        if c.boundary == PERIODIC_X:
-            nxt = (nxt - 1) % c.ncells + 1
-        if nxt <= c.ncells:
+        nxt = _cell_index(c, "p+", k)
+        if nxt is not None:
             out.add(nxt)
     return sorted(out)
 

@@ -42,10 +42,6 @@ class Gate:
         if dev > UNITARY_TOL:
             raise ValueError(f"{self.label}: not unitary (deviation {dev:.3g})")
 
-    @property
-    def dagger(self) -> "Gate":
-        return Gate(self.label + "^", self.arity, self.matrix.conj().T)
-
 
 def _gate(label, matrix):
     m = np.asarray(matrix, dtype=complex)
@@ -188,34 +184,31 @@ def _rep(gate: Gate, targets: tuple[int, ...], k: int) -> GateSequence:
 _IDENTITY_TABLE: dict[str, tuple] = {}
 
 
-def _register(name, seq, target_gate, n):
-    _IDENTITY_TABLE[name] = (seq, target_gate, n)
+def _register(name, seq, target_gate):
+    _IDENTITY_TABLE[name] = (seq, target_gate)
 
 
 _register(
     "Z",
     _rep(W, (1, 2), 4) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 4) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 4),
     _gate("IxZ", np.kron(np.eye(2), Z.matrix)),
-    2,
 )
 # W equals Hy controlled on the left qubit; this is the ancilla realization
 # of Hy (control held at |1>) stated as an exact matrix identity.
-_register("Hy", [(W, (1, 2))], controlled(HY), 2)
-_register("H", [(HY, (1,)), (Z, (1,))], H, 1)
-_register("X", [(H, (1,)), (Z, (1,)), (H, (1,))], X, 1)
+_register("Hy", [(W, (1, 2))], controlled(HY))
+_register("H", [(HY, (1,)), (Z, (1,))], H)
+_register("X", [(H, (1,)), (Z, (1,)), (H, (1,))], X)
 _register(
     "CX",
     _rep(W, (1, 2), 2) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 6) + [(SWAP, (1, 2))]
     + _rep(W, (1, 2), 2) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 6),
     CX,
-    2,
 )
-_register("Y", [(X, (1,)), (Z, (1,))], Y, 1)
+_register("Y", [(X, (1,)), (Z, (1,))], Y)
 _register(
     "L2Y_TH",
     [(TOFFOLI, (1, 2, 3)), (H, (3,)), (TOFFOLI, (1, 2, 3)), (H, (3,))],
     CCY,
-    3,
 )
 _register(
     "L2Y_W",
@@ -227,7 +220,6 @@ _register(
     + _rep(W, (2, 3), 3)
     + [(X, (2,)), (X, (1,))],
     CCY,
-    3,
 )
 
 

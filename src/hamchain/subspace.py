@@ -163,10 +163,6 @@ class CertReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def text(self) -> str:
-        verdict = "PASS" if self.passed else f"FAIL ({self.failures} states)"
-        return "\n".join(self.lines + [f"overall: {verdict}"]) + "\n"
-
 
 def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
     """(term table, term picker, apply function) of the scheme's local terms

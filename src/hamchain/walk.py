@@ -6,17 +6,21 @@ hopping matrix with -1 couplings.  Its eigensystem is closed-form:
     lambda_k = -2 cos(k pi / (T+2)),
     v_k(t)   = sqrt(2/(T+2)) sin(k pi (t+1) / (T+2)),   k = 1..T+1,
 
-so both the propagator and its time average over [0, tau0] are evaluated
-exactly (the spectrum is nondegenerate, so only the k = l diagonal needs no
-oscillatory factor).  Couplings have unit magnitude; tau is dimensionless.
+so both the propagator and the time-averaged tail over [0, tau0] are
+evaluated exactly (the spectrum is nondegenerate, so only the k = l diagonal
+needs no oscillatory factor).  Couplings have unit magnitude; tau is
+dimensionless.
 
+The module has one spectral path, and it never builds the eigenvectors.
 The eigenbasis is a discrete sine basis, so `propagate` evaluates the
 propagator for a batch of times as type-I DSTs, through numpy's real FFT
 and on every core: one real DST per time, since the line is bipartite and
 c_t = i^(t mod 2) D_t with D real.  The sampler (`runner.run`) and `evolve`
-read D.  It needs numpy alone.  Only the time average `avg_prob_all` builds
-the dense eigenvectors; `tail_prob` sums its tail in closed form from one
-O(T) table, in O(T^2) time and O(T) memory.
+read D.  It needs numpy alone.  `tail_prob` sums the time-averaged tail in
+closed form from one O(T) table, in O(T^2) time and O(T) memory, and
+`tail_prob_limit` is its tau0 -> infinity limit.  The dense hopping matrix,
+eigenvectors and time average that the tests check these against live in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -64,31 +68,14 @@ class WalkAmplitudes:
         return np.abs(self.amps) ** 2
 
 
-def hopping_matrix(T: int) -> np.ndarray:
-    """(T+1) x (T+1) path-graph matrix with -1 on the two off-diagonals."""
-    h = np.zeros((T + 1, T + 1))
-    idx = np.arange(T)
-    h[idx, idx + 1] = -1.0
-    h[idx + 1, idx] = -1.0
-    return h
-
-
 def _angles(T: int) -> np.ndarray:
     """theta_k = k pi / (T+2) for k = 1..T+1: lambda_k = -2 cos theta_k."""
     return np.arange(1, T + 2) * np.pi / (T + 2)
 
 
-def eigensystem(T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (eigenvalues, eigenvectors[t, k]) of hopping_matrix(T)."""
-    k = np.arange(1, T + 2)
-    lam = -2.0 * np.cos(_angles(T))
-    t = np.arange(T + 1)
-    vecs = np.sqrt(2.0 / (T + 2)) * np.sin(np.outer(t + 1, k) * np.pi / (T + 2))
-    return lam, vecs
-
-
 PROPAGATE_BYTES = 2 * 2**20  # bytes of odd-extension rows `propagate` transforms at once
 MAX_T = 2**24  # longest history line: one row's odd extension is then 256 MiB
+MAX_CELL_STEPS = 2**32  # most T x cells of a history: each step copies every cell
 
 
 def propagate(T: int, taus, finish=None):
@@ -157,20 +144,6 @@ def evolve(T: int, tau: float) -> WalkAmplitudes:
     return WalkAmplitudes(tau, np.where(np.arange(T + 1) % 2, 1j, 1.0) * row)
 
 
-def avg_prob_all(T: int, tau0: float) -> np.ndarray:
-    """Time average of |c_m(tau)|^2 over tau uniform on [0, tau0], exactly,
-    for every m = 0..T.
-
-    |c_m|^2 = sum_{k,l} e^{-i(lam_k - lam_l) tau} v_k(m) v_k(0) v_l(m) v_l(0);
-    averaging each cross term gives sin(d tau0)/(d tau0) with d = lam_k - lam_l.
-    """
-    lam, v = eigensystem(T)
-    d = lam[:, None] - lam[None, :]
-    avg = np.sinc(d * tau0 / np.pi)  # np.sinc(x) = sin(pi x)/(pi x); 1 at d=0
-    w = v * v[0, :]  # w[m, k] = v_k(m) v_k(0)
-    return ((w @ avg) * w).sum(1)
-
-
 def tail_threshold(T: int, q: int) -> int:
     """Smallest accepted index: m > T/q means m >= floor(T/q) + 1."""
     return T // q + 1
@@ -183,7 +156,8 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
     """Time-averaged probability of landing at m > T/q, in O(T^2) time and
     O(T) memory, without the eigenvectors.
 
-    Summing avg_prob_all over the tail m >= m0 gives
+    Summing the dense time average of |c_m|^2 (tests/oracles.py
+    avg_prob_all) over the tail m >= m0 gives
 
       sum_{k,l} v_k(0) v_l(0) S_kl sinc((lam_k - lam_l) tau0),
       S_kl = sum_{m >= m0} v_k(m) v_l(m).
@@ -281,16 +255,23 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
 def history_length(scheme: str, circuit, boundary: str = eight_state.OPEN) -> int:
     """T of the scheme's history of `circuit`, in closed form, without a
     step.  What enumerate_history refuses before stepping is refused here:
-    a T over MAX_T, a ham5 boundary other than the open chain, and a ham8
+    a T over MAX_T, a T x cells over MAX_CELL_STEPS (each step copies the
+    configuration), a ham5 boundary other than the open chain, and a ham8
     gate letter outside {W,S,I}."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
     if T > MAX_T:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T}, "
                          f"over the limit of {MAX_T}")
-    if scheme == "ham5" and boundary != eight_state.OPEN:
-        raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
-    if scheme == "ham8":
-        eight_state.program_layout(circuit)  # raises on a letter outside {W,S,I}
+    if scheme == "ham5":
+        if boundary != eight_state.OPEN:
+            raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
+        cells = five_state.Lattice5(circuit.n, circuit.rounds).L
+    else:
+        # program_layout raises on a letter outside {W,S,I}
+        cells = eight_state.program_layout(circuit).L + (boundary == eight_state.PERIODIC_X)
+    if T * cells > MAX_CELL_STEPS:
+        raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T} steps "
+                         f"on {cells} cells, over the limit of {MAX_CELL_STEPS} cell steps")
     return T
 
 

@@ -10,13 +10,14 @@ from hamchain.circuit import (
     Circuit,
     CircuitParseError,
     UnsupportedGateError,
-    circuit_matrix,
     parse_circuit,
     rewrite_to_ws,
     serialize_circuit,
     simulate_circuit,
 )
 from hamchain.gates import IDENTITY_TOL, QubitState
+
+from oracles import circuit_matrix
 
 SQ2 = 1.0 / np.sqrt(2.0)
 

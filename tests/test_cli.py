@@ -100,8 +100,11 @@ def _limit_address_space():
     ["evolve", "--T", "-1", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5", "--seed", "0", "--shots", "100000000000"],
     ["evolve", "BIG", "--scheme", "ham8", "--taus", "1"],
+    ["sample", "W", "--scheme", "ham5", "--seed", "0", "--q", "1000000"],
+    ["evolve", "W", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
-        "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T"])
+        "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
+        "sample-past-max-cell-steps", "evolve-circuit-without-scheme"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
@@ -154,6 +157,13 @@ def test_evolve_ham8_refuses_a_letter_outside_wsi(tmp_path, capsys):
     assert cli.main(["evolve", str(p), "--scheme", "ham8", "--taus", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: gate Z at (1,1) is outside {W,S,I}; rewrite the circuit first\n"
+
+
+def test_evolve_of_a_circuit_needs_a_scheme(w_file, capsys):
+    assert cli.main(["evolve", w_file, "--taus", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: evolve of a circuit needs --scheme ham5 or ham8\n"
 
 
 def test_evolve_requires_circuit_or_T(capsys):

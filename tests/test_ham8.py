@@ -7,7 +7,9 @@ import pytest
 
 from hamchain import eight_state as e8
 from hamchain import gates
-from hamchain.circuit import Circuit, UnsupportedGateError, circuit_matrix
+from hamchain.circuit import Circuit, UnsupportedGateError
+
+from oracles import circuit_matrix
 
 
 def test_program_layout_reference_example(ws_circuit_3q2r):

@@ -17,7 +17,6 @@ def test_certify_ham5_reference_instance(ws_circuit_3q2r):
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     assert rep.passed
     assert len(rep.lines) == 35
-    assert "PASS" in rep.text()
 
 
 def test_certify_ham8_minimal_instance(w_circuit_2q):
@@ -75,7 +74,6 @@ def test_fault_injected_term_table_fails(w_circuit_2q, monkeypatch):
     rep = subspace.certify_subspace("ham5", w_circuit_2q, QubitState.basis("10"))
     assert not rep.passed
     assert any("FAIL" in line for line in rep.lines)
-    assert "FAIL" in rep.text()
 
 
 def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):

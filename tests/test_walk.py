@@ -13,6 +13,8 @@ from hamchain import five_state as f5
 from hamchain import walk
 from hamchain.circuit import Circuit
 
+import oracles
+
 # Constants measured with the quadrature/spectral machinery below and frozen.
 TAIL_LIMIT_T154_Q6 = 0.8301282051282051
 TAIL_DELTA = 0.004  # measured deficit below 5/6 is 0.00320513
@@ -21,7 +23,7 @@ ENVELOPE_C = 0.05   # measured C = residual * tau0 / T peaks near 0.021
 
 def ode_evolve(T: int, tau: float) -> np.ndarray:
     """Independent oracle: integrate i dc/dtau = H c with a high-order RK."""
-    h = walk.hopping_matrix(T)
+    h = oracles.hopping_matrix(T)
     sol = solve_ivp(
         lambda _, c: -1j * (h @ c),
         (0.0, tau),
@@ -33,8 +35,8 @@ def ode_evolve(T: int, tau: float) -> np.ndarray:
 
 def test_eigensystem_diagonalizes_hopping_matrix():
     for T in (1, 7, 34):
-        lam, v = walk.eigensystem(T)
-        h = walk.hopping_matrix(T)
+        lam, v = oracles.eigensystem(T)
+        h = oracles.hopping_matrix(T)
         assert np.max(np.abs(v @ np.diag(lam) @ v.T - h)) <= 1e-12
         assert np.max(np.abs(v.T @ v - np.eye(T + 1))) <= 1e-12
 
@@ -139,7 +141,7 @@ def test_propagate_keeps_few_batches_in_flight(monkeypatch):
 
 @pytest.mark.parametrize("T", [1, 7, 34, 154])
 def test_propagate_matches_dense_eigensystem(T):
-    lam, v = walk.eigensystem(T)
+    lam, v = oracles.eigensystem(T)
     taus = [0.0, 0.4, 3.7, 50.0, walk.default_tau0(T)]
     for tau, row in zip(taus, walk.propagate(T, taus)):
         dense = v @ (np.exp(-1j * lam * tau) * v[0, :])
@@ -164,14 +166,14 @@ def test_norm_conserved_and_group_property():
     T = 34
     for tau in (0.0, 3.7, 50.0):
         assert abs(np.sum(walk.evolve(T, tau).probabilities()) - 1.0) <= 1e-9
-    lam, v = walk.eigensystem(T)
+    lam, v = oracles.eigensystem(T)
     u = lambda tau: v @ np.diag(np.exp(-1j * lam * tau)) @ v.T
     assert np.max(np.abs(u(2.0) @ u(3.0) - u(5.0))) <= 1e-9
 
 
 def test_transition_probability_is_symmetric():
     T, tau = 18, 7.3
-    lam, v = walk.eigensystem(T)
+    lam, v = oracles.eigensystem(T)
     u = v @ np.diag(np.exp(-1j * lam * tau)) @ v.T
     p = np.abs(u) ** 2
     assert np.max(np.abs(p - p.T)) <= 1e-12
@@ -180,15 +182,15 @@ def test_transition_probability_is_symmetric():
 def test_avg_prob_matches_quadrature():
     T, m, tau0 = 34, 20, 3400.0
     taus = np.linspace(0.0, tau0, 400001)
-    lam, v = walk.eigensystem(T)
+    lam, v = oracles.eigensystem(T)
     amps_m = v[m, :] @ (np.exp(-1j * np.outer(lam, taus)) * v[0, :][:, None])
     quad = simpson(np.abs(amps_m) ** 2, x=taus) / tau0
-    assert abs(walk.avg_prob_all(T, tau0)[m] - quad) <= 1e-6
+    assert abs(oracles.avg_prob_all(T, tau0)[m] - quad) <= 1e-6
 
 
 @pytest.mark.parametrize("T", [7, 34, 200])
 def test_avg_prob_all_matches_einsum_oracle(T):
-    lam, v = walk.eigensystem(T)
+    lam, v = oracles.eigensystem(T)
     w = v * v[0, :]
     # horizons from T up, as the tail sweep and the sampler use; far below T
     # the sums round at a few ulps of |c_0|^2 ~ 1, and there the einsum is
@@ -196,23 +198,23 @@ def test_avg_prob_all_matches_einsum_oracle(T):
     for tau0 in (T, 10.0 * T, 100.0 * T, walk.default_tau0(T), 1e7):
         avg = np.sinc((lam[:, None] - lam[None, :]) * tau0 / np.pi)
         oracle = np.einsum("mk,kl,ml->m", w, avg, w)
-        assert np.max(np.abs(walk.avg_prob_all(T, tau0) - oracle)) <= 1e-15
+        assert np.max(np.abs(oracles.avg_prob_all(T, tau0) - oracle)) <= 1e-15
 
 
 def test_avg_prob_sums_to_one():
     for T, tau0 in ((18, 100.0), (154, 15400.0)):
-        assert abs(np.sum(walk.avg_prob_all(T, tau0)) - 1.0) <= 1e-9
+        assert abs(np.sum(oracles.avg_prob_all(T, tau0)) - 1.0) <= 1e-9
 
 
 def test_avg_prob_infinite_time_limits():
     def limit(T, m):  # tau0 -> infinity: sum_k v_k(m)^2 v_k(0)^2
-        _, v = walk.eigensystem(T)
+        _, v = oracles.eigensystem(T)
         return float(np.sum(v[m, :] ** 2 * v[0, :] ** 2))
 
     # two-site line: average of cos^2 is 1/2
     assert abs(limit(1, 0) - 0.5) <= 1e-12
     # large tau0 converges to the spectral limit
-    avg = walk.avg_prob_all(34, 1e7)
+    avg = oracles.avg_prob_all(34, 1e7)
     for m in (0, 10, 34):
         assert abs(avg[m] - limit(34, m)) <= 1e-4
 
@@ -228,7 +230,7 @@ def test_tail_prob_two_site_limit():
 
 
 def dense_tail(T: int, q: int, tau0: float) -> float:
-    return float(np.sum(walk.avg_prob_all(T, tau0)[walk.tail_threshold(T, q):]))
+    return float(np.sum(oracles.avg_prob_all(T, tau0)[walk.tail_threshold(T, q):]))
 
 
 @pytest.mark.parametrize("T", [1, 2, 7, 34, 154])
@@ -274,7 +276,7 @@ def test_tail_limit_frozen_value():
 @pytest.mark.parametrize("T", [1, 7, 34, 154, 800])
 @pytest.mark.parametrize("q", [2, 3, 6])
 def test_tail_limit_matches_dense_form(T, q):
-    _, v = walk.eigensystem(T)
+    _, v = oracles.eigensystem(T)
     m0 = walk.tail_threshold(T, q)
     dense = float(np.sum((v[m0:, :] ** 2) @ (v[0, :] ** 2)))
     assert abs(walk.tail_prob_limit(T, q) - dense) <= 1e-12
@@ -442,3 +444,30 @@ def test_padding_plan_refuses_a_history_past_max_T(monkeypatch):
 def test_non_finite_amplitudes_are_not_normalised():
     with pytest.raises(ValueError):
         walk.WalkAmplitudes(0.0, np.array([np.nan, 0.0]))
+
+
+def test_history_length_refuses_too_many_cell_steps():
+    # sample --scheme ham5 --q 100000 on a 3-qubit, 2-round circuit pads to
+    # R=106453: T=3300015 is under MAX_T, but on 638719 sites it would step
+    # for about a day
+    padded = Circuit(3, walk.padding_plan(3, 2, 100000, "ham5"))
+    assert padded.rounds == 106453
+    with pytest.raises(ValueError, match="cell steps"):
+        walk.history_length("ham5", padded)
+    # the rewritten-Z ham8 row, the largest run that finishes, stays below it
+    assert walk.history_length("ham8", Circuit(2, 92)) * 552 <= walk.MAX_CELL_STEPS
+
+
+@pytest.mark.parametrize("scheme,boundary,cells", [
+    ("ham5", e8.OPEN, 1 + 2 * 3 * 2),
+    ("ham8", e8.OPEN, 3 + 4 + 2 * 1 * 4),
+    ("ham8", e8.PERIODIC_X, 3 + 4 + 2 * 1 * 4 + 1),  # the ring's stopper cell
+])
+def test_history_length_limit_counts_every_cell(scheme, boundary, cells, monkeypatch):
+    circuit = Circuit(3, 2)
+    T = walk.closed_form_steps(3, 2, 2, scheme)[0]
+    monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells)
+    assert walk.history_length(scheme, circuit, boundary) == T
+    monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells - 1)
+    with pytest.raises(ValueError, match="cell steps"):
+        walk.history_length(scheme, circuit, boundary)
