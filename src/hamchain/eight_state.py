@@ -10,6 +10,10 @@ gate on the data pair beneath it; scaffold bits steer the turn-around rules.
 Cursor tokens: L solid-left, l empty-left, R solid-right, r empty-right,
 D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable
 (periodic variant only).
+
+The rule table is compiled at import into machine.Rule values, one per gate
+letter where a rule binds one; its data keys become conditions on the fixed
+data register, and the shared matcher in `machine` steps it.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import gates
 from .circuit import Circuit, UnsupportedGateError
-from .five_state import History, RuleEngineError, find_all
+from .machine import History, Machine, Rule, RuleEngineError
 
 # cursor symbols
 GAT = "R"  # solid right triangle: executes gates
@@ -55,7 +59,12 @@ class ProgramLayout:
 
     @property
     def L(self) -> int:
-        return self.n + 4 + 2 * (self.R - 1) * (self.n + 1)
+        return self.cells(self.n, self.R)
+
+    @staticmethod
+    def cells(n: int, R: int) -> int:
+        """Cells of the open chain of an n-qubit, R-round circuit."""
+        return n + 4 + 2 * (R - 1) * (n + 1)
 
 
 def program_layout(circuit: Circuit) -> ProgramLayout:
@@ -110,6 +119,21 @@ class Config8:
     @property
     def ncells(self) -> int:
         return len(self.cursors)
+
+    @property
+    def ring(self) -> bool:
+        return self.boundary == PERIODIC_X
+
+    @property
+    def registers(self) -> tuple:
+        """The rewritten cursors and program, then the fixed data."""
+        return self.cursors, self.progs, self.datas
+
+    def rebuild(self, registers) -> Config8:
+        return Config8(self.layout, self.boundary, registers[0], registers[1], self.datas)
+
+    def dump(self, step: int) -> str:
+        return ("\n" if step else "") + self.dump_block(step)
 
     def dump_block(self, step: int) -> str:
         return (
@@ -205,142 +229,36 @@ _RULES8 = (
     ("5b", {"s": MOV, "p": ".", "p+": ".", "d": "0"}, {"s": MOVL, "p": ".", "p+": ".", "d": "0"}),
 )
 
-_CURSOR_KEYS = ("s-", "s")
-_DATA_KEYS = ("d", "d+")
-
-# Every rule holds one of these at "s" or "s-" on both of its sides, so a
-# window can match only at or just right of a live cursor
-# (tests/test_engine_oracle.py).
+# Every rule holds one of these at "s" or "s-" on both of its sides.
 LIVE_CURSORS = CURSOR_SYMBOLS - {STAR}
 
-
-def _rules_by_cursors(reverse: bool) -> dict:
-    """(cursor at s-, cursor at s) -> the rules whose pattern allows that
-    pair, in table order; None stands for the missing cell left of cell 1 on
-    the open chain."""
-    table: dict = {}
-    for rule in _RULES8:
-        pat = rule[2] if reverse else rule[1]
-        lefts = [pat["s-"]] if "s-" in pat else [*CURSOR_SYMBOLS, XSTOP, None]
-        for left in lefts:
-            table.setdefault((left, pat["s"]), []).append(rule)
-    return table
+# window key -> (register, offset): cursors 0, program 1, fixed data 2
+_KEYS = {"s-": (0, -1), "s": (0, 0), "p": (1, 0), "p+": (1, 1), "d": (2, 0), "d+": (2, 1)}
 
 
-_RULES_BY_CURSORS = {False: _rules_by_cursors(False), True: _rules_by_cursors(True)}
-_RULE_BY_NAME = {rule[0]: rule for rule in _RULES8}
+def _compile(name: str, pre: dict, post: dict):
+    """One Rule per gate letter the rule binds (one Rule if none); the data
+    keys, the same on both sides, become its conditions."""
+    def side(pat, letter, fixed=False):
+        return tuple((*_KEYS[key], letter if sym == "A" else sym)
+                     for key, sym in pat.items() if (_KEYS[key][0] == 2) == fixed)
+    for letter in sorted(GATE_LETTERS) if "A" in pre.values() else [None]:
+        yield Rule(name, side(pre, letter), side(post, letter), side(pre, None, True), letter)
 
 
-def _cell_index(c: Config8, key: str, j: int) -> int | None:
-    """1-based cell that window key `key` names at window cell j; None when
-    it falls off the open chain."""
-    last, ncells = key[-1], len(c.cursors)
-    idx = j - 1 if last == "-" else j + 1 if last == "+" else j
-    if c.boundary == PERIODIC_X:
-        return (idx - 1) % ncells + 1
-    return idx if 1 <= idx <= ncells else None
-
-
-def _cell_value(c: Config8, key: str, j: int) -> str | None:
-    idx = _cell_index(c, key, j)
-    if idx is None:
+def _event(c: Config8, j: int, rule: Rule, forward: bool) -> GateEvent8 | None:
+    if rule.name != "4a":
         return None
-    first = key[0]
-    reg = c.cursors if first == "s" else c.progs if first == "p" else c.datas
-    return reg[idx - 1]
+    # cell j+1 wraps to cell 1 on the ring; on the open chain j < ncells
+    pair = (c.datas[j - 1], c.datas[j % c.ncells])
+    return GateEvent8(step=-1, m=0, round=0, cell=j, letter=rule.letter, pair=pair,
+                      forward=forward)
 
 
-def _match_at(c: Config8, pat: dict, other: dict, j: int) -> tuple[bool, str | None]:
-    """Try to bind `pat` at cell j; data conditions come from `pat` + `other`."""
-    binding = None
-    for key, want in pat.items():
-        if key in _DATA_KEYS:
-            continue
-        have = _cell_value(c, key, j)
-        if have is None:
-            return False, None
-        if want == "A":
-            if have not in GATE_LETTERS:
-                return False, None
-            binding = have
-        elif have != want:
-            return False, None
-    # data conditions are side conditions, identical on both ends of a rule
-    for key in _DATA_KEYS:
-        want = pat.get(key, other.get(key))
-        if want is None:
-            continue
-        have = _cell_value(c, key, j)
-        if have is None:
-            return False, None
-        if have.startswith("w"):
-            raise RuleEngineError(
-                f"rule condition reads qubit placeholder {have} at cell {j}"
-            )
-        if have != want:
-            return False, None
-    return True, binding
+MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
+                  LIVE_CURSORS, _event)
 
-
-def _apply_at(c: Config8, post: dict, j: int, binding: str | None) -> Config8:
-    cursors, progs = list(c.cursors), list(c.progs)
-    for key, val in post.items():
-        if key in _DATA_KEYS:
-            continue
-        reg = cursors if key in _CURSOR_KEYS else progs
-        reg[_cell_index(c, key, j) - 1] = binding if val == "A" else val
-    return Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas)
-
-
-def live_cells(c: Config8) -> list[int]:
-    """Cells whose cursor is live (one of LIVE_CURSORS)."""
-    return find_all(c.cursors, LIVE_CURSORS)
-
-
-def _candidate_cells(c: Config8) -> list[int]:
-    """Window cells that can possibly match: each live cursor's own cell and
-    the cell to its right."""
-    out = set()
-    for k in live_cells(c):
-        out.add(k)
-        nxt = _cell_index(c, "p+", k)
-        if nxt is not None:
-            out.add(nxt)
-    return sorted(out)
-
-
-def _matches(c: Config8, reverse: bool) -> list[tuple[int, str, str | None]]:
-    """All (cell j, rule name, bound letter) matches, in scan order.  At each
-    candidate cell only the rules that allow its cursor pair are tried."""
-    table = _RULES_BY_CURSORS[reverse]
-    hits = []
-    for j in _candidate_cells(c):
-        for name, pre, post in table.get((_cell_value(c, "s-", j), _cell_value(c, "s", j)), ()):
-            src, dst = (post, pre) if reverse else (pre, post)
-            ok, binding = _match_at(c, src, dst, j)
-            if ok:
-                hits.append((j, name, binding))
-    return hits
-
-
-def _step(c: Config8, reverse: bool):
-    hits = _matches(c, reverse)
-    if not hits:
-        return None
-    if len(hits) > 1:
-        raise RuleEngineError(
-            f"{len(hits)} rule instances match {'backward' if reverse else 'forward'}: "
-            f"{[(j, n) for j, n, _ in hits]}"
-        )
-    j, name, binding = hits[0]
-    _, pre, post = _RULE_BY_NAME[name]
-    nxt = _apply_at(c, pre if reverse else post, j, binding)
-    event = None
-    if name == "4a":
-        pair = (_cell_value(c, "d", j), _cell_value(c, "d+", j))
-        event = GateEvent8(step=-1, m=0, round=0, cell=j, letter=binding, pair=pair,
-                           forward=not reverse)
-    return nxt, event
+_step = MACHINE.step
 
 
 def forward_step8(c: Config8):
@@ -394,34 +312,3 @@ def last_gate_step8(n: int, R: int, r: int) -> int:
     step depends on R, because every pass sweeps the whole padded word.
     """
     return (n + 1) * (R + 2 + (r - 1) * (3 * (n + 1) * R + 7))
-
-
-# --- translation-invariant local terms ---------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalTerm8:
-    """One rule template tiled at cell j: -|post><pre| + h.c. on the window.
-
-    For rule 4a the program letter bound at match time names the 4x4 unitary
-    dressing the data pair.
-    """
-
-    cell: int
-    rule: str
-    pre: dict
-    post: dict
-
-
-def local_terms8(circuit: Circuit, boundary: str = OPEN) -> list[LocalTerm8]:
-    c0 = initial_config8(circuit, boundary)
-    out = []
-    for j in range(1, c0.ncells + 1):
-        for name, pre, post in _RULES8:
-            # keep templates whose window fits the chain; matching is dynamic
-            if boundary == OPEN and "s-" in pre and j == 1:
-                continue
-            if boundary == OPEN and ("p+" in pre or "d+" in pre or "d+" in post) and j == c0.ncells:
-                continue
-            out.append(LocalTerm8(cell=j, rule=name, pre=pre, post=post))
-    return out

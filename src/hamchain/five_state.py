@@ -5,16 +5,18 @@ gate per adjacent pair as it sweeps.
 
 Logical qubit values are never stored in a configuration; placeholders keep
 their left-to-right order, so placeholder rank = logical qubit index.  Block
-boundaries are static lattice metadata consulted by a few rules, not symbols.
+boundaries are static lattice metadata, not symbols: the rule table compiles
+at import into machine.Rule values whose boundary keys are conditions on a
+fixed register of boundary flags, which `machine`'s matcher steps.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import gates
+from .machine import History, Machine, Rule, RuleEngineError
 
 # odd-site symbols
 MOV = ">"  # right-mover
@@ -29,11 +31,6 @@ BLANK = "_"  # unborn/dead
 
 ODD_SYMBOLS = frozenset({MOV, MOVLE, TUR, BUL, PLUS})
 EVEN_SYMBOLS = frozenset({Q, G, BLANK})
-
-
-class RuleEngineError(RuntimeError):
-    """Zero or multiple rule matches where exactly one was required, in
-    either machine, or a ham8 rule condition that read a qubit placeholder."""
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,18 @@ class Lattice5:
         """True if a block boundary sits between sites i and i+1."""
         return 1 <= i < self.L and (i - 1) % (2 * self.n) == 0
 
+    @cached_property
+    def flags(self) -> tuple[str, ...]:
+        """Per site, "+" if a block boundary follows it, else "-"."""
+        return tuple("+" if self.boundary_after(i) else "-" for i in range(1, self.L + 1))
+
 
 @dataclass(frozen=True)
 class Config5:
     lattice: Lattice5
     symbols: tuple[str, ...]
+
+    ring = False
 
     def __post_init__(self):
         if len(self.symbols) != self.lattice.L:
@@ -74,13 +78,21 @@ class Config5:
             if sym not in family:
                 raise ValueError(f"site {i}: symbol {sym!r} not allowed on this parity")
 
-    def dump_line(self, step: int) -> str:
+    def dump(self, step: int) -> str:
         toks = []
         for i, sym in enumerate(self.symbols, 1):
             toks.append(sym)
             if self.lattice.boundary_after(i) and i < self.lattice.L:
                 toks.append("|")
-        return f"{step}\t" + " ".join(toks)
+        return f"{step}\t" + " ".join(toks) + "\n"
+
+    @property
+    def registers(self) -> tuple:
+        """The rewritten symbols, then the fixed boundary flags."""
+        return self.symbols, self.lattice.flags
+
+    def rebuild(self, registers) -> Config5:
+        return Config5(self.lattice, registers[0])
 
 
 @dataclass(frozen=True)
@@ -98,8 +110,10 @@ class GateEvent:
         return (self.position, self.position + 1)
 
     def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]]:
-        """The circuit's unitary for this slot, on its logical pair."""
-        return circuit.slot_matrix(self.round, self.position), self.qubits
+        """The circuit's unitary for this slot on its logical pair, or its
+        inverse for a backward firing."""
+        mat = circuit.slot_matrix(self.round, self.position)
+        return (mat if self.forward else mat.conj().T), self.qubits
 
 
 def initial_config5(n: int, R: int) -> Config5:
@@ -127,89 +141,30 @@ _RULES = (
     ("7b", (MOV, Q, BUL), (PLUS, Q, TUR), ("-", 2)),
 )
 
-
-# Every rule window holds one of these on both of its sides, so a window can
-# match only if it covers a site holding one (tests/test_engine_oracle.py).
+# Every rule window holds one of these on both of its sides.
 LIVE5 = frozenset({G, TUR, MOVLE, MOV})
 
 
-def _rules_by_window(reverse: bool) -> dict:
-    table: dict = {}
-    for rule in _RULES:
-        table.setdefault(rule[2] if reverse else rule[1], []).append(rule)
-    return table
-
-
-_RULES_BY_WINDOW = {False: _rules_by_window(False), True: _rules_by_window(True)}
-_RULE_BY_NAME = {rule[0]: rule for rule in _RULES}
-
-
-def find_all(seq: tuple, symbols) -> list[int]:
-    """Sorted 1-based positions of the entries of `seq` that are in `symbols`.
-
-    Entries are single characters, so `seq` is joined into one string and
-    each symbol is located with str.find, which scans in C; the Python-level
-    work grows with the number of hits, not with len(seq).
-    """
-    text = "".join(seq)
-    out = []
-    for sym in symbols:
-        i = text.find(sym)
-        while i >= 0:
-            out.append(i + 1)
-            i = text.find(sym, i + 1)
-    return sorted(out)
-
-
-def live_sites(c: Config5) -> list[int]:
-    """Sites holding a live symbol (one of LIVE5)."""
-    return find_all(c.symbols, LIVE5)
-
-
-def _matches(c: Config5, reverse: bool):
-    """All (start site s, rule) pairs whose window matches, in scan order.
-
-    Only the window starts p-2..p around each live site p are tried.
-    """
-    syms = c.symbols
-    lat = c.lattice
-    table = _RULES_BY_WINDOW[reverse]
-    starts = {s for p in live_sites(c) for s in range(max(p - 2, 1), min(p, lat.L - 2) + 1)}
-    out = []
-    for s in sorted(starts):
-        for name, _, _, bkey in table.get(syms[s - 1 : s + 2], ()):
-            if bkey is not None:
-                sign, off = bkey
-                if (sign == "+") != lat.boundary_after(s + off):
-                    continue
-            out.append((s, name))
-    return out
-
-
-def _gate_slot(lat: Lattice5, s: int) -> tuple[int, int]:
-    """(round, position) of the rule-1 firing whose window starts at site s."""
-    r = (s - 2) // (2 * lat.n) + 1
-    block_start = 2 + 2 * lat.n * (r - 1)
-    i = (s - block_start) // 2 + 1
-    return r, i
-
-
-def _step(c: Config5, reverse: bool):
-    hits = _matches(c, reverse)
-    if not hits:
+def _event(c: Config5, s: int, rule: Rule, forward: bool) -> GateEvent | None:
+    """The gate (round, position) of a rule-1 firing whose window starts at
+    site s: its block's round and its pair within the block."""
+    if rule.name != "1":
         return None
-    if len(hits) > 1:
-        raise RuleEngineError(
-            f"{len(hits)} rule instances match {'backward' if reverse else 'forward'}: {hits}"
-        )
-    s, name = hits[0]
-    _, lhs, rhs, _ = _RULE_BY_NAME[name]
-    dst = lhs if reverse else rhs
-    event = None
-    if name == "1":
-        r, i = _gate_slot(c.lattice, s)
-        event = GateEvent(step=-1, m=-1, round=r, position=i, forward=not reverse)
-    return Config5(c.lattice, c.symbols[: s - 1] + dst + c.symbols[s + 2 :]), event
+    r = (s - 2) // (2 * c.lattice.n) + 1
+    i = (s - 2 - 2 * c.lattice.n * (r - 1)) // 2 + 1
+    return GateEvent(step=-1, m=-1, round=r, position=i, forward=forward)
+
+
+# Register 0 holds the symbols, register 1 the boundary flags.
+MACHINE = Machine(
+    (Rule(name, tuple((0, k, sym) for k, sym in enumerate(lhs)),
+          tuple((0, k, sym) for k, sym in enumerate(rhs)),
+          () if bkey is None else ((1, bkey[1], bkey[0]),))
+     for name, lhs, rhs, bkey in _RULES),
+    LIVE5, _event)
+
+# (start site s, rule name) of every match; the unique successor and its event
+_matches, _step = MACHINE.matches, MACHINE.step
 
 
 def forward_step5(c: Config5):
@@ -220,84 +175,6 @@ def forward_step5(c: Config5):
 def backward_step5(c: Config5):
     """Unique predecessor configuration, or None at the initial configuration."""
     return _step(c, reverse=True)
-
-
-@dataclass
-class History:
-    """The history of either machine, stored as its first configuration, its
-    forward step, its length T and its gate events; events[t] is the event
-    (GateEvent or GateEvent8) fired on the edge t -> t+1.
-
-    No configuration besides the first is kept: `configs()` steps the
-    machine again from `first` and holds one configuration at a time, so a
-    history costs O(L + events) memory rather than O(T L).
-
-    Every event has a `round`, 0 for a ham8 scaffold firing, and answers
-    `gate(circuit)` with (4x4 unitary, logical pair) or None.
-    """
-
-    first: object
-    step: Callable
-    events: dict = field(default_factory=dict)
-    T: int = 0
-
-    @staticmethod
-    def stream(first, step):
-        """Step from `first` until `step` returns None, yielding each
-        configuration with the event on its outgoing edge (None where no
-        gate fires, and after the last configuration)."""
-        c = first
-        while (nxt := step(c)) is not None:
-            yield c, nxt[1]
-            c = nxt[0]
-        yield c, None
-
-    @classmethod
-    def record(cls, first, step) -> History:
-        """The history stepped from `first`, keeping each event with its
-        transition index as `step`."""
-        history = cls(first, step)
-        for t, (_, event) in enumerate(cls.stream(first, step)):
-            if event is not None:
-                history.events[t] = replace(event, step=t)
-            history.T = t
-        return history
-
-    def configs(self):
-        """The configurations at t = 0..T, stepped again from `first`."""
-        return (c for c, _ in self.stream(self.first, self.step))
-
-    def last_real_step(self, r: int) -> int:
-        """Step of the last gate of rounds 1..r, read from the events."""
-        return max((ev.step for ev in self.events.values() if 0 < ev.round <= r), default=-1)
-
-    def registers(self, circuit, initial: gates.QubitState):
-        """Register state at t = 0..T: `initial` with the gates of the events
-        on edges 0..t-1 applied, first fired first."""
-        q = initial
-        yield q
-        for t in range(self.T):
-            q = fire(self.events.get(t), circuit, q)
-            yield q
-
-    def dump(self):
-        """The text of the history, one configuration at a time.  ham5: one
-        line per configuration; ham8: one [t] block each, with a blank line
-        between blocks."""
-        for t, c in enumerate(self.configs()):
-            if isinstance(c, Config5):
-                yield c.dump_line(t) + "\n"
-            else:
-                yield ("\n" if t else "") + c.dump_block(t)
-
-
-def fire(event, circuit, q: gates.QubitState) -> gates.QubitState:
-    """The register `q` after `event` (None for no event) fires."""
-    gate = event.gate(circuit) if event is not None else None
-    if gate is None:
-        return q
-    mat, pair = gate
-    return gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
 
 
 def enumerate_history5(n: int, R: int) -> History:
@@ -342,50 +219,3 @@ def last_gate_step5(n: int, r: int) -> int:
     is the final transition, T - 1.
     """
     return (r - 1) * (3 * n * n + n + 1) + n - 1
-
-
-# --- local Hamiltonian terms -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalTerm5:
-    """One forward rewrite instance as a Hamiltonian term (h.c. implied).
-
-    Represents -|rhs><lhs| placed at window (site, site+1, site+2), plus its
-    Hermitian conjugate.  When the rewrite is rule 1, `slot` names the gate
-    (round, position) whose 4x4 unitary dresses the two logical qubits.
-    """
-
-    site: int
-    lhs: tuple[str, str, str]
-    rhs: tuple[str, str, str]
-    rule: str
-    slot: tuple[int, int] | None = None
-    unitary: object = None  # 4x4 ndarray for rule-1 terms when a circuit is given
-
-
-def local_terms5(n: int, R: int, circuit=None) -> list[LocalTerm5]:
-    lat = Lattice5(n, R)
-    out = []
-    for s in range(1, lat.L - 1):
-        for name, lhs, rhs, bkey in _RULES:
-            if lhs[0] in ODD_SYMBOLS and s % 2 == 0:
-                continue
-            if lhs[0] in EVEN_SYMBOLS and s % 2 == 1:
-                continue
-            if bkey is not None:
-                sign, off = bkey
-                if (sign == "+") != lat.boundary_after(s + off):
-                    continue
-            slot = _gate_slot(lat, s) if name == "1" else None
-            if slot is not None and not (1 <= slot[0] <= R and 1 <= slot[1] <= n - 1):
-                continue
-            unitary = None
-            if slot is not None:
-                unitary = (
-                    circuit.slot_matrix(*slot) if circuit is not None else np.eye(4)
-                )
-            out.append(
-                LocalTerm5(site=s, lhs=lhs, rhs=rhs, rule=name, slot=slot, unitary=unitary)
-            )
-    return out

@@ -2,15 +2,15 @@
 on the span of dressed history states.
 
 A dressed state is a classical symbol pattern together with the 2^n logical
-register.  Local terms are applied directly to dressed states by window
-matching; no full many-body vector is ever built.  Certification checks, for
-every history index t, that H maps state t to -(state t-1) - (state t+1)
-with the recorded gate unitaries on the register factor.  The history is
-read as a stream from one stepping pass of the machine, the register
-advancing as each edge's event arrives, and no more than three dressed
-states (t-1, t, t+1) are held at once.  Each state is
+register.  The local terms are each machine's rules tiled over its chain
+(machine.local_terms); they act on dressed states through the matcher that
+steps the machine, and each term's gate event dresses the register, so no
+many-body vector is built.  For every history index t, certification checks
+that H maps state t to -(state t-1) - (state t+1).  The history is streamed
+from one stepping pass, the register advancing as each edge's event
+arrives, with at most three dressed states held at once.  Each state is
 matched only against the terms anchored at its live symbols (_term_picker),
-which gives the same images as matching the whole term table.
+which gives the same images as the whole term table.
 """
 from __future__ import annotations
 
@@ -21,9 +21,9 @@ import numpy as np
 
 from . import eight_state as e8
 from . import five_state as f5
-from . import walk
+from . import machine, walk
 from .circuit import Circuit
-from .gates import QubitState, apply_unitary
+from .gates import QubitState
 
 QUBIT_TOL = 1e-12
 
@@ -34,61 +34,18 @@ class DressedState:
     qubits: QubitState
 
 
-def _placeholder_rank5(cfg: f5.Config5, site: int) -> int:
-    """1-based logical index of the placeholder at `site` (left-to-right rank)."""
-    if not 1 <= site <= len(cfg.symbols):
-        raise ValueError(f"site {site} out of range")
-    head = cfg.symbols[:site]
-    return head.count(f5.Q) + head.count(f5.G)
-
-
-def apply_H5(terms: list[f5.LocalTerm5], s: DressedState) -> list[tuple[float, DressedState]]:
-    """All -1-weighted images of `s` under the term list (h.c. included)."""
-    cfg: f5.Config5 = s.pattern
+def apply_H(m: machine.Machine, terms: list[machine.LocalTerm], s: DressedState,
+            circuit: Circuit) -> list[tuple[float, DressedState]]:
+    """All -1-weighted images of `s` under the terms: each term rewrites
+    forward and, as its h.c., backward, and fires its event on the register."""
+    c = s.pattern
     out = []
     for term in terms:
-        window = cfg.symbols[term.site - 1 : term.site + 2]
-        for src, dst, dagger in ((term.lhs, term.rhs, False), (term.rhs, term.lhs, True)):
-            if window != src:
-                continue
-            syms = list(cfg.symbols)
-            syms[term.site - 1 : term.site + 2] = dst
-            qubits = s.qubits
-            if term.unitary is not None:
-                i = _placeholder_rank5(cfg, term.site)
-                mat = term.unitary.conj().T if dagger else term.unitary
-                qubits = QubitState(
-                    qubits.n, apply_unitary(qubits.amps, mat, (i, i + 1), qubits.n)
-                )
-            out.append((-1.0, DressedState(f5.Config5(cfg.lattice, tuple(syms)), qubits)))
-    return out
-
-
-def apply_H8(terms: list[e8.LocalTerm8], s: DressedState) -> list[tuple[float, DressedState]]:
-    cfg: e8.Config8 = s.pattern
-    out = []
-    for term in terms:
-        for src, dst, dagger in ((term.pre, term.post, False), (term.post, term.pre, True)):
-            ok, binding = e8._match_at(cfg, src, dst, term.cell)
-            if not ok:
-                continue
-            new_cfg = e8._apply_at(cfg, dst, term.cell, binding)
-            qubits = s.qubits
-            if term.rule == "4a":
-                pair = (
-                    e8._cell_value(cfg, "d", term.cell),
-                    e8._cell_value(cfg, "d+", term.cell),
-                )
-                gate = e8.GateEvent8(
-                    step=-1, m=0, round=0, cell=term.cell, letter=binding, pair=pair,
-                    forward=not dagger,
-                ).gate(None)  # the unitary comes from the letter, not a circuit
-                if gate is not None:
-                    mat, lq = gate
-                    qubits = QubitState(
-                        qubits.n, apply_unitary(qubits.amps, mat, lq, qubits.n)
-                    )
-            out.append((-1.0, DressedState(new_cfg, qubits)))
+        for reverse in (False, True):
+            if m.match_at(c, term.position, term.rule, reverse):
+                event = m.event(c, term.position, term.rule, not reverse)
+                out.append((-1.0, DressedState(m.rewrite(c, term.position, term.rule, reverse),
+                                               machine.fire(event, circuit, s.qubits))))
     return out
 
 
@@ -101,26 +58,15 @@ def _collect(images: list[tuple[float, DressedState]]) -> dict:
     return acc
 
 
-def _anchors5(term: f5.LocalTerm5, L: int) -> tuple:
-    """Per side (lhs, rhs) of the term, a (site, live symbol) that side
-    needs; None when it holds no live symbol or its window is off the chain."""
-    if not 1 <= term.site <= L - 2:
-        return (None,)
-    return tuple(
-        next(((term.site + k, sym) for k, sym in enumerate(side) if sym in f5.LIVE5), None)
-        for side in (term.lhs, term.rhs)
-    )
-
-
-def _anchors8(term: e8.LocalTerm8, c0: e8.Config8) -> tuple:
-    """Per side (pre, post) of the term, a (cell, live cursor) that side
-    needs; None when it needs no live cursor or names a cell off the chain."""
-    out = []
-    for side in (term.pre, term.post):
-        cells = [(e8._cell_index(c0, key, term.cell), side[key])
-                 for key in ("s", "s-") if side.get(key) in e8.LIVE_CURSORS]
-        out.append(cells[0] if cells and cells[0][0] is not None else None)
-    return tuple(out)
+def _anchors(m: machine.Machine, term: machine.LocalTerm, c0) -> tuple:
+    """Per side (pre, post) of the term's rule, the (cell, live symbol) that
+    side needs, None when it holds no live symbol.  A cell off the open
+    chain holds nothing, so a term filed under one is never picked; such a
+    term's window leaves the chain and cannot match either."""
+    n = len(c0.registers[0])
+    return tuple(None if a is None else
+                 ((term.position + a[0] - 1) % n + 1 if c0.ring else term.position + a[0], a[1])
+                 for a in map(m.anchor, (term.rule.pre, term.rule.post)))
 
 
 def _term_picker(terms: list, anchors, live):
@@ -164,19 +110,12 @@ class CertReport:
         return self.failures == 0
 
 
-def _local_hamiltonian(scheme: str, circuit: Circuit, c0):
-    """(term table, term picker, apply function) of the scheme's local terms
-    on the chain of initial configuration c0."""
-    if scheme == "ham5":
-        terms = f5.local_terms5(circuit.n, circuit.rounds, circuit)
-        L = c0.lattice.L
-        pick = _term_picker(terms, lambda t: _anchors5(t, L),
-                            lambda c: [(p, c.symbols[p - 1]) for p in f5.live_sites(c)])
-        return terms, pick, apply_H5
-    terms = e8.local_terms8(circuit)
-    pick = _term_picker(terms, lambda t: _anchors8(t, c0),
-                        lambda c: [(k, c.cursors[k - 1]) for k in e8.live_cells(c)])
-    return terms, pick, apply_H8
+def _local_hamiltonian(scheme: str, c0):
+    """(machine, term table, term picker) of the scheme's local terms on the
+    chain of initial configuration c0."""
+    m = f5.MACHINE if scheme == "ham5" else e8.MACHINE
+    terms = machine.local_terms(m, c0)
+    return m, terms, _term_picker(terms, lambda t: _anchors(m, t, c0), m.live_cells)
 
 
 def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
@@ -189,9 +128,9 @@ def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
     else:
         first, step = e8.initial_config8(circuit), e8.forward_step8
     q = initial
-    for c, event in f5.History.stream(first, step):
+    for c, event in machine.History.stream(first, step):
         yield DressedState(c, q)
-        q = f5.fire(event, circuit, q)
+        q = machine.fire(event, circuit, q)
 
 
 def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None = None) -> CertReport:
@@ -200,10 +139,10 @@ def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None =
         initial = QubitState.basis("0" * circuit.n)
     states = _dressed_history(scheme, circuit, initial)
     prev, cur = None, next(states)
-    _, pick, apply_H = _local_hamiltonian(scheme, circuit, cur.pattern)
+    m, _, pick = _local_hamiltonian(scheme, cur.pattern)
     report = CertReport(scheme)
     for t, nxt in enumerate(chain(states, [None])):
-        got = _collect(apply_H(pick(cur.pattern), cur))
+        got = _collect(apply_H(m, pick(cur.pattern), cur, circuit))
         want = {s.pattern: (nb, -1.0 * s.qubits.amps)
                 for nb, s in ((t - 1, prev), (t + 1, nxt)) if s is not None}
         errs = []

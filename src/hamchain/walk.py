@@ -239,8 +239,8 @@ def default_tau0(T: int) -> float:
 
 class PaddingError(RuntimeError):
     """Padding leaves the acceptance threshold at or before the last real
-    gate, the padded history would be longer than MAX_T, or the closed
-    forms it relied on disagree with the engine."""
+    gate, the padded history would be refused for its size (_oversize), or
+    the closed forms it relied on disagree with the engine."""
 
 
 def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
@@ -252,26 +252,32 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:
+    """Why the n-qubit, R-round history of T steps is refused, or None: a T
+    over MAX_T, or a T x cells over MAX_CELL_STEPS (each step copies the
+    configuration), with the cells taken from the closed forms."""
+    cells = (five_state.Lattice5(n, R).L if scheme == "ham5"
+             else eight_state.ProgramLayout.cells(n, R) + ring)
+    if T > MAX_T:
+        return f"T={T}, over the limit of {MAX_T}"
+    if T * cells > MAX_CELL_STEPS:
+        return f"T={T} steps on {cells} cells, over the limit of {MAX_CELL_STEPS} cell steps"
+    return None
+
+
 def history_length(scheme: str, circuit, boundary: str = eight_state.OPEN) -> int:
     """T of the scheme's history of `circuit`, in closed form, without a
     step.  What enumerate_history refuses before stepping is refused here:
-    a T over MAX_T, a T x cells over MAX_CELL_STEPS (each step copies the
-    configuration), a ham5 boundary other than the open chain, and a ham8
-    gate letter outside {W,S,I}."""
+    a history that _oversize refuses, a ham5 boundary other than the open
+    chain, and a ham8 gate letter outside {W,S,I}."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
-    if T > MAX_T:
-        raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T}, "
-                         f"over the limit of {MAX_T}")
-    if scheme == "ham5":
-        if boundary != eight_state.OPEN:
-            raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
-        cells = five_state.Lattice5(circuit.n, circuit.rounds).L
-    else:
-        # program_layout raises on a letter outside {W,S,I}
-        cells = eight_state.program_layout(circuit).L + (boundary == eight_state.PERIODIC_X)
-    if T * cells > MAX_CELL_STEPS:
-        raise ValueError(f"{scheme} history of {circuit.rounds} rounds has T={T} steps "
-                         f"on {cells} cells, over the limit of {MAX_CELL_STEPS} cell steps")
+    if scheme == "ham5" and boundary != eight_state.OPEN:
+        raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
+    why = _oversize(scheme, circuit.n, circuit.rounds, T, boundary == eight_state.PERIODIC_X)
+    if why is not None:
+        raise ValueError(f"{scheme} history of {circuit.rounds} rounds has {why}")
+    if scheme == "ham8":
+        eight_state.program_layout(circuit)  # raises on a letter outside {W,S,I}
     return T
 
 
@@ -291,9 +297,9 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
 
     Pure arithmetic on the closed forms for T and for the last real gate's
     step, both checked against the engine in the tests and by `verify`.
-    The search stops at the first R whose T exceeds MAX_T, since T grows
-    with R, and otherwise by R = q r_real.  There, with r = r_real and s the
-    last real gate's step, floor(T/q) >= s holds iff T >= q s, and
+    The search stops at the first R whose history _oversize refuses (T and
+    the cell count grow with R), and otherwise by R = q r_real.  There, with
+    r = r_real and s the last real gate's step, floor(T/q) >= s iff T >= q s:
 
       ham5:  T - q s = (q-1)(3n^2+n+1) - (q-1)n + q > 0;
       ham8:  T - q s = 6 + (n+1)[q r (3(n+1)(q-1) - q + 2) + 5(q-1)] > 0,
@@ -303,9 +309,9 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
         raise ValueError(f"need n >= 2, r_real >= 1 and q >= 2; got {n}, {r_real}, {q}")
     for r_total in range(r_real, q * r_real + 1):
         T, last_real = closed_form_steps(n, r_total, r_real, scheme)
-        if T > MAX_T:
-            raise PaddingError(f"{scheme} n={n} padded to {r_total} rounds has T={T}, "
-                               f"over the limit of {MAX_T}")
+        why = _oversize(scheme, n, r_total, T)
+        if why is not None:
+            raise PaddingError(f"{scheme} n={n} padded to {r_total} rounds has {why}")
         if last_real <= T // q:
             return r_total
     raise PaddingError(f"no round count up to {q * r_real} pads {scheme} n={n} r={r_real} q={q}")

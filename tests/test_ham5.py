@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from hamchain import five_state as f5
-from hamchain import walk
+from hamchain import machine, walk
 
 # Transition counts measured directly from the rule engine and frozen here.
 # They exceed the quoted closed form (R-1)(3n^2+n)+n+1 by R-2, so the two
@@ -19,8 +19,8 @@ ENGINE_T = {
 
 
 def test_initial_config_3_2_matches_golden_first_line(fixtures_dir):
-    first = (fixtures_dir / "ham5_n3r2.txt").read_text().splitlines()[0]
-    assert f5.initial_config5(3, 2).dump_line(0) == first
+    first = (fixtures_dir / "ham5_n3r2.txt").read_text().splitlines(keepends=True)[0]
+    assert f5.initial_config5(3, 2).dump(0) == first
 
 
 def test_initial_config_2_1_degenerate_layout():
@@ -133,25 +133,59 @@ def test_rule_engine_flags_ambiguity():
 
 
 def test_local_terms_have_one_gate_term_per_slot():
+    # every rule is tiled at every window start; along the history exactly
+    # one term matches forward, and the rule-1 terms that fire are one per
+    # gate slot, in order
     n, R = 3, 2
-    terms = f5.local_terms5(n, R)
-    gate_terms = [t for t in terms if t.rule == "1"]
-    assert sorted(t.slot for t in gate_terms) == [
-        (r, i) for r in range(1, R + 1) for i in range(1, n)
-    ]
-    for t in gate_terms:
-        assert t.unitary.shape == (4, 4)
+    history = f5.enumerate_history5(n, R)
+    terms = machine.local_terms(f5.MACHINE, history.first)
+    L = history.first.lattice.L
+    assert [(t.position, t.rule) for t in terms] == [
+        (s, rule) for s in range(1, L - 1) for rule in f5.MACHINE.rules]
+    fired = []
+    for t, c in enumerate(history.configs()):
+        hits = [term for term in terms if f5.MACHINE.match_at(c, term.position, term.rule, False)]
+        assert len(hits) == (t < history.T)
+        if t in history.events:
+            (term,) = hits
+            assert term.rule.name == "1"
+            event = f5.MACHINE.event(c, term.position, term.rule, True)
+            fired.append((event.round, event.position))
+    assert fired == [(r, i) for r in range(1, R + 1) for i in range(1, n)]
 
 
 def test_local_terms_boundary_placement():
-    # Rule 2 fires only when the window's middle sits just left of a block
-    # boundary; every boundary except the leftmost (which has no even site
-    # before it) carries one instance, so R-1 in total.
+    # Rule 2's boundary key is a condition on the flags register: it holds
+    # only where the window's middle sits just left of a block boundary.
+    # Every boundary except the leftmost (which has no even site before it)
+    # offers one such window, so R-1 in total.
     n, R = 3, 3
-    rule2 = [t for t in f5.local_terms5(n, R) if t.rule == "2"]
-    lat = f5.Lattice5(n, R)
-    assert len(rule2) == R - 1
-    assert all(lat.boundary_after(t.site + 1) for t in rule2)
+    c0 = f5.initial_config5(n, R)
+    rule2 = [t for t in machine.local_terms(f5.MACHINE, c0) if t.rule.name == "2"]
+    assert len(rule2) == c0.lattice.L - 2
+    assert rule2[0].rule.conditions == ((1, 1, "+"),)
+    flags = c0.registers[1]
+    placed = [t.position for t in rule2 if flags[t.position] == "+"]
+    assert len(placed) == R - 1
+    assert all(c0.lattice.boundary_after(s + 1) for s in placed)
+
+
+@pytest.mark.parametrize("n,R", [(2, 1), (3, 2), (2, 3), (4, 3)])
+def test_gate_event_position_is_the_rank_of_the_g_placeholder(n, R):
+    # the event's pair comes from the lattice geometry; the pattern itself
+    # says which logical qubit sits at the window start: the rank of its
+    # placeholder, since placeholders keep their order
+    configs = list(f5.enumerate_history5(n, R).configs())
+    for t, c in enumerate(configs[:-1]):
+        for c_from, reverse, (_, event) in ((c, False, f5.forward_step5(c)),
+                                             (configs[t + 1], True, f5.backward_step5(configs[t + 1]))):
+            if event is None:
+                continue
+            ((s, name),) = f5._matches(c_from, reverse)
+            # forward the window starts on g, backward on the q it became
+            assert name == "1" and c_from.symbols[s - 1] == (f5.Q if reverse else f5.G)
+            head = c_from.symbols[:s]
+            assert event.position == head.count(f5.Q) + head.count(f5.G)
 
 
 @pytest.mark.parametrize("scheme", ["ham5", "ham8"])

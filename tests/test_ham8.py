@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hamchain import eight_state as e8
-from hamchain import gates
+from hamchain import gates, machine
 from hamchain.circuit import Circuit, UnsupportedGateError
 
 from oracles import circuit_matrix
@@ -149,7 +149,7 @@ def test_gate_on_scaffold_detection():
 
 
 def test_rule_conditions_never_read_qubit_placeholders(w_circuit_2q):
-    # sweep the whole history; _match_at raises if a data condition lands on w_i
+    # sweep the whole history; the matcher raises if a condition lands on w_i
     tr = e8.enumerate_history8(w_circuit_2q)
     assert tr.T == 18
 
@@ -192,11 +192,19 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):
-    terms = e8.local_terms8(w_circuit_2q)
-    rules = {t.rule for t in terms}
-    assert rules == {name for name, _, _ in e8._RULES8}
-    # interior cells carry all 11 templates
-    assert sum(1 for t in terms if t.cell == 3) == 11
+    c0 = e8.initial_config8(w_circuit_2q)
+    terms = machine.local_terms(e8.MACHINE, c0)
+    assert {t.rule.name for t in terms} == {name for name, _, _ in e8._RULES8}
+    # interior cells carry all 11 templates, as 17 rules: "A" is I, S or W
+    assert sum(1 for t in terms if t.position == 3) == 11 + 2 * 3
+    # the open chain drops the windows that leave it, the ring none
+    ends = {t.position: set() for t in terms}
+    for t in terms:
+        ends[t.position].add(t.rule.name)
+    assert ends[1] == {"3a", "3b", "4a", "4b", "5a", "5b"}  # no "s-"
+    assert ends[c0.ncells] == {"1a", "1b", "1c", "2a", "2b"}  # no "p+" or "d+"
+    ring = e8.initial_config8(w_circuit_2q, e8.PERIODIC_X)
+    assert len(machine.local_terms(e8.MACHINE, ring)) == 17 * ring.ncells
 
 
 def test_enumeration_keeps_no_configurations():

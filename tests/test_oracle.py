@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates, subspace, walk
+from hamchain import gates, machine, subspace, walk
 from hamchain.circuit import Circuit
 from hamchain.gates import QubitState
 
@@ -34,9 +34,9 @@ def test_certify_with_superposed_register(w_circuit_2q):
 def test_apply_h5_at_endpoints(w_circuit_2q):
     trace = f5.enumerate_history5(2, 1)
     configs = list(trace.configs())
-    terms = f5.local_terms5(2, 1, w_circuit_2q)
+    terms = machine.local_terms(f5.MACHINE, configs[0])
     s0 = subspace.DressedState(configs[0], QubitState.basis("00"))
-    images = subspace.apply_H5(terms, s0)
+    images = subspace.apply_H(f5.MACHINE, terms, s0, w_circuit_2q)
     assert len(images) == 1
     weight, ds = images[0]
     assert weight == -1.0 and ds.pattern == configs[1]
@@ -45,9 +45,9 @@ def test_apply_h5_at_endpoints(w_circuit_2q):
 def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
     trace = f5.enumerate_history5(2, 1)
     configs = list(trace.configs())
-    terms = f5.local_terms5(2, 1, w_circuit_2q)
+    terms = machine.local_terms(f5.MACHINE, configs[0])
     s = subspace.DressedState(configs[1], QubitState.basis("00"))
-    patterns = {ds.pattern for _, ds in subspace.apply_H5(terms, s)}
+    patterns = {ds.pattern for _, ds in subspace.apply_H(f5.MACHINE, terms, s, w_circuit_2q)}
     assert patterns == {configs[0], configs[2]}
 
 
@@ -55,30 +55,51 @@ def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
     c0 = e8.initial_config8(w_circuit_2q)
     dead = e8.Config8(c0.layout, c0.boundary, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
-    terms = e8.local_terms8(w_circuit_2q)
+    terms = machine.local_terms(e8.MACHINE, c0)
     s = subspace.DressedState(dead, QubitState.basis("00"))
-    assert subspace.apply_H8(terms, s) == []
+    assert subspace.apply_H(e8.MACHINE, terms, s, w_circuit_2q) == []
 
 
-def test_fault_injected_term_table_fails(w_circuit_2q, monkeypatch):
-    # corrupt one ham5 gate term: wrong unitary on the gate slot
-    good_terms = f5.local_terms5(2, 1, w_circuit_2q)
-    bad_terms = [
-        dataclasses.replace(t, unitary=np.kron(gates.Z.matrix, np.eye(2)))
-        if t.rule == "1" else t
-        for t in good_terms
-    ]
-    monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: bad_terms)
-    # start from |10> so the control qubit is live and W and the corrupted
-    # unitary actually disagree
-    rep = subspace.certify_subspace("ham5", w_circuit_2q, QubitState.basis("10"))
-    assert not rep.passed
-    assert any("FAIL" in line for line in rep.lines)
+def _superposed(n):
+    amps = np.arange(1, 2**n + 1, dtype=complex) * (1 + 0.5j) ** np.arange(2**n)
+    return QubitState(n, amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_backward_event_undoes_the_forward_gate(scheme):
+    # stepping back over a gate edge applies U^dagger, so it gives back the
+    # register before the edge; both machines' events must agree on this
+    circuit = Circuit(2, 1, {(1, 1): gates.W})
+    history = walk.enumerate_history(scheme, circuit)
+    configs = list(history.configs())
+    registers = list(history.registers(circuit, QubitState.basis("10")))
+    backward = f5.backward_step5 if scheme == "ham5" else e8.backward_step8
+    for t in range(history.T):
+        back, event = backward(configs[t + 1])
+        assert back == configs[t]
+        assert (event is None) == (t not in history.events)
+        q = machine.fire(event, circuit, registers[t + 1])
+        assert np.allclose(q.amps, registers[t].amps, atol=1e-14)
+    assert history.events  # the W edge is among them
+
+
+def test_backward_gate_without_its_inverse_fails_certification(w_circuit_2q, monkeypatch):
+    # make every backward firing apply U instead of U^dagger: each gate
+    # term's h.c. then dresses the register with the wrong unitary
+    for event in (f5.GateEvent, e8.GateEvent8):
+        gate = event.gate
+        monkeypatch.setattr(event, "gate", lambda self, circuit, gate=gate:
+                            gate(dataclasses.replace(self, forward=True), circuit))
+    for scheme in ("ham5", "ham8"):
+        rep = subspace.certify_subspace(scheme, w_circuit_2q, _superposed(2))
+        assert not rep.passed
+        assert any("register mismatch" in line for line in rep.lines), scheme
 
 
 def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):
-    good_terms = [t for t in e8.local_terms8(w_circuit_2q) if t.rule != "1b"]
-    monkeypatch.setattr(e8, "local_terms8", lambda *a, **k: good_terms)
+    local_terms = machine.local_terms
+    monkeypatch.setattr(machine, "local_terms", lambda m, c0: [
+        t for t in local_terms(m, c0) if t.rule.name != "1b"])
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     assert not rep.passed
     assert any("missing neighbor" in line for line in rep.lines)
@@ -112,8 +133,8 @@ def test_certify_rejects_unknown_scheme(w_circuit_2q):
         subspace.certify_subspace("ham9", w_circuit_2q)
 
 
-def _images(apply_H, terms, state):
-    return [(w, ds.pattern, ds.qubits.amps) for w, ds in apply_H(terms, state)]
+def _images(m, terms, state, circuit):
+    return [(w, ds.pattern, ds.qubits.amps) for w, ds in subspace.apply_H(m, terms, state, circuit)]
 
 
 @pytest.mark.parametrize("scheme,circuit", [
@@ -129,29 +150,36 @@ def test_picked_terms_give_the_images_of_all_terms(scheme, circuit):
     init = QubitState(circuit.n, amps / np.linalg.norm(amps))
     history = walk.enumerate_history(scheme, circuit)
     states = list(map(subspace.DressedState, history.configs(), history.registers(circuit, init)))
-    terms, pick, apply_H = subspace._local_hamiltonian(scheme, circuit, history.first)
+    m, terms, pick = subspace._local_hamiltonian(scheme, history.first)
     for s in states:
         picked = pick(s.pattern)
         assert len(picked) < len(terms)
-        want = _images(apply_H, terms, s)
-        got = _images(apply_H, picked, s)
+        want = _images(m, terms, s, circuit)
+        got = _images(m, picked, s, circuit)
         assert [(w, p) for w, p, _ in got] == [(w, p) for w, p, _ in want]
         assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+
+
+def _add_term(monkeypatch, rogue):
+    local_terms = machine.local_terms
+    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [rogue])
 
 
 def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monkeypatch):
     # (q + q) <-> (q . q) holds no live symbol, so it cannot be filed under a
     # live site; it must still be tried on every state
-    rogue = f5.LocalTerm5(site=2, lhs=(f5.Q, f5.PLUS, f5.Q), rhs=(f5.Q, f5.BUL, f5.Q),
-                          rule="rogue")
-    assert subspace._anchors5(rogue, 5) == (None, None)
-    terms = f5.local_terms5(2, 1, w_circuit_2q) + [rogue]
-    monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: terms)
+    lhs, rhs = (f5.Q, f5.PLUS, f5.Q), (f5.Q, f5.BUL, f5.Q)
+    rogue = machine.LocalTerm(2, machine.Rule(
+        "rogue", tuple((0, k, sym) for k, sym in enumerate(lhs)),
+        tuple((0, k, sym) for k, sym in enumerate(rhs))))
+    c0 = f5.initial_config5(2, 1)
+    assert subspace._anchors(f5.MACHINE, rogue, c0) == (None, None)
+    _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham5", w_circuit_2q)
     trace = f5.enumerate_history5(2, 1)
     configs = list(trace.configs())
     hit = {t for t, c in enumerate(configs)
-           if c.symbols[1:4] in (rogue.lhs, rogue.rhs)}
+           if c.symbols[1:4] in (lhs, rhs)}
     assert hit
     assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
     assert all("unexpected output pattern" in rep.lines[t] for t in hit)
@@ -161,12 +189,11 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     # a template that rewrites the program symbol under an idle cursor holds
     # no live cursor; it acts on every state whose cell 1 is idle, and none
     # of those has the rewritten pattern as a neighbour
-    rogue = e8.LocalTerm8(cell=1, rule="rogue", pre={"s": e8.STAR, "p": "."},
-                          post={"s": e8.STAR, "p": "I"})
+    rogue = machine.LocalTerm(1, machine.Rule("rogue", pre=((0, 0, e8.STAR), (1, 0, ".")),
+                                              post=((0, 0, e8.STAR), (1, 0, "I"))))
     c0 = e8.initial_config8(w_circuit_2q)
-    assert subspace._anchors8(rogue, c0) == (None, None)
-    terms = e8.local_terms8(w_circuit_2q) + [rogue]
-    monkeypatch.setattr(e8, "local_terms8", lambda *a, **k: terms)
+    assert subspace._anchors(e8.MACHINE, rogue, c0) == (None, None)
+    _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     trace = e8.enumerate_history8(w_circuit_2q)
     configs = list(trace.configs())
@@ -199,12 +226,16 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     # the last gate's rule-1 term is the only one joining t=T-1 and t=T, the
     # last state of the certificate's window, which has no successor
     n, R = ws_circuit_3q2r.n, ws_circuit_3q2r.rounds
-    terms = f5.local_terms5(n, R, ws_circuit_3q2r)
-    kept = [term for term in terms if term.slot != (R, n - 1)]
-    assert len(kept) == len(terms) - 1
-    monkeypatch.setattr(f5, "local_terms5", lambda *a, **k: kept)
-    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     T = f5.step_count_formula5(n, R)
+    last = list(f5.enumerate_history5(n, R).configs())[T - 1]
+    ((s, name),) = f5._matches(last, False)
+    event = f5.forward_step5(last)[1]
+    assert name == "1" and (event.round, event.position) == (R, n - 1)
+    terms = machine.local_terms(f5.MACHINE, last)
+    kept = [term for term in terms if (term.position, term.rule.name) != (s, "1")]
+    assert len(kept) == len(terms) - 1
+    monkeypatch.setattr(machine, "local_terms", lambda *a, **k: kept)
+    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     assert len(rep.lines) == T + 1
     assert [t for t, line in enumerate(rep.lines) if "FAIL" in line] == [T - 1, T]
     assert rep.lines[T] == f"t={T} FAIL: missing neighbor pattern"

@@ -139,5 +139,16 @@ def test_importing_walk_loads_neither_runner_nor_subspace():
     assert not loaded & {"hamchain.runner", "hamchain.subspace", "hamchain.cli"}
 
 
+def test_importing_eight_state_does_not_load_five_state():
+    # both machines share only `machine`, not each other
+    code = ("import sys, hamchain.eight_state; "
+            "print(sorted(m for m in sys.modules if m.startswith('hamchain')))")
+    done = subprocess.run([sys.executable, "-c", code], env=ENV,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(ast.literal_eval(done.stdout))
+    assert {"hamchain.eight_state", "hamchain.machine"} <= loaded
+    assert "hamchain.five_state" not in loaded
+
+
 if __name__ == "__main__":
     print("\n".join(unreached(Path(sys.argv[1]))))

@@ -441,19 +441,36 @@ def test_padding_plan_refuses_a_history_past_max_T(monkeypatch):
     assert len(calls) == 1  # T grows with R, so the first candidate decides
 
 
+def test_padding_plan_stops_at_the_cell_step_limit(monkeypatch):
+    # sample W --scheme ham5 --q 1000000000 on a 2-qubit, one-round circuit:
+    # MAX_T alone let the search try 1118482 round counts; the cell-step
+    # limit ends it near R=8461
+    calls = []
+    closed = walk.closed_form_steps
+    monkeypatch.setattr(walk, "closed_form_steps",
+                        lambda *a: calls.append(a) or closed(*a))
+    with pytest.raises(walk.PaddingError, match="cell steps"):
+        walk.padding_plan(2, 1, 10**9, "ham5")
+    assert len(calls) < 10**4
+    R = calls[-1][1]
+    T = walk.closed_form_steps(2, R, 1, "ham5")[0]
+    assert T * f5.Lattice5(2, R).L > walk.MAX_CELL_STEPS
+    assert walk.history_length("ham5", Circuit(2, R - 1)) > 0
+
+
 def test_non_finite_amplitudes_are_not_normalised():
     with pytest.raises(ValueError):
         walk.WalkAmplitudes(0.0, np.array([np.nan, 0.0]))
 
 
 def test_history_length_refuses_too_many_cell_steps():
-    # sample --scheme ham5 --q 100000 on a 3-qubit, 2-round circuit pads to
-    # R=106453: T=3300015 is under MAX_T, but on 638719 sites it would step
-    # for about a day
-    padded = Circuit(3, walk.padding_plan(3, 2, 100000, "ham5"))
-    assert padded.rounds == 106453
+    # sample --scheme ham5 --q 100000 on a 3-qubit, 2-round circuit would
+    # pad to R=106453: T=3300015 is under MAX_T, but on 638719 sites it
+    # would step for about a day.  Padding now refuses it on the way there.
     with pytest.raises(ValueError, match="cell steps"):
-        walk.history_length("ham5", padded)
+        walk.history_length("ham5", Circuit(3, 106453))
+    with pytest.raises(walk.PaddingError, match="cell steps"):
+        walk.padding_plan(3, 2, 100000, "ham5")
     # the rewritten-Z ham8 row, the largest run that finishes, stays below it
     assert walk.history_length("ham8", Circuit(2, 92)) * 552 <= walk.MAX_CELL_STEPS
 
