@@ -188,6 +188,17 @@ def ws_circuit(n, R):
                           for r in range(1, R + 1) for i in range(1, n)})
 
 
+def test_every_ham5_rule_window_holds_a_live_symbol():
+    for name, lhs, rhs, _ in f5._RULES:
+        assert f5.LIVE5 & set(lhs) and f5.LIVE5 & set(rhs), name
+
+
+def test_every_ham8_rule_has_a_live_cursor_at_s_or_s_minus():
+    for name, pre, post in e8._RULES8:
+        for side in (pre, post):
+            assert {side.get("s"), side.get("s-")} & e8.LIVE_CURSORS, name
+
+
 def test_every_compiled_rule_side_holds_a_live_symbol_of_register_0():
     # the matcher's index files each side under that symbol
     for machine in (f5.MACHINE, e8.MACHINE):
