@@ -1,6 +1,10 @@
 """Command-line front end: trace histories, tabulate walk probabilities,
 sample the measurement protocol, verify invariants, and rewrite gate sets.
 
+A command loads only the modules it runs: walk imports a scheme's machine
+when first given that scheme (walk.scheme_module), and `verify` imports
+subspace itself, so `evolve --T` loads no machine and `sample` no subspace.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error, or
 a run the engines or the padding plan refuse (RuleEngineError, PaddingError).
 Errors end in one `error: ...` line on stderr, not a traceback.
@@ -13,17 +17,9 @@ import sys
 
 import numpy as np
 
-from . import eight_state as e8
-from . import five_state as f5
-from . import gates, subspace, walk
-from .circuit import (
-    Circuit,
-    CircuitParseError,
-    UnsupportedGateError,
-    parse_circuit,
-    rewrite_to_ws,
-    serialize_circuit,
-)
+from . import walk
+from .circuit import Circuit, parse_circuit, rewrite_to_ws, serialize_circuit
+from .machine import RuleEngineError
 from .runner import RunPlan, run
 
 
@@ -43,7 +39,7 @@ def _write(out_path: str | None, chunks) -> None:
 
 def cmd_trace(args) -> int:
     circuit = _read_circuit(args.circuit)
-    boundary = e8.PERIODIC_X if args.periodic_x else e8.OPEN
+    boundary = walk.PERIODIC_X if args.periodic_x else walk.OPEN
     _write(args.out, walk.enumerate_history(args.scheme, circuit, boundary).dump())
     return 0
 
@@ -89,6 +85,8 @@ def cmd_rewrite(args) -> int:
 
 
 def _verify_identities(lines: list[str]) -> bool:
+    from . import gates
+
     ok = True
     for name in gates.identity_names():
         dev = gates.check_identity(gates.synth(name), gates.identity_target(name))
@@ -110,6 +108,8 @@ def _padded(scheme: str, circuit: Circuit) -> Circuit:
 
 
 def _verify_subspace(lines: list[str]) -> bool:
+    from . import gates, subspace
+
     ok = True
     ws2 = Circuit(2, 2, {(1, 1): gates.W, (2, 1): gates.SWAP})
     ws3 = Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
@@ -226,8 +226,7 @@ def main(argv=None) -> int:
         parser.error("evolve needs either a circuit file or --T")
     try:
         return args.fn(args)
-    except (CircuitParseError, UnsupportedGateError, FileNotFoundError, ValueError,
-            walk.PaddingError, f5.RuleEngineError) as exc:
+    except (FileNotFoundError, ValueError, walk.PaddingError, RuleEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -136,9 +136,14 @@ def padded_history(plan: RunPlan):
 def step_cdfs(rows: np.ndarray) -> np.ndarray:
     """Cumulative history-index distribution of each of `walk.propagate`'s
     real rows D, |c_t|^2 = D_t^2 normalised by its row sum; `walk.propagate`
-    runs it on the batch's worker thread."""
+    runs it on the batch's worker thread.  A row whose sum is off 1 by more
+    than walk.NORM_TOL, as at a time too large to evolve to, raises."""
     probs = np.square(rows)
-    probs /= probs.sum(axis=1, keepdims=True)
+    norms = probs.sum(axis=1, keepdims=True)
+    bad = ~(np.abs(norms - 1.0) <= walk.NORM_TOL)  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"walk amplitudes not normalized: {norms[bad][0]}")
+    probs /= norms
     return np.cumsum(probs, axis=1)
 
 

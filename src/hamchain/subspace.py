@@ -10,7 +10,8 @@ that H maps state t to -(state t-1) - (state t+1).  The history is streamed
 from one stepping pass, the register advancing as each edge's event
 arrives, with at most three dressed states held at once.  Each state is
 matched only against the terms anchored at its live symbols (_term_picker),
-which gives the same images as the whole term table.
+which gives the same images as the whole term table.  Only the machine of
+the scheme being certified is imported (walk.scheme_module).
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import eight_state as e8
-from . import five_state as f5
 from . import machine, walk
 from .circuit import Circuit
 from .gates import QubitState
@@ -113,7 +112,7 @@ class CertReport:
 def _local_hamiltonian(scheme: str, c0):
     """(machine, term table, term picker) of the scheme's local terms on the
     chain of initial configuration c0."""
-    m = f5.MACHINE if scheme == "ham5" else e8.MACHINE
+    m = walk.scheme_module(scheme).MACHINE
     terms = machine.local_terms(m, c0)
     return m, terms, _term_picker(terms, lambda t: _anchors(m, t, c0), m.live_cells)
 
@@ -123,10 +122,11 @@ def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
     register advances as each edge's event arrives.  What
     walk.history_length refuses is refused before the first step."""
     walk.history_length(scheme, circuit)
+    m = walk.scheme_module(scheme)
     if scheme == "ham5":
-        first, step = f5.initial_config5(circuit.n, circuit.rounds), f5.forward_step5
+        first, step = m.initial_config5(circuit.n, circuit.rounds), m.forward_step5
     else:
-        first, step = e8.initial_config8(circuit), e8.forward_step8
+        first, step = m.initial_config8(circuit), m.forward_step8
     q = initial
     for c, event in machine.History.stream(first, step):
         yield DressedState(c, q)

@@ -24,8 +24,10 @@ tests/oracles.py.
 """
 from __future__ import annotations
 
+import importlib
 import math
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
@@ -33,8 +35,6 @@ from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-from . import eight_state, five_state
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,9 @@ class WalkSpec:
             raise ValueError(f"need a finite tau0 > 0, got {self.tau0}")
 
 
+NORM_TOL = 1e-9  # most |sum_t |c_t|^2 - 1| of a propagator row that is used
+
+
 @dataclass(frozen=True)
 class WalkAmplitudes:
     tau: float
@@ -61,7 +64,7 @@ class WalkAmplitudes:
         a = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", a)
         norm = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise ValueError(f"walk amplitudes not normalized: {norm}")
 
     def probabilities(self) -> np.ndarray:
@@ -118,9 +121,12 @@ def propagate(T: int, taus, finish=None):
         tau = taus[start:start + rows, None]
         ext = np.zeros((len(tau), 2 * (T + 2)))
         x = ext[:, 1:T + 2]
-        np.multiply(tau, lam, out=x)
-        x += np.pi / 4
-        np.cos(x, out=x)
+        # a huge tau overflows to NaN rows, which the callers' norm checks
+        # refuse; numpy's error state is per thread, so it is set here
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(tau, lam, out=x)
+            x += np.pi / 4
+            np.cos(x, out=x)
         x *= weight
         np.negative(x[:, ::-1], out=ext[:, T + 3:])
         d = np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2] / -(T + 2)
@@ -243,21 +249,34 @@ class PaddingError(RuntimeError):
     the closed forms it relied on disagree with the engine."""
 
 
+SCHEME_MODULES = {"ham5": f"{__package__}.five_state", "ham8": f"{__package__}.eight_state"}
+
+
+def scheme_module(scheme: str):
+    """The rewrite machine of `scheme`: five_state for ham5, eight_state for
+    ham8.  It is imported here, on first use, so that a command loads only
+    the machine it runs, and `evolve --T` none.  sys.modules is read first:
+    padding_plan asks once per candidate round count."""
+    if scheme not in SCHEME_MODULES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    name = SCHEME_MODULES[scheme]
+    return sys.modules.get(name) or importlib.import_module(name)
+
+
 def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
     """(T, step of the last gate of rounds 1..r) of the R-round history."""
+    m = scheme_module(scheme)
     if scheme == "ham5":
-        return five_state.step_count_formula5(n, R), five_state.last_gate_step5(n, r)
-    if scheme == "ham8":
-        return eight_state.step_count_formula8(n, R), eight_state.last_gate_step8(n, R, r)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        return m.step_count_formula5(n, R), m.last_gate_step5(n, r)
+    return m.step_count_formula8(n, R), m.last_gate_step8(n, R, r)
 
 
 def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:
     """Why the n-qubit, R-round history of T steps is refused, or None: a T
     over MAX_T, or a T x cells over MAX_CELL_STEPS (each step copies the
     configuration), with the cells taken from the closed forms."""
-    cells = (five_state.Lattice5(n, R).L if scheme == "ham5"
-             else eight_state.ProgramLayout.cells(n, R) + ring)
+    m = scheme_module(scheme)
+    cells = m.Lattice5(n, R).L if scheme == "ham5" else m.ProgramLayout.cells(n, R) + ring
     if T > MAX_T:
         return f"T={T}, over the limit of {MAX_T}"
     if T * cells > MAX_CELL_STEPS:
@@ -265,30 +284,36 @@ def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | 
     return None
 
 
-def history_length(scheme: str, circuit, boundary: str = eight_state.OPEN) -> int:
+# eight_state.OPEN and PERIODIC_X, spelled out so that a ham5 run never
+# imports eight_state
+OPEN, PERIODIC_X = "open", "periodic-x"
+
+
+def history_length(scheme: str, circuit, boundary: str = OPEN) -> int:
     """T of the scheme's history of `circuit`, in closed form, without a
     step.  What enumerate_history refuses before stepping is refused here:
     a history that _oversize refuses, a ham5 boundary other than the open
     chain, and a ham8 gate letter outside {W,S,I}."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
-    if scheme == "ham5" and boundary != eight_state.OPEN:
+    if scheme == "ham5" and boundary != OPEN:
         raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
-    why = _oversize(scheme, circuit.n, circuit.rounds, T, boundary == eight_state.PERIODIC_X)
+    why = _oversize(scheme, circuit.n, circuit.rounds, T, boundary == PERIODIC_X)
     if why is not None:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has {why}")
     if scheme == "ham8":
-        eight_state.program_layout(circuit)  # raises on a letter outside {W,S,I}
+        scheme_module(scheme).program_layout(circuit)  # raises on a letter outside {W,S,I}
     return T
 
 
-def enumerate_history(scheme: str, circuit, boundary: str = eight_state.OPEN):
+def enumerate_history(scheme: str, circuit, boundary: str = OPEN):
     """The scheme's history of `circuit`.  ham5 reads only n and the round
     count from it and has only the open chain; `boundary` is ham8's.  What
     history_length refuses is refused before any step."""
     history_length(scheme, circuit, boundary)
+    m = scheme_module(scheme)
     if scheme == "ham5":
-        return five_state.enumerate_history5(circuit.n, circuit.rounds)
-    return eight_state.enumerate_history8(circuit, boundary)
+        return m.enumerate_history5(circuit.n, circuit.rounds)
+    return m.enumerate_history8(circuit, boundary)
 
 
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:

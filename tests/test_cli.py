@@ -10,7 +10,7 @@ import pytest
 from hamchain import cli
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import walk
+from hamchain import gates, walk
 
 WS_CIRCUIT = """QUBITS 3
 ROUNDS 2
@@ -102,9 +102,12 @@ def _limit_address_space():
     ["evolve", "BIG", "--scheme", "ham8", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5", "--seed", "0", "--q", "1000000"],
     ["evolve", "W", "--taus", "1"],
+    ["sample", "W", "--scheme", "ham8", "--seed", "1", "--tau0", "1e308"],
+    ["evolve", "--T", "5", "--taus", "1e308"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
-        "sample-past-max-cell-steps", "evolve-circuit-without-scheme"])
+        "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
+        "tau0-overflows", "taus-overflow"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
@@ -248,7 +251,7 @@ def test_verify_formulas_reports_known_discrepancy(tmp_path, monkeypatch):
     assert all(line.endswith("PASS") for line in last_gate)
     # the quoted 5-state closed form falls short of the engine count by R-2,
     # so with it injected the sweep fails on exactly the ham5 rows with R != 2
-    monkeypatch.setattr(cli.f5, "step_count_formula5",
+    monkeypatch.setattr(f5, "step_count_formula5",
                         lambda n, R: (R - 1) * (3 * n * n + n) + n + 1)
     assert cli.main(["verify", "--scope", "formulas", "--out", str(out)]) == 1
     lines = out.read_text().splitlines()
@@ -262,7 +265,7 @@ def test_verify_formulas_reports_known_discrepancy(tmp_path, monkeypatch):
 
 
 def test_verify_fails_on_fault_injection(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.gates, "check_identity", lambda seq, target: 1.0)
+    monkeypatch.setattr(gates, "check_identity", lambda seq, target: 1.0)
     out = tmp_path / "v.txt"
     assert cli.main(["verify", "--scope", "identities", "--out", str(out)]) == 1
     assert "FAIL" in out.read_text()

@@ -7,12 +7,18 @@ the benchmark's jobs and checks make outside the CLI.  It then lists the
 functions and methods defined in a hamchain module that never ran.  Run as
 a script, this file is that process: `python tests/test_reachability.py DIR`
 with the package on the path prints one unreached function a line.
+
+The other tests pin which hamchain modules each entry point loads, and that
+the commands call the bindings the benchmark's tracer wraps.
 """
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hamchain
 
@@ -129,25 +135,72 @@ def test_every_function_runs_in_a_command_or_the_benchmark(tmp_path):
     assert set(UNREACHED) - got == set(), "these now run; drop them from UNREACHED"
 
 
-def test_importing_walk_loads_neither_runner_nor_subspace():
-    code = ("import sys, hamchain.walk; "
-            "print(sorted(m for m in sys.modules if m.startswith('hamchain')))")
-    done = subprocess.run([sys.executable, "-c", code], env=ENV,
-                          capture_output=True, text=True, timeout=60, check=True)
-    loaded = set(ast.literal_eval(done.stdout))
-    assert "hamchain.walk" in loaded
-    assert not loaded & {"hamchain.runner", "hamchain.subspace", "hamchain.cli"}
+CLI_MODULES = {"hamchain", "hamchain.cli", "hamchain.walk", "hamchain.runner",
+               "hamchain.circuit", "hamchain.gates", "hamchain.machine"}
 
 
-def test_importing_eight_state_does_not_load_five_state():
+def _cli(*argv):
+    return f"from hamchain import cli; assert cli.main({list(argv)} + ['--out', 'out']) == 0"
+
+
+@pytest.mark.parametrize("code,loaded", [
+    ("import hamchain.walk", {"hamchain", "hamchain.walk"}),
     # both machines share only `machine`, not each other
-    code = ("import sys, hamchain.eight_state; "
-            "print(sorted(m for m in sys.modules if m.startswith('hamchain')))")
-    done = subprocess.run([sys.executable, "-c", code], env=ENV,
-                          capture_output=True, text=True, timeout=60, check=True)
-    loaded = set(ast.literal_eval(done.stdout))
-    assert {"hamchain.eight_state", "hamchain.machine"} <= loaded
-    assert "hamchain.five_state" not in loaded
+    ("import hamchain.eight_state", {"hamchain", "hamchain.eight_state", "hamchain.machine",
+                                     "hamchain.circuit", "hamchain.gates"}),
+    (_cli("evolve", "--T", "20", "--taus", "0,1.5"), CLI_MODULES),
+    (_cli("sample", "z.txt", "--scheme", "ham5", "--seed", "0", "--shots", "20", "--rewrite"),
+     CLI_MODULES | {"hamchain.five_state"}),
+    (_cli("sample", "w.txt", "--scheme", "ham8", "--seed", "0", "--shots", "20"),
+     CLI_MODULES | {"hamchain.eight_state"}),
+    (_cli("trace", "w.txt", "--scheme", "ham5"), CLI_MODULES | {"hamchain.five_state"}),
+    ("from hamchain import gates, subspace; from hamchain.circuit import Circuit; "
+     "assert subspace.certify_subspace('ham8', Circuit(2, 1, {(1, 1): gates.W})).passed",
+     {"hamchain", "hamchain.subspace", "hamchain.walk", "hamchain.machine",
+      "hamchain.circuit", "hamchain.gates", "hamchain.eight_state"}),
+], ids=["import-walk", "import-eight_state", "evolve-T", "sample-ham5-rewrite", "sample-ham8",
+        "trace-ham5", "certify-ham8"])
+def test_entry_point_loads_only_its_modules(code, loaded, tmp_path):
+    (tmp_path / "w.txt").write_text(W_CIRCUIT)
+    (tmp_path / "z.txt").write_text(Z_CIRCUIT)
+    code += "; import sys; print(sorted(m for m in sys.modules if m.startswith('hamchain')))"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert set(ast.literal_eval(done.stdout)) == loaded
+
+
+# the bindings hcbench/tracer.py wraps that the commands call, as module.attribute
+TRACED = ("cli.run", "cli.rewrite_to_ws", "runner.padded_history", "gates.apply_unitary",
+          "walk.padding_plan", "five_state.enumerate_history5",
+          "eight_state.enumerate_history8", "walk.probability_table_csv")
+
+
+def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
+    # the tracer wraps module attributes after importing cli; a call that
+    # bypasses the attribute leaves its layer's metrics absent
+    from hamchain import cli
+
+    calls = dict.fromkeys(TRACED, 0)
+    for name in TRACED:
+        module_name, attr = name.split(".")
+        module = importlib.import_module(f"hamchain.{module_name}")
+
+        def counted(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    (tmp_path / "w.txt").write_text(W_CIRCUIT)
+    (tmp_path / "z.txt").write_text(Z_CIRCUIT)
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "out"]
+    for argv in (["sample", "z.txt", "--scheme", "ham5", "--seed", "0", "--shots", "20",
+                  "--rewrite"],
+                 ["sample", "w.txt", "--scheme", "ham8", "--seed", "0", "--shots", "20"],
+                 ["evolve", "--T", "20", "--taus", "0,1.5"]):
+        assert cli.main(argv + out) == 0, argv
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 if __name__ == "__main__":
