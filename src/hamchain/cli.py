@@ -5,14 +5,17 @@ A command loads only the modules it runs: walk imports a scheme's machine
 when first given that scheme (walk.scheme_module), and `verify` imports
 subspace itself, so `evolve --T` loads no machine and `sample` no subspace.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error, or
-a run the engines or the padding plan refuse (RuleEngineError, PaddingError).
-Errors end in one `error: ...` line on stderr, not a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error
+(a file that cannot be read or written included), or a run the engines or
+the padding plan refuse (RuleEngineError, PaddingError).  Errors end in one
+`error: ...` line on stderr, not a traceback.  A reader that closes stdout
+early (`... | head`) ends the output quietly; the command keeps its code.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,7 +34,13 @@ def _read_circuit(path: str) -> Circuit:
 def _write(out_path: str | None, chunks) -> None:
     """Write the strings of `chunks` as they come, to stdout or a file."""
     if out_path is None or out_path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone, so the rest has nowhere to go; pointing
+            # stdout at devnull keeps the flush at exit from failing again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     else:
         with open(out_path, "w") as fh:
             fh.writelines(chunks)
@@ -47,18 +56,21 @@ def cmd_trace(args) -> int:
 def cmd_evolve(args) -> int:
     if args.T is not None:
         T = args.T
-        if not 0 <= T <= walk.MAX_T:
-            raise SystemExit(f"--T must lie in 0..{walk.MAX_T}, got {T}")
+        if args.circuit is not None:
+            raise SystemExit("evolve takes a circuit or --T, not both")
+        if not 1 <= T <= walk.MAX_T:
+            raise SystemExit(f"--T must lie in 1..{walk.MAX_T}, got {T}")
     elif args.scheme is None:
         raise SystemExit("evolve of a circuit needs --scheme ham5 or ham8")
     else:
         T = walk.history_length(args.scheme, _read_circuit(args.circuit))
+    entries = args.taus.split(",")
+    if any(x.strip() == "" for x in entries):
+        raise SystemExit(f"bad tau grid: empty entry in {args.taus!r}")
     try:
-        taus = [float(x) for x in args.taus.split(",") if x.strip() != ""]
+        taus = [float(x) for x in entries]
     except ValueError as exc:
         raise SystemExit(f"bad tau grid: {exc}")
-    if not taus:
-        raise SystemExit("bad tau grid: empty")
     if not all(math.isfinite(tau) for tau in taus):
         raise SystemExit("bad tau grid: times must be finite")
     _write(args.out, [walk.probability_table_csv(T, taus)])
@@ -226,7 +238,7 @@ def main(argv=None) -> int:
         parser.error("evolve needs either a circuit file or --T")
     try:
         return args.fn(args)
-    except (FileNotFoundError, ValueError, walk.PaddingError, RuleEngineError) as exc:
+    except (OSError, ValueError, walk.PaddingError, RuleEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

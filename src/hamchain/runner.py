@@ -3,9 +3,10 @@ sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
 |c_t(tau)|^2 = D_t(tau)^2 comes from the real rows D of `walk.propagate`,
-one real DST per shot, which it computes in batches on worker threads and
-turns into per-row CDFs there (`step_cdfs`); the main thread only draws the
-indices by `searchsorted` and builds the readouts.  The readout of an
+one real DST per shot, which it computes in batches on worker threads.
+There each batch's rows become CDFs in place and each shot's history index
+is drawn (`draw_steps`); the main thread only joins the batches' steps and
+draws the readouts with one vectorised `searchsorted`.  The readout of an
 accepted index t comes from the register at t.  This is exact because
 distinct configurations are orthogonal basis patterns.
 
@@ -133,18 +134,22 @@ def padded_history(plan: RunPlan):
     return history, r_total, register, last_real
 
 
-def step_cdfs(rows: np.ndarray) -> np.ndarray:
-    """Cumulative history-index distribution of each of `walk.propagate`'s
-    real rows D, |c_t|^2 = D_t^2 normalised by its row sum; `walk.propagate`
-    runs it on the batch's worker thread.  A row whose sum is off 1 by more
-    than walk.NORM_TOL, as at a time too large to evolve to, raises."""
-    probs = np.square(rows)
+def draw_steps(rows: np.ndarray, u: np.ndarray, T: int) -> np.ndarray:
+    """History index drawn for each of `walk.propagate`'s real rows D by its
+    uniform in `u`; `walk.propagate` runs it on the batch's worker thread.
+    In place, each row becomes the cumulative distribution of |c_t|^2 =
+    D_t^2 normalised by its row sum, and the index is min(#{t: cdf_t <= u},
+    T), which is searchsorted(cdf, u, side="right") on a non-decreasing row.
+    A row whose sum is off 1 by more than walk.NORM_TOL, as at a time too
+    large to evolve to, raises."""
+    probs = np.square(rows, out=rows)
     norms = probs.sum(axis=1, keepdims=True)
     bad = ~(np.abs(norms - 1.0) <= walk.NORM_TOL)  # NaN is bad too
     if bad.any():
         raise ValueError(f"walk amplitudes not normalized: {norms[bad][0]}")
     probs /= norms
-    return np.cumsum(probs, axis=1)
+    cdf = np.cumsum(probs, axis=1, out=probs)
+    return np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), T)
 
 
 def run(plan: RunPlan) -> RunReport:
@@ -165,23 +170,19 @@ def run(plan: RunPlan) -> RunReport:
     u_step = rng.random(plan.shots)
     u_read = rng.random(plan.shots)
 
+    def finish(rows, start):
+        return draw_steps(rows, u_step[start:start + len(rows)], T)
+
+    steps = np.concatenate(list(walk.propagate(T, taus, finish)))
+    accepted = steps >= threshold
     pq = np.abs(register.amps) ** 2
     read_cdf = np.cumsum(pq / pq.sum())
-
-    steps = np.empty(plan.shots, dtype=int)
-    accepted = np.zeros(plan.shots, dtype=bool)
-    readouts: list = [None] * plan.shots
-    for s, cdf in enumerate(walk.propagate(T, taus, step_cdfs)):
-        t = int(np.searchsorted(cdf, u_step[s], side="right"))
-        t = min(t, T)
-        steps[s] = t
-        if t >= threshold:
-            accepted[s] = True
-            x = int(np.searchsorted(read_cdf, u_read[s], side="right"))
-            readouts[s] = format(min(x, 2**n - 1), f"0{n}b")
+    reads = np.minimum(np.searchsorted(read_cdf, u_read, side="right"), 2**n - 1)
+    width = f"0{n}b"
+    readouts = [format(x, width) if a else None
+                for x, a in zip(reads.tolist(), accepted.tolist())]
     return RunReport(
         plan=plan, T=T, rounds_total=r_total, tau0=float(tau0),
         threshold=threshold, taus=taus, steps=steps, accepted=accepted,
         readouts=readouts,
     )
-

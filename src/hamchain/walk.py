@@ -13,12 +13,14 @@ dimensionless.
 
 The module has one spectral path, and it never builds the eigenvectors.
 The eigenbasis is a discrete sine basis, so `propagate` evaluates the
-propagator for a batch of times as type-I DSTs, through numpy's real FFT
-and on every core: one real DST per time, since the line is bipartite and
-c_t = i^(t mod 2) D_t with D real.  The sampler (`runner.run`) and `evolve`
-read D.  It needs numpy alone.  `tail_prob` sums the time-averaged tail in
-closed form from one O(T) table, in O(T^2) time and O(T) memory, and
-`tail_prob_limit` is its tau0 -> infinity limit.  The dense hopping matrix,
+propagator for a batch of times as type-I DSTs on every core: one real DST
+per time, since the line is bipartite and c_t = i^(t mod 2) D_t with D
+real, each taken from one numpy real FFT of length T+2 into buffers each
+worker reuses.  The sampler (`runner.run`) draws its steps from D on the
+workers; `evolve` reads copies of the rows.  It needs numpy alone.
+`tail_prob` sums the time-averaged tail in closed form from one O(T)
+table, in O(T^2) time and O(T) memory, and `tail_prob_limit` is its
+tau0 -> infinity limit.  The dense hopping matrix,
 eigenvectors and time average that the tests check these against live in
 tests/oracles.py.
 """
@@ -28,6 +30,7 @@ import importlib
 import math
 import os
 import sys
+import threading
 from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
@@ -76,61 +79,93 @@ def _angles(T: int) -> np.ndarray:
     return np.arange(1, T + 2) * np.pi / (T + 2)
 
 
-PROPAGATE_BYTES = 2 * 2**20  # bytes of odd-extension rows `propagate` transforms at once
-MAX_T = 2**24  # longest history line: one row's odd extension is then 256 MiB
+PROPAGATE_BYTES = 2 * 2**20  # bytes of input and spectrum rows in one `propagate` batch
+MAX_T = 2**24  # longest history line: one row's transform input is then 128 MiB
 MAX_CELL_STEPS = 2**32  # most T x cells of a history: each step copies every cell
 
 
 def propagate(T: int, taus, finish=None):
     """Real rows D(tau) of the propagator from history index 0, with
     c_t(tau) = i^(t mod 2) D_t(tau): one row of length T+1 per tau, in the
-    order of `taus`.  With `finish`, the rows of finish(batch) instead,
-    where batch holds consecutive rows.
+    order of `taus`.  With `finish`, finish(rows, start) for each batch
+    instead, in order: rows holds the batch's rows and start the index of
+    its first tau.  The rows sit in the worker's buffer, which its next
+    batch overwrites, so finish may change them but must not keep them.
 
     c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
     type-I DST of e^{-i lambda_k tau} sin theta_k.  The line is bipartite:
     pairing k with T+2-k negates lambda_k, keeps sin theta_k and multiplies
     v_k(t) by (-1)^t, so the sin(lambda tau) half cancels at even t and the
     cos half at odd t.  As cos x - sin x = sqrt(2) cos(x + pi/4),
-    D = DST-I[sqrt(2) sin theta_k cos(lambda_k tau + pi/4)] / (T+2): one
-    real DST and one cosine per k, O(T log T) time and O(T) memory per row.
-    Rounding lambda_k tau + pi/4 leaves D about 1e-12 from the complex DST
-    at tau = default_tau0(T).  The DST is minus the imaginary part of bins
-    1..T+1 of the real FFT of the odd extension [0, x, 0, -reversed x] of
-    length 2(T+2), as in pocketfft; each row is bit-identical to a batch of
-    that row alone.  When T+2 is prime the FFT takes its Bluestein path;
-    padding to a fast length would change the bits, so it is not done.
+    D = DST-I[sqrt(2) sin theta_k cos(lambda_k tau + pi/4)] / (T+2).
 
-    A batch holds PROPAGATE_BYTES // (16 (T+2)) odd extensions (at least
-    one); the FFT's output and the rows add about 1.5 times that.  Batches
-    are computed, `finish` included, on os.cpu_count() threads, at most that
-    many in flight besides the one being read, so memory stays
-    O(workers * batch) however many taus are given.
+    The DST-I of length M-1, M = T+2, is taken from one real FFT of length
+    M, half the length of the odd extension's.  With s_k = sin theta_k,
+    folding x_k and x_{M-k} into y_k = 2/M [s_k (x_k + x_{M-k}) +
+    (x_k - x_{M-k})/2] and the pairing above give one cosine per k again:
+
+      y_k = 4/M s_k sqrt(s_k^2 + 1/4) cos(lambda_k tau + phi_k),
+      phi_k = atan2(1/2, s_k),   y_0 = 0.
+
+    For Y = rfft(y), D_{2k-1} = -Im Y_k and
+    D_{2k} = Re Y_0 / 2 + sum_{i=1..k} Re Y_i.  O(T log T) time and O(T)
+    memory per row.  Rounding lambda_k tau + phi_k to a double leaves D
+    about 1e-12 from the complex DST at tau = default_tau0(T); each row is
+    bit-identical to a batch of that row alone.  When T+2 is prime the FFT
+    takes its Bluestein path; padding to a fast length would change the
+    bits, so it is not done.
+
+    A batch holds PROPAGATE_BYTES // (16 (T+2)) rows (at least one) of y
+    and of its spectrum; D is written over y.  Each worker allocates these
+    two buffers once per call, on its first batch, and reuses them, so a
+    batch touches no fresh memory; without `finish` each batch's rows are
+    copied out.  Batches are computed, `finish` included, on os.cpu_count()
+    threads, at most that many in flight besides the one being read, so
+    memory stays O(workers * batch) however many taus are given.
     """
     # imported here: concurrent.futures imports logging, about 8 ms that
     # commands which never propagate should not pay
     from concurrent.futures import ThreadPoolExecutor
 
+    M = T + 2
     theta = _angles(T)
-    lam = -2.0 * np.cos(theta)
-    weight = np.sqrt(2.0) * np.sin(theta)
+    # -2 cos theta_k, made exactly odd under k -> M-k as the fold assumes:
+    # rounded, -2 cos theta_{M-k} misses 2 cos theta_k by about
+    # 2e-16 sin theta_k (theta_k + theta_{M-k} rounds pi), which the fold
+    # turns into a norm loss of about 1e-16 tau
+    cos_theta = np.cos(theta)
+    lam = cos_theta[::-1] - cos_theta
+    sin_theta = np.sin(theta)
+    amp = (4.0 / M) * sin_theta * np.sqrt(sin_theta**2 + 0.25)
+    phase = np.arctan2(0.5, sin_theta)
     taus = np.asarray(taus, dtype=float)
-    rows = max(1, PROPAGATE_BYTES // (16 * (T + 2)))
+    rows = max(1, PROPAGATE_BYTES // (16 * M))
+    odd, even = (T + 1) // 2, (T + 2) // 2  # how many t in 0..T are odd, even
+    buffers = threading.local()
 
     def batch(start):
         tau = taus[start:start + rows, None]
-        ext = np.zeros((len(tau), 2 * (T + 2)))
-        x = ext[:, 1:T + 2]
+        if not hasattr(buffers, "y"):
+            size = min(rows, len(taus))
+            buffers.y = np.empty((size, M))
+            buffers.spectrum = np.empty((size, M // 2 + 1), dtype=complex)
+        y, spectrum = buffers.y[:len(tau)], buffers.spectrum[:len(tau)]
+        y[:, 0] = 0.0
+        x = y[:, 1:]
         # a huge tau overflows to NaN rows, which the callers' norm checks
         # refuse; numpy's error state is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(tau, lam, out=x)
-            x += np.pi / 4
+            x += phase
             np.cos(x, out=x)
-        x *= weight
-        np.negative(x[:, ::-1], out=ext[:, T + 3:])
-        d = np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2] / -(T + 2)
-        return d if finish is None else finish(d)
+        x *= amp
+        np.fft.rfft(y, axis=-1, out=spectrum)
+        d = y[:, :T + 1]
+        np.negative(spectrum.imag[:, 1:odd + 1], out=d[:, 1::2])
+        re = spectrum.real[:, :even]
+        re[:, 0] *= 0.5
+        np.cumsum(re, axis=1, out=d[:, 0::2])
+        return d.copy() if finish is None else finish(d, start)
 
     workers = os.cpu_count() or 1
     starts = iter(range(0, len(taus), rows))
@@ -141,7 +176,10 @@ def propagate(T: int, taus, finish=None):
             start = next(starts, None)
             if start is not None:
                 pending.append(pool.submit(batch, start))
-            yield from done
+            if finish is None:
+                yield from done
+            else:
+                yield done
 
 
 def evolve(T: int, tau: float) -> WalkAmplitudes:

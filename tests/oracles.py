@@ -2,7 +2,9 @@
 
 None of these runs in a command: `walk.propagate` and the closed-form tails
 replace the dense eigensystem, and `circuit.simulate_circuit` replaces the
-circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose.
+circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose,
+except `odd_extension_rows`, the propagator kernel `walk.propagate` used
+before its half-length transform.
 """
 import numpy as np
 
@@ -42,6 +44,20 @@ def avg_prob_all(T: int, tau0: float) -> np.ndarray:
     avg = np.sinc(d * tau0 / np.pi)  # np.sinc(x) = sin(pi x)/(pi x); 1 at d=0
     w = v * v[0, :]  # w[m, k] = v_k(m) v_k(0)
     return ((w @ avg) * w).sum(1)
+
+
+def odd_extension_rows(T: int, taus) -> np.ndarray:
+    """Real propagator rows D(tau), c_t = i^(t mod 2) D_t, one per tau, as
+    minus the imaginary part of bins 1..T+1 of the real FFT of the odd
+    extension [0, x, 0, -reversed x] of length 2(T+2), with
+    x_k = sqrt(2) sin theta_k cos(lambda_k tau + pi/4)."""
+    theta = _angles(T)
+    x = np.sqrt(2.0) * np.sin(theta) * np.cos(
+        np.asarray(taus, dtype=float)[:, None] * (-2.0 * np.cos(theta)) + np.pi / 4)
+    ext = np.zeros((len(x), 2 * (T + 2)))
+    ext[:, 1:T + 2] = x
+    ext[:, T + 3:] = -x[:, ::-1]
+    return np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2] / -(T + 2)
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:

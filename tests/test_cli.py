@@ -104,10 +104,16 @@ def _limit_address_space():
     ["evolve", "W", "--taus", "1"],
     ["sample", "W", "--scheme", "ham8", "--seed", "1", "--tau0", "1e308"],
     ["evolve", "--T", "5", "--taus", "1e308"],
+    ["sample", "W", "--scheme", "ham5", "--seed", "0", "--out", "."],
+    ["trace", ".", "--scheme", "ham8"],
+    ["evolve", "--T", "0", "--taus", "1"],
+    ["evolve", "--T", "3", "--taus", "1,,2"],
+    ["evolve", "W", "--scheme", "ham8", "--T", "3", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
-        "tau0-overflows", "taus-overflow"])
+        "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
+        "T-zero", "taus-empty-entry", "evolve-circuit-and-T"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
@@ -119,6 +125,21 @@ def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # `trace ... | head -1`: the dump is far larger than a pipe's buffer, so
+    # the trace is still writing when the reader closes its end
+    (tmp_path / "C").write_text("QUBITS 3\nROUNDS 8\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hamchain.cli", "trace", "C", "--scheme", "ham8"],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"[0]\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_evolve_tau_zero_row(tmp_path):

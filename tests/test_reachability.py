@@ -114,7 +114,7 @@ def unreached(workdir: Path) -> list[str]:
         if event == "call":
             called.add(frame.f_code)
 
-    # propagate's batches, and step_cdfs with them, run on worker threads
+    # propagate's batches, and draw_steps with them, run on worker threads
     threading.setprofile(profile)
     sys.setprofile(profile)
     try:

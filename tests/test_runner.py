@@ -187,31 +187,51 @@ def test_sample_and_evolve_do_not_import_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("T", [220, 1719, 2962])
-def test_step_cdfs_bit_identical_to_per_row_cumsum(T):
-    # one full batch and a partial one
+def test_draw_steps_equal_searchsorted_on_per_row_cdfs(T):
+    # one full batch and a partial one; the other uniforms sit on CDF values,
+    # where count(cdf <= u) and searchsorted(side="right") must still agree
     taus = np.random.default_rng(T).uniform(
         0.0, walk.default_tau0(T), walk.PROPAGATE_BYTES // (16 * (T + 2)) + 5)
-    cdfs = list(walk.propagate(T, taus, runner.step_cdfs))
-    assert len(cdfs) == len(taus)
-    for amps, cdf in zip(walk.propagate(T, taus), cdfs):
-        probs = np.abs(amps) ** 2
-        assert np.array_equal(cdf, np.cumsum(probs / probs.sum()))
+    rows = np.array(list(walk.propagate(T, taus)))
+    probs = rows**2
+    cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    picks = np.random.default_rng(0).integers(0, T + 1, len(taus))
+    u = cdfs[np.arange(len(taus)), picks]
+    u[:3] = (0.0, 1.0, 2.0)  # the ends of [0, 1], and past every CDF value
+
+    def finish(batch, start):
+        return runner.draw_steps(batch, u[start:start + len(batch)], T)
+
+    steps = np.concatenate(list(walk.propagate(T, taus, finish)))
+    want = [min(np.searchsorted(cdf, x, side="right"), T) for cdf, x in zip(cdfs, u)]
+    assert steps.tolist() == want
+
+
+def test_draw_steps_refuses_a_row_off_norm():
+    rows = np.array([[0.6, 0.8], [0.6, 0.7]])
+    with pytest.raises(ValueError, match="not normalized"):
+        runner.draw_steps(rows, np.array([0.5, 0.5]), 1)
 
 
 def test_sampled_steps_match_the_complex_dst_oracle():
-    # the `shots` workload's ham8 n=2 shape (T=1719, T+2 prime): every shot
+    # the `shots` workload's ham8 shapes (T+2 = 1721 is prime): every shot
     # draws the step that its uniform picks from the complex oracle's CDF
-    plan = RunPlan(Circuit(2, 2), "ham8", shots=3000, seed=0)
-    report = run(plan)
-    rng = np.random.default_rng(plan.seed)
-    taus = rng.uniform(0.0, report.tau0, plan.shots)
-    u_step = rng.random(plan.shots)
-    assert np.array_equal(taus, report.taus)
-    T = report.T
-    k = np.arange(1, T + 2)
-    lam = -2.0 * np.cos(k * np.pi / (T + 2))
-    sin0 = np.sin(k * np.pi / (T + 2))
-    for tau, u, t in zip(taus, u_step, report.steps):
-        probs = np.abs(scipy.fft.dst(np.exp(-1j * lam * tau) * sin0, type=1)) ** 2
-        want = np.searchsorted(np.cumsum(probs / probs.sum()), u, side="right")
-        assert t == min(want, T)
+    for n, T in ((2, 1719), (3, 2962)):
+        plan = RunPlan(Circuit(n, 2), "ham8", shots=3000, seed=0)
+        report = run(plan)
+        assert report.T == T
+        rng = np.random.default_rng(plan.seed)
+        taus = rng.uniform(0.0, report.tau0, plan.shots)
+        u_step = rng.random(plan.shots)
+        assert np.array_equal(taus, report.taus)
+        k = np.arange(1, T + 2)
+        lam = -2.0 * np.cos(k * np.pi / (T + 2))
+        sin0 = np.sin(k * np.pi / (T + 2))
+        for s in range(0, plan.shots, 250):
+            block = slice(s, s + 250)
+            spectra = np.exp(-1j * np.outer(taus[block], lam)) * sin0
+            probs = np.abs(scipy.fft.dst(spectra, type=1, axis=-1)) ** 2
+            cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+            want = [min(np.searchsorted(cdf, u, side="right"), T)
+                    for cdf, u in zip(cdfs, u_step[block])]
+            assert report.steps[block].tolist() == want

@@ -1,5 +1,6 @@
 """History-line dynamics: spectra, evolution, time averages, padding."""
 import os
+import sys
 import time
 import tracemalloc
 
@@ -102,18 +103,28 @@ def test_propagate_rows_match_the_complex_dst_oracle(T):
 
 @pytest.mark.parametrize("workers", [1, 2, 5])
 def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
-    # 3-row batches, so 47 taus make 16 batches spread over the threads
+    # 3-row batches, so 47 taus make 16 batches spread over the threads; a
+    # short switch interval interleaves them, and `finish` reads each
+    # worker's own buffer, so a buffer two workers shared would show
     T = 220
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 3 * 16 * (T + 2))
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     assert batch_rows(T) == 3
     taus = np.random.default_rng(0).uniform(0.0, walk.default_tau0(T), 47)
-    rows = list(walk.propagate(T, taus))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = list(walk.propagate(T, taus))
+        batches = list(walk.propagate(T, taus, lambda batch, start: (start, batch.copy())))
+    finally:
+        sys.setswitchinterval(interval)
     assert len(rows) == len(taus)
     for tau, row in zip(taus, rows):
         assert row.dtype == np.float64
         assert np.array_equal(row, next(walk.propagate(T, [tau])))
         assert np.max(np.abs(parity_phase(T) * row - one_dimensional_dst_row(T, tau))) <= 1e-11
+    assert [start for start, _ in batches] == list(range(0, len(taus), 3))
+    assert np.array_equal(np.concatenate([batch for _, batch in batches]), rows)
 
 
 def test_propagate_keeps_few_batches_in_flight(monkeypatch):
@@ -137,6 +148,68 @@ def test_propagate_keeps_few_batches_in_flight(monkeypatch):
         tracemalloc.stop()
     assert count == per_batch * batches
     assert peak < 6 * (workers + 1) * batch_bytes
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 220, 1719, 2962])  # T+2: odd, even, prime, composite
+def test_propagate_rows_match_the_odd_extension_oracle(T):
+    # the half-length transform against the length-2(T+2) one it replaced,
+    # up to tau = 10 (T+2); both round each lambda_k tau + phase to a double,
+    # so rows drift apart by about 1e-16 tau / sqrt(T+2), 3e-12 at T=2962 and
+    # tau = default_tau0(T), where the complex DST oracle test checks them
+    tau_max = 10.0 * (T + 2)
+    taus = np.concatenate([[0.0, tau_max],
+                           np.random.default_rng(T).uniform(0.0, tau_max, 40)])
+    rows = np.array(list(walk.propagate(T, taus)))
+    assert np.max(np.abs(rows - oracles.odd_extension_rows(T, taus))) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [1719, 228519])  # `shots`' ham8 n=2; the rewritten-Z ham8 row
+def test_propagate_keeps_the_norm_at_the_longest_times(T):
+    # the fold needs lambda_{T+2-k} = -lambda_k exactly; with -2 cos theta_k
+    # rounded per k, rows lose about 1e-16 tau of norm, 3.5e-9 here at
+    # T=228519, past the sampler's NORM_TOL
+    tau0 = walk.default_tau0(T)
+    taus = np.concatenate([[tau0], np.random.default_rng(T).uniform(0.0, tau0, 3)])
+    for row in walk.propagate(T, taus):
+        assert abs(np.sum(row**2) - 1.0) <= 1e-11
+
+
+def test_propagate_allocates_no_large_buffer_after_a_workers_first_batch(monkeypatch):
+    # 1 worker and 4 MiB batches: the worker allocates its input and
+    # spectrum buffers on its first batch and reuses them, so the number of
+    # allocations of 1 MiB or more stays at two however many batches run.
+    # Each finish call reads the traced peak since the previous one, which
+    # includes any large temporary a batch allocated and freed, and keeps
+    # the rows it is given, which pins them if a batch allocated them afresh.
+    T, workers = 2962, 1
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 8 * 2**20)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    rows = batch_rows(T)
+    next(walk.propagate(T, [1.0]))  # lazy set-up stays outside the measurement
+    kept, growth, traced = [], [], [0]
+
+    def finish(batch, start):
+        kept.append(batch)
+        current, peak = tracemalloc.get_traced_memory()
+        growth.append(peak - traced[0])
+        traced[0] = current
+        tracemalloc.reset_peak()
+        return batch[:, 0].copy()
+
+    for batches in (3, 12):
+        taus = np.linspace(0.0, walk.default_tau0(T), rows * batches)
+        kept.clear()
+        growth.clear()
+        traced[0] = 0
+        tracemalloc.start()
+        try:
+            firsts = np.concatenate(list(walk.propagate(T, taus, finish)))
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(firsts, np.array(list(walk.propagate(T, taus)))[:, 0])
+        assert len(growth) == batches
+        assert growth[0] >= 2 * 2**20  # the first batch allocates the buffers
+        assert max(growth[1:]) < 2**20
 
 
 @pytest.mark.parametrize("T", [1, 7, 34, 154])
