@@ -185,8 +185,16 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in one `error: ...` line and exit code 2, without
+    the usage block that `--help` prints; subcommand parsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hamchain")
+    p = _Parser(prog="hamchain")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("trace", help="dump the full rewrite history of a circuit")

@@ -258,21 +258,13 @@ def _event(c: Config8, j: int, rule: Rule, forward: bool) -> GateEvent8 | None:
 MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
                   LIVE_CURSORS, _event)
 
-_step = MACHINE.step
-
-
-def forward_step8(c: Config8):
-    """Unique successor, or None at the final configuration."""
-    return _step(c, reverse=False)
-
-
 def backward_step8(c: Config8):
     """Unique predecessor, or None at the initial configuration."""
-    return _step(c, reverse=True)
+    return MACHINE.step(c, reverse=True)
 
 
 def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> History:
-    history = History.record(initial_config8(circuit, boundary), forward_step8)
+    history = History.record(initial_config8(circuit, boundary), MACHINE)
     logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
     for m, t in enumerate(logical, 1):
         history.events[t] = replace(history.events[t], m=m, round=(m - 1) // (circuit.n - 1) + 1)

@@ -163,22 +163,13 @@ MACHINE = Machine(
      for name, lhs, rhs, bkey in _RULES),
     LIVE5, _event)
 
-# (start site s, rule name) of every match; the unique successor and its event
-_matches, _step = MACHINE.matches, MACHINE.step
-
-
-def forward_step5(c: Config5):
-    """Unique successor configuration, or None at the final configuration."""
-    return _step(c, reverse=False)
-
-
 def backward_step5(c: Config5):
     """Unique predecessor configuration, or None at the initial configuration."""
-    return _step(c, reverse=True)
+    return MACHINE.step(c, reverse=True)
 
 
 def enumerate_history5(n: int, R: int) -> History:
-    history = History.record(initial_config5(n, R), forward_step5)
+    history = History.record(initial_config5(n, R), MACHINE)
     for m, (t, event) in enumerate(history.events.items(), 1):
         history.events[t] = replace(event, m=m)
     return history

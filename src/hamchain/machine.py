@@ -15,7 +15,11 @@ against a full scan of the readable tables).
 
 A configuration class supplies `registers` (a tuple, rewritten registers
 first), `ring`, `rebuild(registers)` and `dump(t)`; a Machine adds its rules,
-its live symbols and its gate event.
+its live symbols and its gate event.  A configuration checks its symbols
+where it is built: from outside (a machine's initial one, a test's) and as
+a Stepper's snapshot.  A Stepper steps one configuration in place: a step
+applies its rule instance's edit, the writes that change a cell, so it
+touches only the rule's window, and writes only symbols of the tables.
 """
 from __future__ import annotations
 
@@ -92,43 +96,76 @@ class Machine:
                 return off, sym
         return None
 
-    def live_cells(self, c) -> list[tuple[int, str]]:
-        """(cell, symbol) of each live symbol in register 0, left to right."""
-        first = c.registers[0]
-        return [(p, first[p - 1]) for p in find_all(first, self.live)]
-
     def match_at(self, c, j: int, rule: Rule, reverse: bool) -> bool:
-        """Whether `rule` rewrites c at window cell j, backward if `reverse`."""
+        """Whether `rule` rewrites c (a configuration or a Stepper) at window
+        cell j, backward if `reverse`."""
         src = rule.post if reverse else rule.pre
         return _holds(c.registers, c.ring, j, src + rule.conditions)
 
-    def matches(self, c, reverse: bool) -> list[tuple]:
+    def step(self, c, reverse: bool):
+        """(successor of configuration c, event on the edge), or the predecessor
+        if `reverse`; None when no rule matches, RuleEngineError when several do."""
+        state = Stepper(self, c)
+        hit = state.step(reverse)
+        return None if hit is None else (state.snapshot(), hit[2])
+
+
+class Stepper:
+    """One configuration of a machine, stepped in place.  The rewritten
+    registers are lists; the fixed ones are shared with `base`, the
+    configuration it started from, which also answers the gate event.  `live`
+    holds the 1-based cells of register 0 that hold a live symbol, updated by
+    every write, so matching costs no scan of the chain."""
+
+    def __init__(self, machine: Machine, c):
+        self.machine, self.base, self.ring = machine, c, c.ring
+        k = machine.rewritten
+        self.registers = [list(reg) for reg in c.registers[:k]] + list(c.registers[k:])
+        self.n = len(self.registers[0])
+        self.live = {p for p, sym in enumerate(self.registers[0], 1) if sym in machine.live}
+
+    def matches(self, reverse: bool) -> list[tuple]:
         """Every match (window cell j, *rule.key), ordered by j, then by the table."""
-        registers, ring = c.registers, c.ring
-        first, n = registers[0], len(registers[0])
+        m, registers, ring, n = self.machine, self.registers, self.ring, self.n
+        first, index = registers[0], m.index[reverse]
         found = []
-        for p in find_all(first, self.live):
-            for off, rule, entries in self.index[reverse].get(first[p - 1], ()):
+        for p in self.live:
+            for off, rule, entries in index.get(first[p - 1], ()):
                 j = (p - off - 1) % n + 1 if ring else p - off
                 if 1 <= j <= n and _holds(registers, ring, j, entries):
                     found.append((j, rule))
         if len(found) > 1:
-            found.sort(key=lambda hit: (hit[0], self.rules.index(hit[1])))
+            found.sort(key=lambda hit: (hit[0], m.rules.index(hit[1])))
         return [(j, *rule.key) for j, rule in found]
 
-    def rewrite(self, c, j: int, rule: Rule, reverse: bool):
-        """c with the window of `rule` at cell j rewritten, backward if `reverse`."""
-        regs = [list(reg) for reg in c.registers[:self.rewritten]]
-        n = len(regs[0])
+    def edit(self, j: int, rule: Rule, reverse: bool) -> frozenset:
+        """The (register, cell index, symbol) writes of `rule` at window cell j,
+        backward if `reverse`, that change a cell, the last write to a cell
+        winning.  Two edits of one configuration are equal exactly when the
+        configurations they give are."""
+        registers, n = self.registers, self.n
+        writes = {}
         for reg, off, sym in rule.pre if reverse else rule.post:
             i = j + off - 1
-            regs[reg][i % n if c.ring else i] = sym
-        return c.rebuild([tuple(reg) for reg in regs])
+            writes[reg, i % n if self.ring else i] = sym
+        return frozenset((reg, i, sym) for (reg, i), sym in writes.items()
+                         if registers[reg][i] != sym)
 
-    def step(self, c, reverse: bool):
-        """(successor, event on the edge), or the predecessor if `reverse`;
-        None when no rule matches, RuleEngineError when several do."""
-        hits = self.matches(c, reverse)
+    def apply(self, edit) -> frozenset:
+        """Write `edit` in place; returns the edit that undoes it."""
+        registers, live, symbols = self.registers, self.live, self.machine.live
+        undo = frozenset((reg, i, registers[reg][i]) for reg, i, _ in edit)
+        for reg, i, sym in edit:
+            registers[reg][i] = sym
+            if reg == 0:
+                (live.add if sym in symbols else live.discard)(i + 1)
+        return undo
+
+    def step(self, reverse: bool = False) -> tuple | None:
+        """Take the forward step in place, or the backward one if `reverse`:
+        (its edit, the edit that undoes it, the event on the edge), or None
+        when no rule matches; RuleEngineError when several do."""
+        hits = self.matches(reverse)
         if not hits:
             return None
         if len(hits) > 1:
@@ -136,8 +173,14 @@ class Machine:
             raise RuleEngineError(f"{len(hits)} rule instances match {direction}: "
                                   f"{[hit[:2] for hit in hits]}")
         j, *key = hits[0]
-        rule = self.by_key[tuple(key)]
-        return self.rewrite(c, j, rule, reverse), self.event(c, j, rule, not reverse)
+        rule = self.machine.by_key[tuple(key)]
+        event = self.machine.event(self.base, j, rule, not reverse)
+        edit = self.edit(j, rule, reverse)
+        return edit, self.apply(edit), event
+
+    def snapshot(self):
+        """The configuration as it stands, as an immutable configuration."""
+        return self.base.rebuild([tuple(reg) for reg in self.registers[:self.machine.rewritten]])
 
 
 @dataclass(frozen=True)
@@ -157,67 +200,44 @@ def local_terms(machine: Machine, c0) -> list[LocalTerm]:
             if c0.ring or (j + min(offsets) >= 1 and j + max(offsets) <= n)]
 
 
-def find_all(seq: tuple, symbols) -> list[int]:
-    """Sorted 1-based positions of the entries of `seq` that are in `symbols`.
-
-    Entries are single characters, so `seq` is joined into one string and
-    each symbol is located with str.find, which scans in C; the Python-level
-    work grows with the number of hits, not with len(seq).
-    """
-    text = "".join(seq)
-    out = []
-    for sym in symbols:
-        i = text.find(sym)
-        while i >= 0:
-            out.append(i + 1)
-            i = text.find(sym, i + 1)
-    return sorted(out)
-
-
 @dataclass
 class History:
     """The history of either machine, stored as its first configuration, its
-    forward step, its length T and its gate events; events[t] is the event
+    machine, its length T and its gate events; events[t] is the event
     (GateEvent or GateEvent8) fired on the edge t -> t+1.
 
     No configuration besides the first is kept: `configs()` steps the
-    machine again from `first` and holds one configuration at a time, so a
-    history costs O(L + events) memory rather than O(T L).
+    machine again from `first`, in place, and takes one snapshot per index,
+    so a history costs O(L + events) memory rather than O(T L).
 
     Every event has a `round`, 0 for a ham8 scaffold firing, and answers
     `gate(circuit)` with (4x4 unitary, logical pair) or None.
     """
 
     first: object
-    step: Callable
+    machine: Machine
     events: dict = field(default_factory=dict)
     T: int = 0
 
-    @staticmethod
-    def stream(first, step):
-        """Step from `first` until `step` returns None, yielding each
-        configuration with the event on its outgoing edge (None where no
-        gate fires, and after the last configuration)."""
-        c = first
-        while (nxt := step(c)) is not None:
-            yield c, nxt[1]
-            c = nxt[0]
-        yield c, None
-
     @classmethod
-    def record(cls, first, step) -> History:
-        """The history stepped from `first`, keeping each event with its
-        transition index as `step`."""
-        history = cls(first, step)
-        for t, (_, event) in enumerate(cls.stream(first, step)):
-            if event is not None:
-                history.events[t] = replace(event, step=t)
-            history.T = t
+    def record(cls, first, machine: Machine) -> History:
+        """The history stepped in place from `first`, keeping each event
+        with its transition index as `step`; no configuration is built."""
+        history = cls(first, machine)
+        state, t = Stepper(machine, first), 0
+        while (step := state.step()) is not None:
+            if step[2] is not None:
+                history.events[t] = replace(step[2], step=t)
+            t += 1
+        history.T = t
         return history
 
     def configs(self):
         """The configurations at t = 0..T, stepped again from `first`."""
-        return (c for c, _ in self.stream(self.first, self.step))
+        state = Stepper(self.machine, self.first)
+        yield state.snapshot()
+        while state.step() is not None:
+            yield state.snapshot()
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""

@@ -100,7 +100,8 @@ class RunReport:
         out.write(f"T {self.T}\n")
         out.write(f"threshold {self.threshold}\n")
         out.write("shot_records tau t accepted readout\n")
-        for tau, t, acc, r in zip(self.taus, self.steps, self.accepted, self.readouts):
+        for tau, t, acc, r in zip(self.taus.tolist(), self.steps.tolist(),
+                                  self.accepted.tolist(), self.readouts):
             out.write(f"{tau:.12g} {t} {int(acc)} {r if r is not None else '-'}\n")
         out.write("histogram\n")
         hist = self.histogram()

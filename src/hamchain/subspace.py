@@ -6,17 +6,26 @@ register.  The local terms are each machine's rules tiled over its chain
 (machine.local_terms); they act on dressed states through the matcher that
 steps the machine, and each term's gate event dresses the register, so no
 many-body vector is built.  For every history index t, certification checks
-that H maps state t to -(state t-1) - (state t+1).  The history is streamed
-from one stepping pass, the register advancing as each edge's event
-arrives, with at most three dressed states held at once.  Each state is
-matched only against the terms anchored at its live symbols (_term_picker),
-which gives the same images as the whole term table.  Only the machine of
-the scheme being certified is imported (walk.scheme_module).
+that H maps state t to -(state t-1) - (state t+1).
+
+Certification steps the machine once, in place (machine.Stepper), the
+register advancing as each edge's event arrives.  At c_t every term that
+can act on it (_term_picker, which gives the same images as the whole term
+table in both directions) is matched, and each match gives an image: the
+term's edit of c_t and the register after the term's event.  An image's
+pattern is named by its edit: two edits of c_t are equal exactly when the
+configurations they give are equal, so no configuration is copied or
+compared.  The neighbours are the forward step's edit and the undo of the
+previous step's edit.  Registers are summed per pattern in image order and
+compared with the neighbour's to QUBIT_TOL; one image whose register is the
+neighbour's own array differs from it by exactly 0, and is not summed.
+Only the machine of the scheme being certified is imported
+(walk.scheme_module).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import count
 
 import numpy as np
 
@@ -27,73 +36,46 @@ from .gates import QubitState
 QUBIT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DressedState:
-    pattern: object  # Config5 or Config8
-    qubits: QubitState
-
-
-def apply_H(m: machine.Machine, terms: list[machine.LocalTerm], s: DressedState,
-            circuit: Circuit) -> list[tuple[float, DressedState]]:
-    """All -1-weighted images of `s` under the terms: each term rewrites
-    forward and, as its h.c., backward, and fires its event on the register."""
-    c = s.pattern
+def images(m: machine.Machine, pairs, state: machine.Stepper, q: QubitState,
+           circuit: Circuit) -> list[tuple[frozenset, QubitState]]:
+    """(edit of `state`, register) of each -1-weighted image of the dressed
+    state (state, q) under the (term, reverse) pairs: a term rewrites
+    forward, and backward as its h.c., and fires its event on q."""
     out = []
-    for term in terms:
-        for reverse in (False, True):
-            if m.match_at(c, term.position, term.rule, reverse):
-                event = m.event(c, term.position, term.rule, not reverse)
-                out.append((-1.0, DressedState(m.rewrite(c, term.position, term.rule, reverse),
-                                               machine.fire(event, circuit, s.qubits))))
+    for term, reverse in pairs:
+        if m.match_at(state, term.position, term.rule, reverse):
+            event = m.event(state.base, term.position, term.rule, not reverse)
+            out.append((state.edit(term.position, term.rule, reverse),
+                        machine.fire(event, circuit, q)))
     return out
 
 
-def _collect(images: list[tuple[float, DressedState]]) -> dict:
-    """Sum amplitudes per pattern: pattern -> weighted amplitude vector."""
-    acc: dict = {}
-    for w, ds in images:
-        vec = acc.setdefault(ds.pattern, np.zeros_like(ds.qubits.amps))
-        acc[ds.pattern] = vec + w * ds.qubits.amps
-    return acc
-
-
-def _anchors(m: machine.Machine, term: machine.LocalTerm, c0) -> tuple:
-    """Per side (pre, post) of the term's rule, the (cell, live symbol) that
-    side needs, None when it holds no live symbol.  A cell off the open
-    chain holds nothing, so a term filed under one is never picked; such a
-    term's window leaves the chain and cannot match either."""
+def _term_picker(m: machine.Machine, terms: list[machine.LocalTerm], c0):
+    """Stepper -> the (term, reverse) pairs that can act on it, in table
+    order, forward first.  A term matches forward (backward) only where its
+    pre (post) side finds the live symbol it needs at that side's anchor
+    cell, so each pair is filed under that anchor and tried only on states
+    that hold it; a side without a live symbol is tried on every state.  An
+    anchor off the open chain is never held, and its window cannot match.
+    So the picked pairs give the images, in order, of every pair."""
     n = len(c0.registers[0])
-    return tuple(None if a is None else
-                 ((term.position + a[0] - 1) % n + 1 if c0.ring else term.position + a[0], a[1])
-                 for a in map(m.anchor, (term.rule.pre, term.rule.post)))
-
-
-def _term_picker(terms: list, anchors, live):
-    """pattern -> the terms that can act on it, in table order.
-
-    A side of a term matches a pattern only if the pattern holds the live
-    symbol that side needs at that side's anchor, so each term is filed
-    under its anchors and tried only on patterns that hold one of them;
-    `live(pattern)` lists the pattern's (position, live symbol) pairs.  A
-    term with a side that has no anchor is tried on every pattern.  Terms
-    that cannot match contribute no image, so applying the picked terms
-    gives the same images, in the same order, as applying the whole table.
-    """
-    always: set[int] = set()
+    always: set[tuple[int, bool]] = set()
     by_anchor: dict = {}
     for i, term in enumerate(terms):
-        sides = anchors(term)
-        if None in sides:
-            always.add(i)
-        else:
-            for anchor in sides:
-                by_anchor.setdefault(anchor, set()).add(i)
+        for reverse, side in ((False, term.rule.pre), (True, term.rule.post)):
+            anchor = m.anchor(side)
+            if anchor is None:
+                always.add((i, reverse))
+                continue
+            cell = (term.position + anchor[0] - 1) % n + 1 if c0.ring else term.position + anchor[0]
+            by_anchor.setdefault((cell, anchor[1]), []).append((i, reverse))
 
-    def pick(pattern) -> list:
+    def pick(state: machine.Stepper) -> list:
+        first = state.registers[0]
         idx = set(always)
-        for anchor in live(pattern):
-            idx.update(by_anchor.get(anchor, ()))
-        return [terms[i] for i in sorted(idx)]
+        for p in state.live:
+            idx.update(by_anchor.get((p, first[p - 1]), ()))
+        return [(terms[i], reverse) for i, reverse in sorted(idx)]
 
     return pick
 
@@ -109,53 +91,45 @@ class CertReport:
         return self.failures == 0
 
 
-def _local_hamiltonian(scheme: str, c0):
-    """(machine, term table, term picker) of the scheme's local terms on the
-    chain of initial configuration c0."""
-    m = walk.scheme_module(scheme).MACHINE
-    terms = machine.local_terms(m, c0)
-    return m, terms, _term_picker(terms, lambda t: _anchors(m, t, c0), m.live_cells)
-
-
-def _dressed_history(scheme: str, circuit: Circuit, initial: QubitState):
-    """The scheme's dressed states at t = 0..T, from one stepping pass: the
-    register advances as each edge's event arrives.  What
-    walk.history_length refuses is refused before the first step."""
-    walk.history_length(scheme, circuit)
-    m = walk.scheme_module(scheme)
-    if scheme == "ham5":
-        first, step = m.initial_config5(circuit.n, circuit.rounds), m.forward_step5
-    else:
-        first, step = m.initial_config8(circuit), m.forward_step8
-    q = initial
-    for c, event in machine.History.stream(first, step):
-        yield DressedState(c, q)
-        q = machine.fire(event, circuit, q)
-
-
 def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None = None) -> CertReport:
-    """Check closure of the dressed history span under the local terms."""
+    """Check closure of the dressed history span under the local terms.
+    What walk.history_length refuses is refused before the first step."""
     if initial is None:
         initial = QubitState.basis("0" * circuit.n)
-    states = _dressed_history(scheme, circuit, initial)
-    prev, cur = None, next(states)
-    m, _, pick = _local_hamiltonian(scheme, cur.pattern)
+    walk.history_length(scheme, circuit)
+    module = walk.scheme_module(scheme)
+    m = module.MACHINE
+    first = (module.initial_config5(circuit.n, circuit.rounds) if scheme == "ham5"
+             else module.initial_config8(circuit))
+    pick = _term_picker(m, machine.local_terms(m, first), first)
+    state, q = machine.Stepper(m, first), initial
     report = CertReport(scheme)
-    for t, nxt in enumerate(chain(states, [None])):
-        got = _collect(apply_H(m, pick(cur.pattern), cur, circuit))
-        want = {s.pattern: (nb, -1.0 * s.qubits.amps)
-                for nb, s in ((t - 1, prev), (t + 1, nxt)) if s is not None}
+    want: dict = {}  # the neighbours of state t: edit of c_t -> (index, register)
+    for t in count():
+        got: dict = {}
+        for edit, r in images(m, pick(state), state, q, circuit):
+            got.setdefault(edit, []).append(r.amps)
+        step = state.step()
+        if step is not None:
+            edit, undo, event = step
+            nxt = machine.fire(event, circuit, q)
+            want[edit] = (t + 1, nxt.amps)
         errs = []
-        for pat, vec in got.items():
-            if pat not in want:
+        for edit, regs in got.items():
+            if edit not in want:
                 errs.append("unexpected output pattern")
-            elif np.max(np.abs(vec - want[pat][1])) > QUBIT_TOL:
-                errs.append(f"register mismatch vs t'={want[pat][0]}")
-        errs += ["missing neighbor pattern" for pat in want if pat not in got]
+            elif len(regs) > 1 or regs[0] is not want[edit][1]:
+                vec = np.zeros_like(regs[0])
+                for r in regs:
+                    vec = vec + -1.0 * r
+                if np.max(np.abs(vec - -1.0 * want[edit][1])) > QUBIT_TOL:
+                    errs.append(f"register mismatch vs t'={want[edit][0]}")
+        errs += ["missing neighbor pattern" for edit in want if edit not in got]
         if errs:
             report.failures += 1
             report.lines.append(f"t={t} FAIL: {'; '.join(errs)}")
         else:
             report.lines.append(f"t={t} PASS")
-        prev, cur = cur, nxt
-    return report
+        if step is None:
+            return report
+        want, q = {undo: (t, q.amps)}, nxt

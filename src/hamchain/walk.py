@@ -81,7 +81,7 @@ def _angles(T: int) -> np.ndarray:
 
 PROPAGATE_BYTES = 2 * 2**20  # bytes of input and spectrum rows in one `propagate` batch
 MAX_T = 2**24  # longest history line: one row's transform input is then 128 MiB
-MAX_CELL_STEPS = 2**32  # most T x cells of a history: each step copies every cell
+MAX_CELL_STEPS = 2**32  # most T x cells of a history: trace and configs() snapshot every cell
 
 
 def propagate(T: int, taus, finish=None):
@@ -121,12 +121,10 @@ def propagate(T: int, taus, finish=None):
     batch touches no fresh memory; without `finish` each batch's rows are
     copied out.  Batches are computed, `finish` included, on os.cpu_count()
     threads, at most that many in flight besides the one being read, so
-    memory stays O(workers * batch) however many taus are given.
+    memory stays O(workers * batch) however many taus are given.  When the
+    taus fit in one batch, it is computed on the calling thread and no
+    thread is started.
     """
-    # imported here: concurrent.futures imports logging, about 8 ms that
-    # commands which never propagate should not pay
-    from concurrent.futures import ThreadPoolExecutor
-
     M = T + 2
     theta = _angles(T)
     # -2 cos theta_k, made exactly odd under k -> M-k as the fold assumes:
@@ -167,19 +165,28 @@ def propagate(T: int, taus, finish=None):
         np.cumsum(re, axis=1, out=d[:, 0::2])
         return d.copy() if finish is None else finish(d, start)
 
-    workers = os.cpu_count() or 1
-    starts = iter(range(0, len(taus), rows))
-    with ThreadPoolExecutor(workers) as pool:
-        pending = deque(pool.submit(batch, s) for s in islice(starts, workers))
-        while pending:
-            done = pending.popleft().result()
-            start = next(starts, None)
-            if start is not None:
-                pending.append(pool.submit(batch, start))
-            if finish is None:
-                yield from done
-            else:
+    def threaded(starts):
+        # imported here: concurrent.futures imports logging, about 8 ms that
+        # commands which never propagate more than one batch should not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        workers = os.cpu_count() or 1
+        with ThreadPoolExecutor(workers) as pool:
+            pending = deque(pool.submit(batch, s) for s in islice(starts, workers))
+            while pending:
+                done = pending.popleft().result()
+                start = next(starts, None)
+                if start is not None:
+                    pending.append(pool.submit(batch, start))
                 yield done
+
+    starts = range(0, len(taus), rows)
+    # a single batch is computed on the calling thread: a pool would only wait for it
+    for done in map(batch, starts) if len(starts) <= 1 else threaded(iter(starts)):
+        if finish is None:
+            yield from done
+        else:
+            yield done
 
 
 def evolve(T: int, tau: float) -> WalkAmplitudes:
@@ -311,8 +318,9 @@ def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
 
 def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:
     """Why the n-qubit, R-round history of T steps is refused, or None: a T
-    over MAX_T, or a T x cells over MAX_CELL_STEPS (each step copies the
-    configuration), with the cells taken from the closed forms."""
+    over MAX_T, or a T x cells over MAX_CELL_STEPS (a step touches only its
+    window, but trace and History.configs() snapshot every cell at every
+    index), with the cells taken from the closed forms."""
     m = scheme_module(scheme)
     cells = m.Lattice5(n, R).L if scheme == "ham5" else m.ProgramLayout.cells(n, R) + ring
     if T > MAX_T:

@@ -18,6 +18,7 @@ from hamchain import five_state as f5
 from hamchain import gates, subspace, walk
 from hamchain.circuit import Circuit, simulate_circuit
 from hamchain.gates import QubitState
+from hamchain.machine import Stepper
 from hamchain.runner import RunPlan, run
 
 import oracles
@@ -80,13 +81,13 @@ def test_criterion_3_rule_sanity():
                 for c in configs]
         ok &= len(set(keys)) == len(keys)
         for t, c in enumerate(configs):
-            fwd = mod._step(c, reverse=False) if scheme == "ham8" else None
+            fwd = mod.MACHINE.step(c, reverse=False) if scheme == "ham8" else None
             if scheme == "ham5":
-                ok &= len(f5._matches(c, reverse=False)) == (0 if t == tr.T else 1)
-                ok &= len(f5._matches(c, reverse=True)) == (0 if t == 0 else 1)
+                ok &= len(Stepper(f5.MACHINE, c).matches(False)) == (0 if t == tr.T else 1)
+                ok &= len(Stepper(f5.MACHINE, c).matches(True)) == (0 if t == 0 else 1)
             else:
                 ok &= (fwd is None) == (t == tr.T)
-                ok &= (mod._step(c, reverse=True) is None) == (t == 0)
+                ok &= (mod.MACHINE.step(c, reverse=True) is None) == (t == 0)
     ok = _report("criterion 3 (rule sanity)", ok)
     assert ok
 

@@ -10,7 +10,7 @@ import pytest
 from hamchain import cli
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates, walk
+from hamchain import gates, machine, walk
 
 WS_CIRCUIT = """QUBITS 3
 ROUNDS 2
@@ -109,11 +109,14 @@ def _limit_address_space():
     ["evolve", "--T", "0", "--taus", "1"],
     ["evolve", "--T", "3", "--taus", "1,,2"],
     ["evolve", "W", "--scheme", "ham8", "--T", "3", "--taus", "1"],
+    ["sample", "W", "--scheme", "ham5"],
+    ["evolve", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
-        "T-zero", "taus-empty-entry", "evolve-circuit-and-T"])
+        "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
+        "evolve-without-circuit-or-T"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
@@ -165,11 +168,10 @@ def test_evolve_of_a_circuit_equals_evolve_of_its_length(scheme, ws_file, tmp_pa
 
 
 def test_evolve_of_a_circuit_steps_no_machine(ws_file, monkeypatch):
-    def no_step(c):
+    def no_stepper(self, m, c):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(f5, "forward_step5", no_step)
-    monkeypatch.setattr(e8, "forward_step8", no_step)
+    monkeypatch.setattr(machine.Stepper, "__init__", no_stepper)
     for scheme in ("ham5", "ham8"):
         assert cli.main(["evolve", ws_file, "--scheme", scheme, "--taus", "1",
                          "--out", os.devnull]) == 0

@@ -14,6 +14,7 @@ from hamchain import eight_state as e8
 from hamchain import five_state as f5
 from hamchain import gates
 from hamchain.circuit import Circuit
+from hamchain.machine import Stepper
 
 SIZES = [(n, R) for n in (2, 3, 4) for R in (1, 2, 3)]
 
@@ -180,7 +181,7 @@ def outcome(step, c, reverse):
 def engine_matches8(c, reverse):
     """The engine's matches as (cell, name, letter or None)."""
     return [(j, name, *letter) if letter else (j, name, None)
-            for j, name, *letter in e8.MACHINE.matches(c, reverse)]
+            for j, name, *letter in Stepper(e8.MACHINE, c).matches(reverse)]
 
 
 def ws_circuit(n, R):
@@ -213,8 +214,8 @@ def test_ham5_matches_full_scan_oracle(n, R):
     configs = list(tr.configs())
     for c in configs:
         for reverse in (False, True):
-            assert f5._matches(c, reverse) == oracle_matches5(c, reverse)
-            assert outcome(f5._step, c, reverse) == outcome(oracle_step5, c, reverse)
+            assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
+            assert outcome(f5.MACHINE.step, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
 @pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
@@ -226,7 +227,7 @@ def test_ham8_matches_cursor_scan_oracle(n, R, boundary):
         for reverse in (False, True):
             assert (outcome(engine_matches8, c, reverse)
                     == outcome(oracle_matches8, c, reverse))
-            assert outcome(e8._step, c, reverse) == outcome(oracle_step8, c, reverse)
+            assert outcome(e8.MACHINE.step, c, reverse) == outcome(oracle_step8, c, reverse)
     # the ring's extra backward match at t=0 is reproduced, not filtered out
     back = e8.backward_step8(configs[0])
     assert (back is not None) == (boundary == e8.PERIODIC_X)
@@ -243,8 +244,8 @@ def test_ham5_perturbed_configurations_match_the_oracle():
                 syms[k] = sym
                 c = f5.Config5(c0.lattice, tuple(syms))
                 for reverse in (False, True):
-                    assert f5._matches(c, reverse) == oracle_matches5(c, reverse)
-                    assert outcome(f5._step, c, reverse) == outcome(oracle_step5, c, reverse)
+                    assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
+                    assert outcome(f5.MACHINE.step, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
 @pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
@@ -261,7 +262,7 @@ def test_ham8_perturbed_configurations_match_the_oracle(boundary):
                 for reverse in (False, True):
                     assert (outcome(engine_matches8, c, reverse)
                             == outcome(oracle_matches8, c, reverse))
-                    assert outcome(e8._step, c, reverse) == outcome(oracle_step8, c, reverse)
+                    assert outcome(e8.MACHINE.step, c, reverse) == outcome(oracle_step8, c, reverse)
 
 
 def test_ham8_condition_on_a_placeholder_raises_in_both():
@@ -273,9 +274,9 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
     cursors[-1], cursors[j - 1] = e8.STAR, e8.TUR
     progs = ["."] * c0.ncells
     c = e8.Config8(c0.layout, c0.boundary, tuple(cursors), tuple(progs), c0.datas)
-    assert outcome(e8._step, c, False) == outcome(oracle_step8, c, False) == "placeholder"
+    assert outcome(e8.MACHINE.step, c, False) == outcome(oracle_step8, c, False) == "placeholder"
     with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j}"):
-        e8.forward_step8(c)
+        e8.MACHINE.step(c, False)
 
 
 def test_ham5_live_symbols_far_apart_are_both_found():
@@ -286,8 +287,8 @@ def test_ham5_live_symbols_far_apart_are_both_found():
     syms[-3:] = [f5.MOV, f5.Q, f5.BUL]
     c = f5.Config5(c0.lattice, tuple(syms))
     L = c0.lattice.L
-    assert [p for p, _ in f5.MACHINE.live_cells(c)] == [1, L - 2]
-    assert f5._matches(c, False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
+    assert sorted(Stepper(f5.MACHINE, c).live) == [1, L - 2]
+    assert Stepper(f5.MACHINE, c).matches(False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
     message = f"2 rule instances match forward: [(1, '6a'), ({L - 2}, '7b')]"
     with pytest.raises(f5.RuleEngineError, match=re.escape(message)):
-        f5.forward_step5(c)
+        f5.MACHINE.step(c, False)

@@ -59,7 +59,7 @@ def test_trace_ends_at_final_configuration():
     tr = f5.enumerate_history5(3, 2)
     configs = list(tr.configs())
     assert tr.T == 34
-    assert f5.forward_step5(configs[-1]) is None
+    assert f5.MACHINE.step(configs[-1], False) is None
     assert f5.backward_step5(configs[0]) is None
 
 
@@ -69,12 +69,12 @@ def test_uniqueness_reversibility_distinctness(n, R):
     configs = list(tr.configs())
     assert len(set(c.symbols for c in configs)) == len(configs)
     for t, c in enumerate(configs):
-        fwd = f5._matches(c, reverse=False)
-        bwd = f5._matches(c, reverse=True)
+        fwd = machine.Stepper(f5.MACHINE, c).matches(False)
+        bwd = machine.Stepper(f5.MACHINE, c).matches(True)
         assert len(fwd) == (0 if t == tr.T else 1)
         assert len(bwd) == (0 if t == 0 else 1)
         if t < tr.T:
-            nxt, _ = f5.forward_step5(c)
+            nxt, _ = f5.MACHINE.step(c, False)
             back, _ = f5.backward_step5(nxt)
             assert back == c
 
@@ -100,7 +100,8 @@ def test_rule_tally_derives_step_count(n, R):
     # every later round fires the same 3n^2+n+1 rewrites.
     tr = f5.enumerate_history5(n, R)
     configs = list(tr.configs())
-    tally = Counter(name for c in configs[:-1] for _, name in f5._matches(c, False))
+    tally = Counter(name for c in configs[:-1]
+                    for _, name in machine.Stepper(f5.MACHINE, c).matches(False))
     later = R - 1
     expected = {
         "1": R * (n - 1), "2": later, "3": n * later, "4": n * n * later,
@@ -129,7 +130,7 @@ def test_rule_engine_flags_ambiguity():
     lat = f5.Lattice5(2, 2)
     syms = [f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.BUL]
     with pytest.raises(f5.RuleEngineError):
-        f5.forward_step5(f5.Config5(lat, tuple(syms)))
+        f5.MACHINE.step(f5.Config5(lat, tuple(syms)), False)
 
 
 def test_local_terms_have_one_gate_term_per_slot():
@@ -177,11 +178,11 @@ def test_gate_event_position_is_the_rank_of_the_g_placeholder(n, R):
     # placeholder, since placeholders keep their order
     configs = list(f5.enumerate_history5(n, R).configs())
     for t, c in enumerate(configs[:-1]):
-        for c_from, reverse, (_, event) in ((c, False, f5.forward_step5(c)),
+        for c_from, reverse, (_, event) in ((c, False, f5.MACHINE.step(c, False)),
                                              (configs[t + 1], True, f5.backward_step5(configs[t + 1]))):
             if event is None:
                 continue
-            ((s, name),) = f5._matches(c_from, reverse)
+            ((s, name),) = machine.Stepper(f5.MACHINE, c_from).matches(reverse)
             # forward the window starts on g, backward on the q it became
             assert name == "1" and c_from.symbols[s - 1] == (f5.Q if reverse else f5.G)
             head = c_from.symbols[:s]
@@ -195,4 +196,4 @@ def test_configs_steps_the_history_again(scheme, ws_circuit_3q2r):
     assert len(configs) == tr.T + 1
     assert configs[0] == tr.first
     assert list(tr.configs()) == configs
-    assert tr.step(configs[-1]) is None
+    assert tr.machine.step(configs[-1], False) is None

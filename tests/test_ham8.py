@@ -67,7 +67,7 @@ def test_final_configuration_shape(ws_circuit_3q2r):
     # program word shifted fully left, data pattern unchanged
     assert last.progs[:9] == (".",) + configs[0].layout.program
     assert last.datas == configs[0].datas
-    assert e8.forward_step8(last) is None
+    assert e8.MACHINE.step(last, False) is None
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -85,11 +85,11 @@ def test_uniqueness_reversibility_distinctness(n, R, ws_circuit_3q2r, w_circuit_
     assert len(set(keys)) == len(keys)
     for t, c in enumerate(configs):
         if t < tr.T:
-            nxt, _ = e8.forward_step8(c)
+            nxt, _ = e8.MACHINE.step(c, False)
             back, _ = e8.backward_step8(nxt)
             assert back == c
         else:
-            assert e8.forward_step8(c) is None
+            assert e8.MACHINE.step(c, False) is None
     assert e8.backward_step8(configs[0]) is None
 
 
@@ -177,7 +177,7 @@ def test_periodic_variant_reversible_after_first_step(w_circuit_2q):
     ring_configs = list(trp.configs())
     assert e8.backward_step8(ring_configs[0]) is not None
     for t in range(1, trp.T):
-        nxt, _ = e8.forward_step8(ring_configs[t])
+        nxt, _ = e8.MACHINE.step(ring_configs[t], False)
         back, _ = e8.backward_step8(nxt)
         assert back == ring_configs[t]
 
@@ -187,8 +187,8 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
     cursors = list(c0.cursors)
     cursors[1] = e8.MOVL  # second cursor alongside the real one
     with pytest.raises(e8.RuleEngineError):
-        e8.forward_step8(e8.Config8(c0.layout, c0.boundary, tuple(cursors),
-                                    c0.progs, c0.datas))
+        e8.MACHINE.step(e8.Config8(c0.layout, c0.boundary, tuple(cursors),
+                                   c0.progs, c0.datas), False)
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):

@@ -31,24 +31,33 @@ def test_certify_with_superposed_register(w_circuit_2q):
     assert subspace.certify_subspace("ham8", w_circuit_2q, init).passed
 
 
+def _both(terms):
+    """Each term in both directions, as the picker's (term, reverse) pairs."""
+    return [(term, reverse) for term in terms for reverse in (False, True)]
+
+
+def _image_patterns(m, terms, c, q, circuit):
+    """The configuration each image of the dressed state (c, q) names."""
+    out = []
+    for edit, _ in subspace.images(m, _both(terms), machine.Stepper(m, c), q, circuit):
+        image = machine.Stepper(m, c)
+        image.apply(edit)
+        out.append(image.snapshot())
+    return out
+
+
 def test_apply_h5_at_endpoints(w_circuit_2q):
-    trace = f5.enumerate_history5(2, 1)
-    configs = list(trace.configs())
+    configs = list(f5.enumerate_history5(2, 1).configs())
     terms = machine.local_terms(f5.MACHINE, configs[0])
-    s0 = subspace.DressedState(configs[0], QubitState.basis("00"))
-    images = subspace.apply_H(f5.MACHINE, terms, s0, w_circuit_2q)
-    assert len(images) == 1
-    weight, ds = images[0]
-    assert weight == -1.0 and ds.pattern == configs[1]
+    got = _image_patterns(f5.MACHINE, terms, configs[0], QubitState.basis("00"), w_circuit_2q)
+    assert got == [configs[1]]
 
 
 def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
-    trace = f5.enumerate_history5(2, 1)
-    configs = list(trace.configs())
+    configs = list(f5.enumerate_history5(2, 1).configs())
     terms = machine.local_terms(f5.MACHINE, configs[0])
-    s = subspace.DressedState(configs[1], QubitState.basis("00"))
-    patterns = {ds.pattern for _, ds in subspace.apply_H(f5.MACHINE, terms, s, w_circuit_2q)}
-    assert patterns == {configs[0], configs[2]}
+    got = _image_patterns(f5.MACHINE, terms, configs[1], QubitState.basis("00"), w_circuit_2q)
+    assert len(got) == 2 and set(got) == {configs[0], configs[2]}
 
 
 def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
@@ -56,8 +65,9 @@ def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
     dead = e8.Config8(c0.layout, c0.boundary, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
     terms = machine.local_terms(e8.MACHINE, c0)
-    s = subspace.DressedState(dead, QubitState.basis("00"))
-    assert subspace.apply_H(e8.MACHINE, terms, s, w_circuit_2q) == []
+    state = machine.Stepper(e8.MACHINE, dead)
+    assert subspace.images(e8.MACHINE, _both(terms), state, QubitState.basis("00"),
+                           w_circuit_2q) == []
 
 
 def _superposed(n):
@@ -105,25 +115,25 @@ def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):
     assert any("missing neighbor" in line for line in rep.lines)
 
 
-@pytest.mark.parametrize("scheme,module,step", [
-    ("ham5", f5, "forward_step5"), ("ham8", e8, "forward_step8")])
-def test_certify_steps_the_machine_once(scheme, module, step, ws_circuit_3q2r, monkeypatch):
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_certify_steps_the_machine_once(scheme, ws_circuit_3q2r, monkeypatch):
     calls = []
-    forward = getattr(module, step)
-    monkeypatch.setattr(module, step, lambda c: calls.append(c) or forward(c))
+    step = machine.Stepper.step
+    monkeypatch.setattr(machine.Stepper, "step",
+                        lambda self, reverse=False: calls.append(reverse) or step(self, reverse))
     rep = subspace.certify_subspace(scheme, ws_circuit_3q2r)
     T = walk.history_length(scheme, ws_circuit_3q2r)
     assert rep.passed and len(rep.lines) == T + 1
-    assert len(calls) == T + 1  # each configuration once, the last finding no successor
+    # each configuration once, forward, the last finding no successor
+    assert calls == [False] * (T + 1)
 
 
 @pytest.mark.parametrize("scheme", ["ham5", "ham8"])
 def test_certify_refuses_a_history_past_max_T_before_any_step(scheme, monkeypatch):
-    def no_step(c):
+    def no_stepper(self, m, c):
         raise AssertionError("stepped")
 
-    monkeypatch.setattr(f5, "forward_step5", no_step)
-    monkeypatch.setattr(e8, "forward_step8", no_step)
+    monkeypatch.setattr(machine.Stepper, "__init__", no_stepper)
     with pytest.raises(ValueError, match="over the limit"):
         subspace.certify_subspace(scheme, Circuit(2, 10**9))
 
@@ -131,10 +141,6 @@ def test_certify_refuses_a_history_past_max_T_before_any_step(scheme, monkeypatc
 def test_certify_rejects_unknown_scheme(w_circuit_2q):
     with pytest.raises(ValueError):
         subspace.certify_subspace("ham9", w_circuit_2q)
-
-
-def _images(m, terms, state, circuit):
-    return [(w, ds.pattern, ds.qubits.amps) for w, ds in subspace.apply_H(m, terms, state, circuit)]
 
 
 @pytest.mark.parametrize("scheme,circuit", [
@@ -149,15 +155,17 @@ def test_picked_terms_give_the_images_of_all_terms(scheme, circuit):
     amps = np.arange(1, 2**circuit.n + 1, dtype=complex)
     init = QubitState(circuit.n, amps / np.linalg.norm(amps))
     history = walk.enumerate_history(scheme, circuit)
-    states = list(map(subspace.DressedState, history.configs(), history.registers(circuit, init)))
-    m, terms, pick = subspace._local_hamiltonian(scheme, history.first)
-    for s in states:
-        picked = pick(s.pattern)
+    m = history.machine
+    terms = machine.local_terms(m, history.first)
+    pick = subspace._term_picker(m, terms, history.first)
+    for c, q in zip(history.configs(), history.registers(circuit, init)):
+        state = machine.Stepper(m, c)
+        picked = pick(state)
         assert len(picked) < len(terms)
-        want = _images(m, terms, s, circuit)
-        got = _images(m, picked, s, circuit)
-        assert [(w, p) for w, p, _ in got] == [(w, p) for w, p, _ in want]
-        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(got, want))
+        want = subspace.images(m, _both(terms), state, q, circuit)
+        got = subspace.images(m, picked, state, q, circuit)
+        assert [edit for edit, _ in got] == [edit for edit, _ in want]
+        assert all(np.array_equal(a.amps, b.amps) for (_, a), (_, b) in zip(got, want))
 
 
 def _add_term(monkeypatch, rogue):
@@ -172,8 +180,7 @@ def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     rogue = machine.LocalTerm(2, machine.Rule(
         "rogue", tuple((0, k, sym) for k, sym in enumerate(lhs)),
         tuple((0, k, sym) for k, sym in enumerate(rhs))))
-    c0 = f5.initial_config5(2, 1)
-    assert subspace._anchors(f5.MACHINE, rogue, c0) == (None, None)
+    assert f5.MACHINE.anchor(rogue.rule.pre) is f5.MACHINE.anchor(rogue.rule.post) is None
     _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham5", w_circuit_2q)
     trace = f5.enumerate_history5(2, 1)
@@ -191,8 +198,7 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     # of those has the rewritten pattern as a neighbour
     rogue = machine.LocalTerm(1, machine.Rule("rogue", pre=((0, 0, e8.STAR), (1, 0, ".")),
                                               post=((0, 0, e8.STAR), (1, 0, "I"))))
-    c0 = e8.initial_config8(w_circuit_2q)
-    assert subspace._anchors(e8.MACHINE, rogue, c0) == (None, None)
+    assert e8.MACHINE.anchor(rogue.rule.pre) is e8.MACHINE.anchor(rogue.rule.post) is None
     _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     trace = e8.enumerate_history8(w_circuit_2q)
@@ -201,6 +207,64 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
            if c.cursors[0] == e8.STAR and c.progs[0] in (".", "I")}
     assert 0 < len(hit) < len(rep.lines)
     assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
+
+
+def test_rogue_term_one_cell_past_a_neighbour_is_unexpected(ws_circuit_3q2r, monkeypatch):
+    # rule 3 with its bullet rewritten to a plus, tiled where rule 3 is: its
+    # forward image is rule 3's neighbour with one more cell changed, so its
+    # edit holds the neighbour's and one write more; nowhere is that a
+    # neighbour, which an edit compared as anything but the whole set misses
+    rule3 = next(rule for rule in f5.MACHINE.rules if rule.name == "3")
+    rhs = (f5.MOVLE, f5.BLANK, f5.PLUS)
+    rogue = machine.Rule("rogue", rule3.pre, tuple((0, k, sym) for k, sym in enumerate(rhs)))
+    local_terms = machine.local_terms
+    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+        machine.LocalTerm(t.position, rogue) for t in local_terms(m, c0) if t.rule is rule3])
+    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
+    lhs = tuple(sym for _, _, sym in rule3.pre)
+    configs = list(f5.enumerate_history5(3, 2).configs())
+    hit = {t for t, c in enumerate(configs) for s in range(len(c.symbols) - 2)
+           if c.symbols[s:s + 3] in (lhs, rhs)}
+    assert 0 < len(hit) < len(rep.lines)
+    assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
+    assert all(rep.lines[t] == f"t={t} FAIL: unexpected output pattern" for t in hit)
+
+
+def test_rogue_term_with_a_neighbours_changes_names_the_neighbour(ws_circuit_3q2r, monkeypatch):
+    # rule 3 changes only its first cell; a rogue with rule 3's window short
+    # of its last, unchanged cell gives the same configuration where both
+    # match, so its image is the neighbour's pattern and their two registers
+    # sum to -2q: a register mismatch against that neighbour, not an
+    # unexpected pattern, which an edit that kept unchanged writes would give
+    rule3 = next(rule for rule in f5.MACHINE.rules if rule.name == "3")
+    rogue = machine.Rule("rogue", rule3.pre[:2], rule3.post[:2])
+    local_terms = machine.local_terms
+    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+        machine.LocalTerm(t.position, rogue) for t in local_terms(m, c0) if t.rule is rule3])
+    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
+    configs = list(f5.enumerate_history5(3, 2).configs())
+    fired = [t for t, c in enumerate(configs[:-1])
+             if [name for _, name in machine.Stepper(f5.MACHINE, c).matches(False)] == ["3"]]
+    assert fired
+    for t in fired:
+        assert f"register mismatch vs t'={t + 1}" in rep.lines[t]
+        assert f"register mismatch vs t'={t}" in rep.lines[t + 1]
+
+
+def test_real_term_tiled_twice_fails_with_a_register_mismatch(ws_circuit_3q2r, monkeypatch):
+    # the first step's term twice: states 0 and 1 each get two images with
+    # the neighbour's edit, each with the neighbour's own register, which
+    # sum to -2q; a shortcut that passed an image for being the neighbour's
+    # array, without counting the images, would pass them
+    c0 = f5.initial_config5(3, 2)
+    ((s, name),) = machine.Stepper(f5.MACHINE, c0).matches(False)
+    local_terms = machine.local_terms
+    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+        t for t in local_terms(m, c0) if (t.position, t.rule.name) == (s, name)])
+    rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
+    assert rep.failures == 2
+    assert rep.lines[:2] == ["t=0 FAIL: register mismatch vs t'=1",
+                             "t=1 FAIL: register mismatch vs t'=0"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -228,8 +292,8 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     n, R = ws_circuit_3q2r.n, ws_circuit_3q2r.rounds
     T = f5.step_count_formula5(n, R)
     last = list(f5.enumerate_history5(n, R).configs())[T - 1]
-    ((s, name),) = f5._matches(last, False)
-    event = f5.forward_step5(last)[1]
+    ((s, name),) = machine.Stepper(f5.MACHINE, last).matches(False)
+    event = f5.MACHINE.step(last, False)[1]
     assert name == "1" and (event.round, event.position) == (R, n - 1)
     terms = machine.local_terms(f5.MACHINE, last)
     kept = [term for term in terms if (term.position, term.rule.name) != (s, "1")]

@@ -27,6 +27,8 @@ UNREACHED = {
     "five_state.backward_step5": "tests only; a search of the local terms from "
                                  "c0 replaces it (ROADMAP item 2)",
     "eight_state.backward_step8": "tests only; the same search replaces it",
+    "machine.Machine.step": "one step of an immutable configuration, for backward_step5/8 "
+                            "and the tests; it goes with them",
     "walk.evolve": "the complex amplitudes, criterion 6's API documented in README",
 }
 
@@ -52,7 +54,8 @@ def _run_commands_and_jobs(workdir: Path) -> None:
         ["evolve", "--T", "20", "--taus", "0,1.5"],
         ["evolve", paths["ws"], "--scheme", "ham8", "--taus", "2"],
         ["sample", paths["ws"], "--scheme", "ham5", "--seed", "0", "--shots", "50"],
-        ["sample", paths["w"], "--scheme", "ham8", "--seed", "0", "--shots", "50"],
+        # more shots than one propagate batch holds at this T, so the pool runs
+        ["sample", paths["w"], "--scheme", "ham8", "--seed", "0", "--shots", "1500"],
         ["sample", paths["z"], "--scheme", "ham5", "--seed", "0", "--shots", "50",
          "--rewrite"],
         ["rewrite", paths["z"]],
@@ -62,6 +65,12 @@ def _run_commands_and_jobs(workdir: Path) -> None:
         assert cli.main(argv + out) == 0, argv
     refused = ["sample", paths["w"], "--scheme", "ham5", "--seed", "0", "--q", "1000000"]
     assert cli.main(refused + out) == 2
+    try:  # a usage error: the --seed that sample requires is missing
+        cli.main(["sample", paths["w"], "--scheme", "ham5"] + out)
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        raise AssertionError("sample without --seed ran")
     # the benchmark's certify and tail jobs, and its checks' oracle
     ws = cli._read_circuit(paths["ws"])
     for scheme in ("ham5", "ham8"):
@@ -173,7 +182,8 @@ def test_entry_point_loads_only_its_modules(code, loaded, tmp_path):
 # the bindings hcbench/tracer.py wraps that the commands call, as module.attribute
 TRACED = ("cli.run", "cli.rewrite_to_ws", "runner.padded_history", "gates.apply_unitary",
           "walk.padding_plan", "five_state.enumerate_history5",
-          "eight_state.enumerate_history8", "walk.probability_table_csv")
+          "eight_state.enumerate_history8", "walk.probability_table_csv",
+          "subspace.certify_subspace")
 
 
 def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
@@ -198,7 +208,8 @@ def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
     for argv in (["sample", "z.txt", "--scheme", "ham5", "--seed", "0", "--shots", "20",
                   "--rewrite"],
                  ["sample", "w.txt", "--scheme", "ham8", "--seed", "0", "--shots", "20"],
-                 ["evolve", "--T", "20", "--taus", "0,1.5"]):
+                 ["evolve", "--T", "20", "--taus", "0,1.5"],
+                 ["verify", "--scope", "subspace"]):
         assert cli.main(argv + out) == 0, argv
     assert [name for name, n in calls.items() if n == 0] == []
 

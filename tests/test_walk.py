@@ -1,6 +1,7 @@
 """History-line dynamics: spectra, evolution, time averages, padding."""
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -125,6 +126,29 @@ def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
         assert np.max(np.abs(parity_phase(T) * row - one_dimensional_dst_row(T, tau))) <= 1e-11
     assert [start for start, _ in batches] == list(range(0, len(taus), 3))
     assert np.array_equal(np.concatenate([batch for _, batch in batches]), rows)
+
+
+def test_one_batch_starts_no_thread_and_matches_the_pool(monkeypatch):
+    # taus that fit in one batch are computed on the calling thread, with
+    # `finish` too; the same taus in one-row batches run on a pool of three
+    # threads and give the same bits
+    T = 220
+    taus = np.random.default_rng(1).uniform(0.0, walk.default_tau0(T), 5)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    alone = list(walk.propagate(T, taus))
+    firsts = np.concatenate(list(walk.propagate(T, taus, lambda rows, s: rows[:, 0].copy())))
+    assert started == []
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert batch_rows(T) == 1
+    pooled = list(walk.propagate(T, taus))
+    assert started  # the pool ran the batches
+    assert len(alone) == len(pooled) == len(taus)
+    assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
+    assert np.array_equal(firsts, np.array(pooled)[:, 0])
 
 
 def test_propagate_keeps_few_batches_in_flight(monkeypatch):
@@ -396,6 +420,22 @@ def engine_history(scheme: str, n: int, R: int):
     if scheme == "ham5":
         return f5.enumerate_history5(n, R)
     return e8.enumerate_history8(Circuit(n, R))
+
+
+@pytest.mark.parametrize("scheme,config", [("ham5", f5.Config5), ("ham8", e8.Config8)])
+def test_enumeration_builds_as_many_configurations_at_any_length(scheme, config, monkeypatch):
+    # a history is stepped in place: the configurations built, each checking
+    # its symbols, do not grow with T
+    built = []
+    check = config.__post_init__
+    monkeypatch.setattr(config, "__post_init__", lambda self: built.append(self) or check(self))
+    counts = {}
+    for R in (1, 44 if scheme == "ham5" else 8):
+        built.clear()
+        T = engine_history(scheme, 2, R).T
+        counts[T] = len(built)
+    assert max(counts) >= 500
+    assert len(set(counts.values())) == 1, counts
 
 
 def events_last_real(scheme: str, trace, n: int, r: int) -> int:
