@@ -32,15 +32,21 @@ def main(argv=None) -> int:
     tr5 = f5.enumerate_history5(args.n, args.rounds)
     with open(out / "ham5_trace.txt", "w") as fh:
         fh.writelines(tr5.dump())
-    ev5 = "\n".join(f"t={t} gate=({e.round},{e.position}) m={e.m}"
-                    for t, e in sorted(tr5.events.items()))
+    # m: the rank of a gate event in the history, counted from 1
+    ev5 = "\n".join(f"t={t} gate=({e.round},{e.position}) m={m}"
+                    for m, (t, e) in enumerate(sorted(tr5.events.items()), 1))
     (out / "ham5_events.txt").write_text(ev5 + "\n")
 
     tr8 = e8.enumerate_history8(circuit)
     with open(out / "ham8_trace.txt", "w") as fh:
         fh.writelines(tr8.dump())
-    ev8 = "\n".join(f"t={t} cell={e.cell} letter={e.letter} pair={e.pair} m={e.m}"
-                    for t, e in sorted(tr8.events.items()))
+    # m: the rank of a logical firing, counted from 1; 0 for a scaffold firing
+    lines, m = [], 0
+    for t, e in sorted(tr8.events.items()):
+        logical = e.logical_qubits() is not None
+        m += logical
+        lines.append(f"t={t} cell={e.cell} letter={e.letter} pair={e.pair} m={m if logical else 0}")
+    ev8 = "\n".join(lines)
     (out / "ham8_events.txt").write_text(ev8 + "\n")
 
     print(f"ham5: T={tr5.T}; ham8: T={tr8.T}; files in {out}")

@@ -149,8 +149,8 @@ def simulate_circuit(circuit: Circuit, initial: QubitState) -> QubitState:
 # Z: conjugate the 14-application word (which yields Z on the right qubit)
 # with swaps so the result acts on the slot's left qubit, like every other
 # one-qubit slot gate.
-_Z_WORD = [gates.SWAP] + list(reversed([g for g, _ in gates.synth("Z")])) + [gates.SWAP]
-_CX_WORD = list(reversed([g for g, _ in gates.synth("CX")]))
+_Z_WORD = [gates.SWAP] + [g for g, _ in reversed(gates.IDENTITIES["Z"][0])] + [gates.SWAP]
+_CX_WORD = [g for g, _ in reversed(gates.IDENTITIES["CX"][0])]
 
 REWRITABLE = {"Z": _Z_WORD, "CX": _CX_WORD}
 NATIVE = {"W", "S", "I"}

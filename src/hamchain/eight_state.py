@@ -13,7 +13,9 @@ D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable
 
 The rule table is compiled at import into machine.Rule values, one per gate
 letter where a rule binds one; its data keys become conditions on the fixed
-data register, and the shared matcher in `machine` steps it.
+data register, and `machine.Stepper` steps it either way.  A history keeps
+each rule-4a event under its step and sets the round of each logical firing
+from its rank; the letter I fires nothing.
 """
 from __future__ import annotations
 
@@ -161,9 +163,7 @@ def initial_config8(circuit: Circuit, boundary: str = OPEN) -> Config8:
 class GateEvent8:
     """A solid-right-cursor crossing: program letter applied to a data pair."""
 
-    step: int  # transition index t; -1 if unset
-    m: int  # 1-based count of LOGICAL gate firings so far; 0 for scaffold/no-ops
-    round: int  # circuit round of a logical firing, from m; 0 for scaffold/no-ops
+    round: int  # circuit round of a logical firing, from its rank; 0 for scaffold
     cell: int  # window cell j: letter read from p_{j+1}, applied at (d_j, d_{j+1})
     letter: str  # I, S, or W
     pair: tuple[str, str]  # data tokens under the gate
@@ -184,21 +184,22 @@ class GateEvent8:
         return None if mat is None or pair is None else (mat, pair)
 
     def unitary(self) -> np.ndarray | None:
-        """4x4 matrix on the logical pair, or None for a trivial firing.
+        """4x4 matrix on the logical pair, or None for a trivial firing: the
+        letter I, which fires nothing, or a scaffold pair.
 
         Raises GateOnScaffoldError when the firing would disturb scaffold
         bits: a non-identity letter on a mixed placeholder/scaffold pair, or
         a scaffold pair the letter does not fix.
         """
+        if self.letter == "I":
+            return None
         a, b = self.pair
         wa, wb = a.startswith("w"), b.startswith("w")
-        mat = {"I": np.eye(4), "S": gates.SWAP.matrix, "W": gates.W.matrix}[self.letter]
+        mat = {"S": gates.SWAP.matrix, "W": gates.W.matrix}[self.letter]
         if not self.forward:
             mat = mat.conj().T
         if wa and wb:
             return mat
-        if self.letter == "I":
-            return None
         if wa or wb:
             raise GateOnScaffoldError(
                 f"{self.letter} fired on mixed pair {self.pair} at cell {self.cell}"
@@ -251,23 +252,20 @@ def _event(c: Config8, j: int, rule: Rule, forward: bool) -> GateEvent8 | None:
         return None
     # cell j+1 wraps to cell 1 on the ring; on the open chain j < ncells
     pair = (c.datas[j - 1], c.datas[j % c.ncells])
-    return GateEvent8(step=-1, m=0, round=0, cell=j, letter=rule.letter, pair=pair,
-                      forward=forward)
+    return GateEvent8(round=0, cell=j, letter=rule.letter, pair=pair, forward=forward)
 
 
 MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
                   LIVE_CURSORS, _event)
 
-def backward_step8(c: Config8):
-    """Unique predecessor, or None at the initial configuration."""
-    return MACHINE.step(c, reverse=True)
-
 
 def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> History:
+    """The history, with the round of each logical firing set from its rank:
+    a round fires n-1 logical gates."""
     history = History.record(initial_config8(circuit, boundary), MACHINE)
     logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
-    for m, t in enumerate(logical, 1):
-        history.events[t] = replace(history.events[t], m=m, round=(m - 1) // (circuit.n - 1) + 1)
+    for rank, t in enumerate(logical):
+        history.events[t] = replace(history.events[t], round=rank // (circuit.n - 1) + 1)
     return history
 
 

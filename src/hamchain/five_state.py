@@ -7,11 +7,13 @@ Logical qubit values are never stored in a configuration; placeholders keep
 their left-to-right order, so placeholder rank = logical qubit index.  Block
 boundaries are static lattice metadata, not symbols: the rule table compiles
 at import into machine.Rule values whose boundary keys are conditions on a
-fixed register of boundary flags, which `machine`'s matcher steps.
+fixed register of boundary flags, and `machine.Stepper` steps it either
+way.  A history keeps each rule-1 event under its step; an identity slot
+fires nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -99,8 +101,6 @@ class Config5:
 class GateEvent:
     """A rule-1 firing: gate U_{round,position} on logical qubits (i, i+1)."""
 
-    step: int  # transition index t (maps configuration t to t+1); -1 if unset
-    m: int  # 1-based index in overall application order; -1 if unset
     round: int
     position: int
     forward: bool
@@ -109,9 +109,12 @@ class GateEvent:
     def qubits(self) -> tuple[int, int]:
         return (self.position, self.position + 1)
 
-    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]]:
+    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
         """The circuit's unitary for this slot on its logical pair, or its
-        inverse for a backward firing."""
+        inverse for a backward firing; None for an identity slot, which
+        fires nothing."""
+        if circuit.gate_at(self.round, self.position).label == "I":
+            return None
         mat = circuit.slot_matrix(self.round, self.position)
         return (mat if self.forward else mat.conj().T), self.qubits
 
@@ -152,7 +155,7 @@ def _event(c: Config5, s: int, rule: Rule, forward: bool) -> GateEvent | None:
         return None
     r = (s - 2) // (2 * c.lattice.n) + 1
     i = (s - 2 - 2 * c.lattice.n * (r - 1)) // 2 + 1
-    return GateEvent(step=-1, m=-1, round=r, position=i, forward=forward)
+    return GateEvent(round=r, position=i, forward=forward)
 
 
 # Register 0 holds the symbols, register 1 the boundary flags.
@@ -163,16 +166,9 @@ MACHINE = Machine(
      for name, lhs, rhs, bkey in _RULES),
     LIVE5, _event)
 
-def backward_step5(c: Config5):
-    """Unique predecessor configuration, or None at the initial configuration."""
-    return MACHINE.step(c, reverse=True)
-
 
 def enumerate_history5(n: int, R: int) -> History:
-    history = History.record(initial_config5(n, R), MACHINE)
-    for m, (t, event) in enumerate(history.events.items(), 1):
-        history.events[t] = replace(event, m=m)
-    return history
+    return History.record(initial_config5(n, R), MACHINE)
 
 
 def step_count_formula5(n: int, R: int) -> int:

@@ -1,4 +1,4 @@
-"""Gate constants, state-vector application, and the W-gate identity toolkit.
+"""Gate constants, state-vector application, and the W-gate identity table.
 
 Two-qubit gates use the convention that the control qubit sits on the left
 (more significant) wire.  Qubit 1 is the most significant bit of a basis
@@ -6,6 +6,7 @@ label, so a state on n qubits indexes amplitudes by int("q1 q2 ... qn", 2).
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +19,6 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 
 class InvalidTargetError(ValueError):
     """Gate targets out of range, repeated, or of the wrong arity."""
-
-
-class UnknownIdentityError(KeyError):
-    """Requested a synthesized identity that is not in the table."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ H = _gate("H", np.array([[1, 1], [1, -1]]) * _SQ2)
 HY = _gate("Hy", np.array([[1, -1], [1, 1]]) * _SQ2)
 # Real version of Pauli Y (= XZ, i.e. -i times the usual Y).
 Y = _gate("Y", [[0, -1], [1, 0]])
-YINV = _gate("Yinv", [[0, 1], [-1, 0]])
 
 SWAP = _gate("S", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 W = _gate(
@@ -70,9 +66,6 @@ W = _gate(
     ],
 )
 CX = _gate("CX", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-CZ = _gate("CZ", np.diag([1, 1, 1, -1]))
-# Control-Phase(i); documented constant only, used in no synthesized identity.
-CPHASE_I = _gate("CP_i", np.diag([1, 1, 1, 1j]))
 
 TOFFOLI = _gate("T", np.eye(8)[:, [0, 1, 2, 3, 4, 5, 7, 6]])
 # Control-Control-Y on the real Y above.
@@ -160,11 +153,11 @@ def apply_gate(state: QubitState, gate: Gate, targets: tuple[int, ...]) -> Qubit
 
 # --- identity synthesis ----------------------------------------------------
 #
-# A GateSequence is a list of (Gate, targets) in matrix-product order: the
-# LAST element of the list is applied to the state first.  This lets the
-# tables below read exactly like the algebra they implement.
+# A GateSequence is a sequence of (Gate, targets) in matrix-product order:
+# the LAST element is applied to the state first.  This lets the table below
+# read exactly like the algebra it implements.
 
-GateSequence = list[tuple[Gate, tuple[int, ...]]]
+GateSequence = Sequence[tuple[Gate, tuple[int, ...]]]
 
 
 def sequence_matrix(seq: GateSequence, n: int) -> np.ndarray:
@@ -177,70 +170,34 @@ def sequence_matrix(seq: GateSequence, n: int) -> np.ndarray:
     return out
 
 
-def _rep(gate: Gate, targets: tuple[int, ...], k: int) -> GateSequence:
-    return [(gate, targets)] * k
+def _rep(gate: Gate, targets: tuple[int, ...], k: int) -> tuple:
+    return ((gate, targets),) * k
 
 
-_IDENTITY_TABLE: dict[str, tuple] = {}
+_SWAP12 = ((SWAP, (1, 2)),)
 
-
-def _register(name, seq, target_gate):
-    _IDENTITY_TABLE[name] = (seq, target_gate)
-
-
-_register(
-    "Z",
-    _rep(W, (1, 2), 4) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 4) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 4),
-    _gate("IxZ", np.kron(np.eye(2), Z.matrix)),
-)
-# W equals Hy controlled on the left qubit; this is the ancilla realization
-# of Hy (control held at |1>) stated as an exact matrix identity.
-_register("Hy", [(W, (1, 2))], controlled(HY))
-_register("H", [(HY, (1,)), (Z, (1,))], H)
-_register("X", [(H, (1,)), (Z, (1,)), (H, (1,))], X)
-_register(
-    "CX",
-    _rep(W, (1, 2), 2) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 6) + [(SWAP, (1, 2))]
-    + _rep(W, (1, 2), 2) + [(SWAP, (1, 2))] + _rep(W, (1, 2), 6),
-    CX,
-)
-_register("Y", [(X, (1,)), (Z, (1,))], Y)
-_register(
-    "L2Y_TH",
-    [(TOFFOLI, (1, 2, 3)), (H, (3,)), (TOFFOLI, (1, 2, 3)), (H, (3,))],
-    CCY,
-)
-_register(
-    "L2Y_W",
-    [(X, (1,)), (X, (2,)), (Y, (3,))]
-    + _rep(W, (1, 3), 3)
-    + [(CX, (1, 2))]
-    + _rep(W, (2, 3), 3)
-    + [(CX, (1, 2))]
-    + _rep(W, (2, 3), 3)
-    + [(X, (2,)), (X, (1,))],
-    CCY,
-)
-
-
-def identity_names() -> list[str]:
-    return list(_IDENTITY_TABLE)
-
-
-def synth(name: str) -> GateSequence:
-    """Gate sequence realizing one of the named W-gate identities."""
-    try:
-        return list(_IDENTITY_TABLE[name][0])
-    except KeyError:
-        raise UnknownIdentityError(f"unknown identity {name!r}; choose from {identity_names()}")
-
-
-def identity_target(name: str) -> Gate:
-    """The gate each synthesized sequence must reproduce."""
-    try:
-        return _IDENTITY_TABLE[name][1]
-    except KeyError:
-        raise UnknownIdentityError(f"unknown identity {name!r}; choose from {identity_names()}")
+# name -> (gate sequence, the gate it must reproduce); each sequence is a
+# tuple, so no reader can change the table.
+IDENTITIES: dict[str, tuple[GateSequence, Gate]] = {
+    "Z": (_rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4),
+          _gate("IxZ", np.kron(np.eye(2), Z.matrix))),
+    # W equals Hy controlled on the left qubit; this is the ancilla realization
+    # of Hy (control held at |1>) stated as an exact matrix identity.
+    "Hy": (((W, (1, 2)),), controlled(HY)),
+    "H": (((HY, (1,)), (Z, (1,))), H),
+    "X": (((H, (1,)), (Z, (1,)), (H, (1,))), X),
+    "CX": (_rep(W, (1, 2), 2) + _SWAP12 + _rep(W, (1, 2), 6) + _SWAP12
+           + _rep(W, (1, 2), 2) + _SWAP12 + _rep(W, (1, 2), 6), CX),
+    "Y": (((X, (1,)), (Z, (1,))), Y),
+    "L2Y_TH": (((TOFFOLI, (1, 2, 3)), (H, (3,)), (TOFFOLI, (1, 2, 3)), (H, (3,))), CCY),
+    "L2Y_W": (((X, (1,)), (X, (2,)), (Y, (3,)))
+              + _rep(W, (1, 3), 3)
+              + ((CX, (1, 2)),)
+              + _rep(W, (2, 3), 3)
+              + ((CX, (1, 2)),)
+              + _rep(W, (2, 3), 3)
+              + ((X, (2,)), (X, (1,))), CCY),
+}
 
 
 def check_identity(seq: GateSequence, target: Gate) -> float:

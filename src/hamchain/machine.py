@@ -17,14 +17,16 @@ A configuration class supplies `registers` (a tuple, rewritten registers
 first), `ring`, `rebuild(registers)` and `dump(t)`; a Machine adds its rules,
 its live symbols and its gate event.  A configuration checks its symbols
 where it is built: from outside (a machine's initial one, a test's) and as
-a Stepper's snapshot.  A Stepper steps one configuration in place: a step
-applies its rule instance's edit, the writes that change a cell, so it
-touches only the rule's window, and writes only symbols of the tables.
+a Stepper's snapshot.  A Stepper is the one way to step: it steps one
+configuration in place, forward or backward, and a step applies its rule
+instance's edit, the writes that change a cell, so it touches only the
+rule's window, and writes only symbols of the tables.  To step an immutable
+configuration, start a Stepper on it and take its snapshot.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import gates
 
@@ -101,13 +103,6 @@ class Machine:
         cell j, backward if `reverse`."""
         src = rule.post if reverse else rule.pre
         return _holds(c.registers, c.ring, j, src + rule.conditions)
-
-    def step(self, c, reverse: bool):
-        """(successor of configuration c, event on the edge), or the predecessor
-        if `reverse`; None when no rule matches, RuleEngineError when several do."""
-        state = Stepper(self, c)
-        hit = state.step(reverse)
-        return None if hit is None else (state.snapshot(), hit[2])
 
 
 class Stepper:
@@ -210,8 +205,10 @@ class History:
     machine again from `first`, in place, and takes one snapshot per index,
     so a history costs O(L + events) memory rather than O(T L).
 
-    Every event has a `round`, 0 for a ham8 scaffold firing, and answers
-    `gate(circuit)` with (4x4 unitary, logical pair) or None.
+    An event's transition index is its key; it stores no copy of it.  Every
+    event has a `round`, 0 for a ham8 scaffold firing, and answers
+    `gate(circuit)` with (4x4 unitary, logical pair), or None when it fires
+    nothing: an identity slot or a scaffold firing.
     """
 
     first: object
@@ -222,12 +219,12 @@ class History:
     @classmethod
     def record(cls, first, machine: Machine) -> History:
         """The history stepped in place from `first`, keeping each event
-        with its transition index as `step`; no configuration is built."""
+        under its transition index; no configuration is built."""
         history = cls(first, machine)
         state, t = Stepper(machine, first), 0
         while (step := state.step()) is not None:
             if step[2] is not None:
-                history.events[t] = replace(step[2], step=t)
+                history.events[t] = step[2]
             t += 1
         history.T = t
         return history
@@ -241,7 +238,7 @@ class History:
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""
-        return max((ev.step for ev in self.events.values() if 0 < ev.round <= r), default=-1)
+        return max((t for t, ev in self.events.items() if 0 < ev.round <= r), default=-1)
 
     def registers(self, circuit, initial: gates.QubitState):
         """Register state at t = 0..T: `initial` with the gates of the events

@@ -11,11 +11,9 @@ accepted index t comes from the register at t.  This is exact because
 distinct configurations are orthogonal basis patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
-the acceptance threshold past that gate, and every later event is an
-identity of a padding round or a silent ham8 scaffold firing.  Multiplying
-by an identity changes at most the sign of a zero amplitude, which the
-readout's |amplitude|^2 removes, so every accepted index reads the same
-register bit for bit.
+the acceptance threshold past that gate, and no event after it fires: each
+is an identity slot of a padding round or a ham8 scaffold firing, whose
+gate is None.  So every accepted index reads that register bit for bit.
 """
 from __future__ import annotations
 

@@ -4,13 +4,15 @@ None of these runs in a command: `walk.propagate` and the closed-form tails
 replace the dense eigensystem, and `circuit.simulate_circuit` replaces the
 circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose,
 except `odd_extension_rows`, the propagator kernel `walk.propagate` used
-before its half-length transform.
+before its half-length transform, and `step_config`, which steps an
+immutable configuration with a Stepper and its snapshot.
 """
 import numpy as np
 
 from hamchain import gates
 from hamchain.circuit import Circuit
 from hamchain.gates import GateSequence
+from hamchain.machine import Stepper
 from hamchain.walk import _angles
 
 
@@ -64,3 +66,11 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Dense 2^n unitary of the whole circuit (test/oracle helper)."""
     seq: GateSequence = list(reversed(circuit.applications()))
     return gates.sequence_matrix(seq, circuit.n)
+
+
+def step_config(machine, c, reverse: bool = False):
+    """(successor of configuration c, event on the edge), or the predecessor
+    if `reverse`; None when no rule matches, RuleEngineError when several do."""
+    state = Stepper(machine, c)
+    hit = state.step(reverse)
+    return None if hit is None else (state.snapshot(), hit[2])

@@ -16,6 +16,8 @@ from hamchain import gates
 from hamchain.circuit import Circuit
 from hamchain.machine import Stepper
 
+from oracles import step_config
+
 SIZES = [(n, R) for n in (2, 3, 4) for R in (1, 2, 3)]
 
 # The readable tables, copied verbatim, over their symbols spelled out.
@@ -94,8 +96,8 @@ def oracle_step5(c, reverse):
     if name == "1":
         # the gate's pair is the rank of the g placeholder the window starts on
         rank = sum(sym in "qg" for sym in c.symbols[:s])
-        event = f5.GateEvent(step=-1, m=-1, round=(s - 2) // (2 * c.lattice.n) + 1,
-                             position=rank, forward=not reverse)
+        event = f5.GateEvent(round=(s - 2) // (2 * c.lattice.n) + 1, position=rank,
+                             forward=not reverse)
     return f5.Config5(c.lattice, tuple(syms)), event
 
 
@@ -162,8 +164,7 @@ def oracle_step8(c, reverse):
     event = None
     if name == "4a":
         pair = (_read8(c, "d", j), _read8(c, "d+", j))
-        event = e8.GateEvent8(step=-1, m=0, round=0, cell=j, letter=letter, pair=pair,
-                              forward=not reverse)
+        event = e8.GateEvent8(round=0, cell=j, letter=letter, pair=pair, forward=not reverse)
     return e8.Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas), event
 
 
@@ -176,6 +177,14 @@ def outcome(step, c, reverse):
         if isinstance(exc, ReadsPlaceholder) or "placeholder" in str(exc):
             return "placeholder"
         return "ambiguous"
+
+
+def engine_step5(c, reverse):
+    return step_config(f5.MACHINE, c, reverse)
+
+
+def engine_step8(c, reverse):
+    return step_config(e8.MACHINE, c, reverse)
 
 
 def engine_matches8(c, reverse):
@@ -215,7 +224,7 @@ def test_ham5_matches_full_scan_oracle(n, R):
     for c in configs:
         for reverse in (False, True):
             assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
-            assert outcome(f5.MACHINE.step, c, reverse) == outcome(oracle_step5, c, reverse)
+            assert outcome(engine_step5, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
 @pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
@@ -227,9 +236,9 @@ def test_ham8_matches_cursor_scan_oracle(n, R, boundary):
         for reverse in (False, True):
             assert (outcome(engine_matches8, c, reverse)
                     == outcome(oracle_matches8, c, reverse))
-            assert outcome(e8.MACHINE.step, c, reverse) == outcome(oracle_step8, c, reverse)
+            assert outcome(engine_step8, c, reverse) == outcome(oracle_step8, c, reverse)
     # the ring's extra backward match at t=0 is reproduced, not filtered out
-    back = e8.backward_step8(configs[0])
+    back = Stepper(e8.MACHINE, configs[0]).step(reverse=True)
     assert (back is not None) == (boundary == e8.PERIODIC_X)
 
 
@@ -245,7 +254,7 @@ def test_ham5_perturbed_configurations_match_the_oracle():
                 c = f5.Config5(c0.lattice, tuple(syms))
                 for reverse in (False, True):
                     assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
-                    assert outcome(f5.MACHINE.step, c, reverse) == outcome(oracle_step5, c, reverse)
+                    assert outcome(engine_step5, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
 @pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
@@ -262,7 +271,7 @@ def test_ham8_perturbed_configurations_match_the_oracle(boundary):
                 for reverse in (False, True):
                     assert (outcome(engine_matches8, c, reverse)
                             == outcome(oracle_matches8, c, reverse))
-                    assert outcome(e8.MACHINE.step, c, reverse) == outcome(oracle_step8, c, reverse)
+                    assert outcome(engine_step8, c, reverse) == outcome(oracle_step8, c, reverse)
 
 
 def test_ham8_condition_on_a_placeholder_raises_in_both():
@@ -274,9 +283,9 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
     cursors[-1], cursors[j - 1] = e8.STAR, e8.TUR
     progs = ["."] * c0.ncells
     c = e8.Config8(c0.layout, c0.boundary, tuple(cursors), tuple(progs), c0.datas)
-    assert outcome(e8.MACHINE.step, c, False) == outcome(oracle_step8, c, False) == "placeholder"
+    assert outcome(engine_step8, c, False) == outcome(oracle_step8, c, False) == "placeholder"
     with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j}"):
-        e8.MACHINE.step(c, False)
+        Stepper(e8.MACHINE, c).step()
 
 
 def test_ham5_live_symbols_far_apart_are_both_found():
@@ -291,4 +300,4 @@ def test_ham5_live_symbols_far_apart_are_both_found():
     assert Stepper(f5.MACHINE, c).matches(False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
     message = f"2 rule instances match forward: [(1, '6a'), ({L - 2}, '7b')]"
     with pytest.raises(f5.RuleEngineError, match=re.escape(message)):
-        f5.MACHINE.step(c, False)
+        Stepper(f5.MACHINE, c).step()

@@ -6,19 +6,16 @@ from hypothesis import strategies as st
 
 from hamchain import gates
 from hamchain.gates import (
+    IDENTITIES,
     IDENTITY_TOL,
     Gate,
     InvalidTargetError,
     QubitState,
-    UnknownIdentityError,
     apply_gate,
     check_identity,
     controlled,
     full_matrix,
-    identity_names,
-    identity_target,
     sequence_matrix,
-    synth,
 )
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -26,8 +23,7 @@ SQ2 = 1.0 / np.sqrt(2.0)
 
 def test_all_named_constants_are_unitary():
     for g in (gates.I1, gates.Z, gates.X, gates.H, gates.HY, gates.Y,
-              gates.YINV, gates.SWAP, gates.W, gates.CX, gates.CZ,
-              gates.CPHASE_I, gates.TOFFOLI, gates.CCY):
+              gates.SWAP, gates.W, gates.CX, gates.TOFFOLI, gates.CCY):
         dev = np.max(np.abs(g.matrix.conj().T @ g.matrix - np.eye(2**g.arity)))
         assert dev <= IDENTITY_TOL, g.label
 
@@ -108,8 +104,8 @@ def test_apply_gate_preserves_norm(state, name, i):
 
 
 def test_every_registered_identity_holds():
-    for name in identity_names():
-        dev = check_identity(synth(name), identity_target(name))
+    for name, (seq, target) in IDENTITIES.items():
+        dev = check_identity(seq, target)
         assert dev <= IDENTITY_TOL, f"{name}: dev={dev:.3e}"
 
 
@@ -119,15 +115,15 @@ def test_w_to_the_eighth_is_identity():
 
 
 def test_z_word_application_count():
-    assert len(synth("Z")) == 14  # 4+1+4+1+4 two-qubit applications
+    assert len(IDENTITIES["Z"][0]) == 14  # 4+1+4+1+4 two-qubit applications
 
 
 def test_cx_word_application_count():
-    assert len(synth("CX")) == 19  # 2+1+6+1+2+1+6
+    assert len(IDENTITIES["CX"][0]) == 19  # 2+1+6+1+2+1+6
 
 
 def test_both_ccy_realizations_agree():
-    assert np.allclose(identity_target("L2Y_TH").matrix, identity_target("L2Y_W").matrix)
+    assert np.allclose(IDENTITIES["L2Y_TH"][1].matrix, IDENTITIES["L2Y_W"][1].matrix)
 
 
 def test_empty_sequence_is_exact_identity():
@@ -139,11 +135,9 @@ def test_check_identity_rejects_dimension_mismatch():
         check_identity([(gates.SWAP, (1, 2))], gates.Z)
 
 
-def test_unknown_identity_name_raises():
-    with pytest.raises(UnknownIdentityError):
-        synth("nope")
-    with pytest.raises(UnknownIdentityError):
-        identity_target("nope")
+def test_identity_sequences_are_tuples():
+    # no reader of the table can change a sequence in place
+    assert all(isinstance(seq, tuple) for seq, _ in IDENTITIES.values())
 
 
 def test_sequence_matrix_is_matrix_product_order():

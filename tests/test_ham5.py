@@ -1,10 +1,13 @@
 """Five-state machine: layout, rule engine, history enumeration, local terms."""
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from hamchain import five_state as f5
 from hamchain import machine, walk
+
+from oracles import step_config
 
 # Transition counts measured directly from the rule engine and frozen here.
 # They exceed the quoted closed form (R-1)(3n^2+n)+n+1 by R-2, so the two
@@ -59,8 +62,8 @@ def test_trace_ends_at_final_configuration():
     tr = f5.enumerate_history5(3, 2)
     configs = list(tr.configs())
     assert tr.T == 34
-    assert f5.MACHINE.step(configs[-1], False) is None
-    assert f5.backward_step5(configs[0]) is None
+    assert machine.Stepper(f5.MACHINE, configs[-1]).step() is None
+    assert machine.Stepper(f5.MACHINE, configs[0]).step(reverse=True) is None
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (3, 2), (2, 3), (4, 2)])
@@ -73,10 +76,14 @@ def test_uniqueness_reversibility_distinctness(n, R):
         bwd = machine.Stepper(f5.MACHINE, c).matches(True)
         assert len(fwd) == (0 if t == tr.T else 1)
         assert len(bwd) == (0 if t == 0 else 1)
-        if t < tr.T:
-            nxt, _ = f5.MACHINE.step(c, False)
-            back, _ = f5.backward_step5(nxt)
-            assert back == c
+    # the backward step from c_{t+1} undoes the forward step from c_t and
+    # fires the same event backward
+    state = machine.Stepper(f5.MACHINE, tr.first)
+    for _ in range(tr.T):
+        edit, undo, event = state.step()
+        back = None if event is None else dataclasses.replace(event, forward=False)
+        assert state.step(reverse=True) == (undo, edit, back)
+        state.apply(edit)
 
 
 @pytest.mark.parametrize("n,R", sorted(ENGINE_T))
@@ -121,7 +128,6 @@ def test_gate_events_cover_schedule_in_order(n, R):
     assert [(e.round, e.position) for e in events] == [
         (r, i) for r in range(1, R + 1) for i in range(1, n)
     ]
-    assert [e.m for e in events] == list(range(1, len(events) + 1))
     assert all(e.qubits == (e.position, e.position + 1) for e in events)
 
 
@@ -130,7 +136,7 @@ def test_rule_engine_flags_ambiguity():
     lat = f5.Lattice5(2, 2)
     syms = [f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.BUL]
     with pytest.raises(f5.RuleEngineError):
-        f5.MACHINE.step(f5.Config5(lat, tuple(syms)), False)
+        machine.Stepper(f5.MACHINE, f5.Config5(lat, tuple(syms))).step()
 
 
 def test_local_terms_have_one_gate_term_per_slot():
@@ -178,8 +184,8 @@ def test_gate_event_position_is_the_rank_of_the_g_placeholder(n, R):
     # placeholder, since placeholders keep their order
     configs = list(f5.enumerate_history5(n, R).configs())
     for t, c in enumerate(configs[:-1]):
-        for c_from, reverse, (_, event) in ((c, False, f5.MACHINE.step(c, False)),
-                                             (configs[t + 1], True, f5.backward_step5(configs[t + 1]))):
+        for c_from, reverse in ((c, False), (configs[t + 1], True)):
+            _, event = step_config(f5.MACHINE, c_from, reverse)
             if event is None:
                 continue
             ((s, name),) = machine.Stepper(f5.MACHINE, c_from).matches(reverse)
@@ -196,4 +202,4 @@ def test_configs_steps_the_history_again(scheme, ws_circuit_3q2r):
     assert len(configs) == tr.T + 1
     assert configs[0] == tr.first
     assert list(tr.configs()) == configs
-    assert tr.machine.step(configs[-1], False) is None
+    assert machine.Stepper(tr.machine, configs[-1]).step() is None

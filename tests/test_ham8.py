@@ -1,4 +1,5 @@
 """Eight-state translation-invariant machine: layout, rules, histories."""
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -67,7 +68,7 @@ def test_final_configuration_shape(ws_circuit_3q2r):
     # program word shifted fully left, data pattern unchanged
     assert last.progs[:9] == (".",) + configs[0].layout.program
     assert last.datas == configs[0].datas
-    assert e8.MACHINE.step(last, False) is None
+    assert machine.Stepper(e8.MACHINE, last).step() is None
 
 
 @pytest.mark.parametrize("n", range(2, 5))
@@ -83,24 +84,32 @@ def test_uniqueness_reversibility_distinctness(n, R, ws_circuit_3q2r, w_circuit_
     configs = list(tr.configs())
     keys = [(c.cursors, c.progs) for c in configs]
     assert len(set(keys)) == len(keys)
-    for t, c in enumerate(configs):
-        if t < tr.T:
-            nxt, _ = e8.MACHINE.step(c, False)
-            back, _ = e8.backward_step8(nxt)
-            assert back == c
-        else:
-            assert e8.MACHINE.step(c, False) is None
-    assert e8.backward_step8(configs[0]) is None
+    # the backward step from c_{t+1} undoes the forward step from c_t and
+    # fires the same event backward
+    assert machine.Stepper(e8.MACHINE, configs[0]).step(reverse=True) is None
+    state = machine.Stepper(e8.MACHINE, tr.first)
+    for _ in range(tr.T):
+        assert_steps_back(state)
+    assert state.step() is None
+
+
+def assert_steps_back(state):
+    """Step `state` forward, then check that the backward step undoes it and
+    fires the same event backward, and step forward again."""
+    edit, undo, event = state.step()
+    back = None if event is None else dataclasses.replace(event, forward=False)
+    assert state.step(reverse=True) == (undo, edit, back)
+    state.apply(edit)
 
 
 def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    logical = [ev for _, ev in sorted(tr.events.items()) if ev.m > 0]
-    assert [(ev.step, ev.m, ev.letter) for ev in logical] == [
-        (14, 1, "W"), (16, 2, "S"), (138, 3, "S"), (140, 4, "W"),
+    logical = [(t, ev) for t, ev in sorted(tr.events.items()) if ev.logical_qubits()]
+    assert [(t, ev.letter) for t, ev in logical] == [
+        (14, "W"), (16, "S"), (138, "S"), (140, "W"),
     ]
     u = np.eye(8, dtype=complex)
-    for ev in logical:
+    for _, ev in logical:
         from hamchain.gates import full_matrix
         u = full_matrix(ev.unitary(), ev.logical_qubits(), 3) @ u
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
@@ -122,29 +131,26 @@ def test_full_dump_digest(ws_circuit_3q2r, boundary):
 def test_events_carry_their_round(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
     events = [ev for _, ev in sorted(tr.events.items())]
-    assert [(ev.m, ev.round) for ev in events if ev.m > 0] == [(1, 1), (2, 1), (3, 2), (4, 2)]
-    assert all(ev.round == 0 for ev in events if ev.m == 0)
+    assert [ev.round for ev in events if ev.logical_qubits()] == [1, 1, 2, 2]
+    assert all(ev.round == 0 for ev in events if ev.logical_qubits() is None)
     assert tr.last_real_step(1) == 16 and tr.last_real_step(2) == 140
 
 
 def test_scaffold_firings_are_silent(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
     for ev in tr.events.values():
-        if ev.m == 0:
+        if ev.logical_qubits() is None:
             assert ev.unitary() is None
 
 
 def test_gate_on_scaffold_detection():
-    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="W", pair=("0", "w1"),
-                       forward=True)
+    ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("0", "w1"), forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
         ev.unitary()
-    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="W", pair=("1", "0"),
-                       forward=True)
+    ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("1", "0"), forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
         ev.unitary()  # W maps |10> off itself
-    ev = e8.GateEvent8(step=0, m=0, round=0, cell=1, letter="S", pair=("0", "0"),
-                       forward=True)
+    ev = e8.GateEvent8(round=0, cell=1, letter="S", pair=("0", "0"), forward=True)
     assert ev.unitary() is None  # swap fixes |00>
 
 
@@ -175,11 +181,11 @@ def test_periodic_variant_reversible_after_first_step(w_circuit_2q):
     # is only forward-terminated; every later configuration reverses cleanly.
     trp = e8.enumerate_history8(w_circuit_2q, e8.PERIODIC_X)
     ring_configs = list(trp.configs())
-    assert e8.backward_step8(ring_configs[0]) is not None
-    for t in range(1, trp.T):
-        nxt, _ = e8.MACHINE.step(ring_configs[t], False)
-        back, _ = e8.backward_step8(nxt)
-        assert back == ring_configs[t]
+    assert machine.Stepper(e8.MACHINE, ring_configs[0]).step(reverse=True) is not None
+    state = machine.Stepper(e8.MACHINE, trp.first)
+    state.step()
+    for _ in range(1, trp.T):
+        assert_steps_back(state)
 
 
 def test_rule_engine_flags_ambiguity(w_circuit_2q):
@@ -187,8 +193,8 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
     cursors = list(c0.cursors)
     cursors[1] = e8.MOVL  # second cursor alongside the real one
     with pytest.raises(e8.RuleEngineError):
-        e8.MACHINE.step(e8.Config8(c0.layout, c0.boundary, tuple(cursors),
-                                   c0.progs, c0.datas), False)
+        machine.Stepper(e8.MACHINE, e8.Config8(c0.layout, c0.boundary, tuple(cursors),
+                                               c0.progs, c0.datas)).step()
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):

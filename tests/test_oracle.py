@@ -12,6 +12,8 @@ from hamchain import gates, machine, subspace, walk
 from hamchain.circuit import Circuit
 from hamchain.gates import QubitState
 
+from oracles import step_config
+
 
 def test_certify_ham5_reference_instance(ws_circuit_3q2r):
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
@@ -83,9 +85,8 @@ def test_backward_event_undoes_the_forward_gate(scheme):
     history = walk.enumerate_history(scheme, circuit)
     configs = list(history.configs())
     registers = list(history.registers(circuit, QubitState.basis("10")))
-    backward = f5.backward_step5 if scheme == "ham5" else e8.backward_step8
     for t in range(history.T):
-        back, event = backward(configs[t + 1])
+        back, event = step_config(history.machine, configs[t + 1], reverse=True)
         assert back == configs[t]
         assert (event is None) == (t not in history.events)
         q = machine.fire(event, circuit, registers[t + 1])
@@ -293,7 +294,7 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     T = f5.step_count_formula5(n, R)
     last = list(f5.enumerate_history5(n, R).configs())[T - 1]
     ((s, name),) = machine.Stepper(f5.MACHINE, last).matches(False)
-    event = f5.MACHINE.step(last, False)[1]
+    event = machine.Stepper(f5.MACHINE, last).step()[2]
     assert name == "1" and (event.round, event.position) == (R, n - 1)
     terms = machine.local_terms(f5.MACHINE, last)
     kept = [term for term in terms if (term.position, term.rule.name) != (s, "1")]

@@ -24,11 +24,6 @@ import hamchain
 
 # function -> why no command or benchmark job runs it
 UNREACHED = {
-    "five_state.backward_step5": "tests only; a search of the local terms from "
-                                 "c0 replaces it (ROADMAP item 2)",
-    "eight_state.backward_step8": "tests only; the same search replaces it",
-    "machine.Machine.step": "one step of an immutable configuration, for backward_step5/8 "
-                            "and the tests; it goes with them",
     "walk.evolve": "the complex amplitudes, criterion 6's API documented in README",
 }
 
@@ -140,6 +135,8 @@ def test_every_function_runs_in_a_command_or_the_benchmark(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     got = set(done.stdout.split())
+    gone = set(UNREACHED) - set(_defined_functions())
+    assert gone == set(), "no longer defined; drop them from UNREACHED"
     assert got - set(UNREACHED) == set(), "only tests call these; delete or move them"
     assert set(UNREACHED) - got == set(), "these now run; drop them from UNREACHED"
 

@@ -113,10 +113,21 @@ def test_sampled_step_distribution_chi_square():
     assert p_value > 0.001
 
 
+@pytest.mark.parametrize("scheme", ["ham5", "ham8"])
+def test_only_the_real_gates_fire(scheme):
+    # identity slots, those of padding rounds too, and ham8 scaffold
+    # firings fire nothing, so the register after the last real gate is
+    # every later register
+    circuit = Circuit(3, 4, {(1, 1): gates.W, (2, 2): gates.SWAP})
+    history = walk.enumerate_history(scheme, circuit)
+    fired = [ev for _, ev in sorted(history.events.items()) if ev.gate(circuit) is not None]
+    assert [(ev.round, ev.gate(circuit)[1]) for ev in fired] == [(1, (1, 2)), (2, (2, 3))]
+
+
 def test_every_accepted_shot_has_all_real_gates_fired(w_circuit_2q):
     plan = RunPlan(w_circuit_2q, "ham5", shots=500, seed=9, initial="10")
     trace, _, _, last_real = runner.padded_history(plan)
-    assert last_real == max(ev.step for ev in trace.events.values() if ev.round == 1)
+    assert last_real == max(t for t, ev in trace.events.items() if ev.round == 1)
     report = run(plan)
     for t, acc in zip(report.steps, report.accepted):
         if acc:

@@ -441,10 +441,10 @@ def test_enumeration_builds_as_many_configurations_at_any_length(scheme, config,
 def events_last_real(scheme: str, trace, n: int, r: int) -> int:
     """Step of the last gate of rounds 1..r, read off the trace's events."""
     if scheme == "ham5":
-        real = [ev.step for ev in trace.events.values() if ev.round <= r]
-    else:
-        real = [ev.step for ev in trace.events.values() if 0 < ev.m <= r * (n - 1)]
-    return max(real)
+        return max(t for t, ev in trace.events.items() if ev.round <= r)
+    # ham8: the r(n-1)-th logical firing, counted from the events' pairs
+    logical = [t for t, ev in sorted(trace.events.items()) if ev.logical_qubits()]
+    return logical[r * (n - 1) - 1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
