@@ -19,8 +19,10 @@ def main(argv=None) -> int:
                     default=[1, 3, 10, 30, 100, 300, 1000],
                     help="averaging horizons as multiples of T")
     args = ap.parse_args(argv)
+    # every tail is computed before anything is printed, so bad input ends
+    # in one error line and an empty stdout
     try:
-        specs = [walk.WalkSpec(args.T, args.q, f * args.T) for f in args.factors]
+        tails = [walk.tail_prob(args.T, args.q, f * args.T) for f in args.factors]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -29,8 +31,7 @@ def main(argv=None) -> int:
     print(f"# T={args.T} q={args.q} threshold={walk.tail_threshold(args.T, args.q)} "
           f"limit={limit:.12g} target=(q-1)/q={1 - 1 / args.q:.12g}")
     print("tau0_over_T,tail_prob,residual,residual_times_tau0_over_T")
-    for f, spec in zip(args.factors, specs):
-        tail = walk.tail_prob(spec.T, spec.q, spec.tau0)
+    for f, tail in zip(args.factors, tails):
         resid = abs(tail - limit)
         print(f"{f:g},{tail:.12g},{resid:.6g},{resid * f:.6g}")
     return 0

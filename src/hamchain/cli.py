@@ -6,10 +6,11 @@ when first given that scheme (walk.scheme_module), and `verify` imports
 subspace itself, so `evolve --T` loads no machine and `sample` no subspace.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(a file that cannot be read or written included), or a run the engines or
-the padding plan refuse (RuleEngineError, PaddingError).  Errors end in one
-`error: ...` line on stderr, not a traceback.  A reader that closes stdout
-early (`... | head`) ends the output quietly; the command keeps its code.
+(a file that cannot be read or written included), a run the engines or
+the padding plan refuse (RuleEngineError, PaddingError), or a run out of
+memory.  Errors end in one `error: ...` line on stderr, not a traceback.
+A reader that closes stdout early (`... | head`) ends the output quietly;
+the command keeps its code.
 """
 from __future__ import annotations
 
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("trace", help="dump the full rewrite history of a circuit")
     t.add_argument("circuit")
-    t.add_argument("--scheme", choices=["ham5", "ham8"], required=True)
+    t.add_argument("--scheme", choices=walk.SCHEME_MODULES, required=True)
     t.add_argument("--periodic-x", action="store_true",
                    help="ham8 only: ring geometry with an immovable stopper cell")
     t.add_argument("--out")
@@ -208,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)")
     ev.add_argument("circuit", nargs="?")
     ev.add_argument("--T", type=int, help="history length directly (skip the circuit)")
-    ev.add_argument("--scheme", choices=["ham5", "ham8"], help="needed with a circuit")
+    ev.add_argument("--scheme", choices=walk.SCHEME_MODULES, help="needed with a circuit")
     ev.add_argument("--taus", required=True, help="comma-separated times")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_evolve)
 
     sa = sub.add_parser("sample", help="run the measurement protocol")
     sa.add_argument("circuit")
-    sa.add_argument("--scheme", choices=["ham5", "ham8"], required=True)
+    sa.add_argument("--scheme", choices=walk.SCHEME_MODULES, required=True)
     sa.add_argument("--q", type=int, default=6)
     sa.add_argument("--tau0", type=float)
     sa.add_argument("--shots", type=int, default=1000)
@@ -248,6 +249,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError, walk.PaddingError, RuleEngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except SystemExit as exc:
         if isinstance(exc.code, str):

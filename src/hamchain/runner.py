@@ -30,8 +30,6 @@ from .gates import QubitState, check_register_size
 
 GENERATOR_NAME = "numpy-default_rng-PCG64"
 
-SCHEMES = ("ham5", "ham8")
-
 MAX_SHOTS = 10**7  # most shots in one run, which keeps arrays and a report line per shot
 
 
@@ -46,8 +44,8 @@ class RunPlan:
     initial: str | None = None  # bit string; None: all zeros
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if self.scheme not in walk.SCHEME_MODULES:
+            raise ValueError(f"scheme must be one of {tuple(walk.SCHEME_MODULES)}")
         if not 1 <= self.shots <= MAX_SHOTS or self.q < 2:
             raise ValueError(f"need 1 <= shots <= {MAX_SHOTS} and q >= 2")
         if self.tau0 is not None and not 0 < self.tau0 < math.inf:
@@ -136,18 +134,13 @@ def padded_history(plan: RunPlan):
 def draw_steps(rows: np.ndarray, u: np.ndarray, T: int) -> np.ndarray:
     """History index drawn for each of `walk.propagate`'s real rows D by its
     uniform in `u`; `walk.propagate` runs it on the batch's worker thread.
-    In place, each row becomes the cumulative distribution of |c_t|^2 =
-    D_t^2 normalised by its row sum, and the index is min(#{t: cdf_t <= u},
-    T), which is searchsorted(cdf, u, side="right") on a non-decreasing row.
-    A row whose sum is off 1 by more than walk.NORM_TOL, as at a time too
-    large to evolve to, raises."""
-    probs = np.square(rows, out=rows)
-    norms = probs.sum(axis=1, keepdims=True)
-    bad = ~(np.abs(norms - 1.0) <= walk.NORM_TOL)  # NaN is bad too
-    if bad.any():
-        raise ValueError(f"walk amplitudes not normalized: {norms[bad][0]}")
-    probs /= norms
-    cdf = np.cumsum(probs, axis=1, out=probs)
+    In place, `walk.probabilities` squares each row into |c_t|^2 = D_t^2
+    and checks its norm, and the row becomes the cumulative distribution
+    normalised by its row sum.  The index is min(#{t: cdf_t <= u}, T),
+    which is searchsorted(cdf, u, side="right") on a non-decreasing row."""
+    norms = walk.probabilities(rows)
+    rows /= norms[:, None]
+    cdf = np.cumsum(rows, axis=1, out=rows)
     return np.minimum(np.count_nonzero(cdf <= u[:, None], axis=1), T)
 
 

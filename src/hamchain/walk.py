@@ -16,8 +16,8 @@ The eigenbasis is a discrete sine basis, so `propagate` evaluates the
 propagator for a batch of times as type-I DSTs on every core: one real DST
 per time, since the line is bipartite and c_t = i^(t mod 2) D_t with D
 real, each taken from one numpy real FFT of length T+2 into buffers each
-worker reuses.  The sampler (`runner.run`) draws its steps from D on the
-workers; `evolve` reads copies of the rows.  It needs numpy alone.
+worker reuses.  Each batch goes to a `finish` on its worker, which draws
+the sampler's steps or formats the `evolve` table.  It needs numpy alone.
 `tail_prob` sums the time-averaged tail in closed form from one O(T)
 table, in O(T^2) time and O(T) memory, and `tail_prob_limit` is its
 tau0 -> infinity limit.  The dense hopping matrix,
@@ -32,7 +32,6 @@ import os
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from io import StringIO
 from itertools import chain, islice
 
@@ -40,38 +39,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    T: int
-    q: int
-    tau0: float
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("need T >= 1")
-        if self.q < 2:
-            raise ValueError("need q >= 2")
-        if not (self.tau0 > 0 and math.isfinite(self.tau0)):
-            raise ValueError(f"need a finite tau0 > 0, got {self.tau0}")
-
-
 NORM_TOL = 1e-9  # most |sum_t |c_t|^2 - 1| of a propagator row that is used
 
 
-@dataclass(frozen=True)
-class WalkAmplitudes:
-    tau: float
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", a)
-        norm = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-            raise ValueError(f"walk amplitudes not normalized: {norm}")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
+def probabilities(rows: np.ndarray) -> np.ndarray:
+    """Square `propagate`'s rows D in place into |c_t|^2 and return each row's
+    sum; a row off 1 by more than NORM_TOL, or NaN, raises ValueError."""
+    probs = np.square(rows, out=rows)
+    norms = probs.sum(axis=1)
+    bad = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN is bad too
+    if bad.any():
+        raise ValueError(f"walk amplitudes not normalized: {norms[bad][0]}")
+    return norms
 
 
 def _angles(T: int) -> np.ndarray:
@@ -80,17 +59,17 @@ def _angles(T: int) -> np.ndarray:
 
 
 PROPAGATE_BYTES = 2 * 2**20  # bytes of input and spectrum rows in one `propagate` batch
-MAX_T = 2**24  # longest history line: one row's transform input is then 128 MiB
+MAX_T = 2**24  # longest history line: near it one row's FFT or table needs over 3 GiB
 MAX_CELL_STEPS = 2**32  # most T x cells of a history: trace and configs() snapshot every cell
 
 
-def propagate(T: int, taus, finish=None):
+def propagate(T: int, taus, finish):
     """Real rows D(tau) of the propagator from history index 0, with
-    c_t(tau) = i^(t mod 2) D_t(tau): one row of length T+1 per tau, in the
-    order of `taus`.  With `finish`, finish(rows, start) for each batch
-    instead, in order: rows holds the batch's rows and start the index of
-    its first tau.  The rows sit in the worker's buffer, which its next
-    batch overwrites, so finish may change them but must not keep them.
+    c_t(tau) = i^(t mod 2) D_t(tau), one row of length T+1 per tau: yields
+    finish(rows, start) for each batch in the order of `taus`, where rows
+    holds the batch's rows and start the index of its first tau.  The rows
+    sit in the worker's buffer, which its next batch overwrites, so finish
+    may change them, as `probabilities` does, but must not keep them.
 
     c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
     type-I DST of e^{-i lambda_k tau} sin theta_k.  The line is bipartite:
@@ -118,12 +97,11 @@ def propagate(T: int, taus, finish=None):
     A batch holds PROPAGATE_BYTES // (16 (T+2)) rows (at least one) of y
     and of its spectrum; D is written over y.  Each worker allocates these
     two buffers once per call, on its first batch, and reuses them, so a
-    batch touches no fresh memory; without `finish` each batch's rows are
-    copied out.  Batches are computed, `finish` included, on os.cpu_count()
-    threads, at most that many in flight besides the one being read, so
-    memory stays O(workers * batch) however many taus are given.  When the
-    taus fit in one batch, it is computed on the calling thread and no
-    thread is started.
+    batch touches no fresh memory.  Batches are computed, `finish`
+    included, on os.cpu_count() threads, at most that many in flight
+    besides the one being read, so memory stays O(workers * batch) however
+    many taus are given.  When the taus fit in one batch, it is computed on
+    the calling thread and no thread is started.
     """
     M = T + 2
     theta = _angles(T)
@@ -150,8 +128,8 @@ def propagate(T: int, taus, finish=None):
         y, spectrum = buffers.y[:len(tau)], buffers.spectrum[:len(tau)]
         y[:, 0] = 0.0
         x = y[:, 1:]
-        # a huge tau overflows to NaN rows, which the callers' norm checks
-        # refuse; numpy's error state is per thread, so it is set here
+        # a huge tau overflows to NaN rows, which `probabilities` refuses;
+        # numpy's error state is per thread, so it is set here
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(tau, lam, out=x)
             x += phase
@@ -163,7 +141,7 @@ def propagate(T: int, taus, finish=None):
         re = spectrum.real[:, :even]
         re[:, 0] *= 0.5
         np.cumsum(re, axis=1, out=d[:, 0::2])
-        return d.copy() if finish is None else finish(d, start)
+        return finish(d, start)
 
     def threaded(starts):
         # imported here: concurrent.futures imports logging, about 8 ms that
@@ -182,17 +160,7 @@ def propagate(T: int, taus, finish=None):
 
     starts = range(0, len(taus), rows)
     # a single batch is computed on the calling thread: a pool would only wait for it
-    for done in map(batch, starts) if len(starts) <= 1 else threaded(iter(starts)):
-        if finish is None:
-            yield from done
-        else:
-            yield done
-
-
-def evolve(T: int, tau: float) -> WalkAmplitudes:
-    """Amplitudes c_t(tau) = i^(t mod 2) D_t(tau) starting from history index 0."""
-    row = next(propagate(T, [tau]))
-    return WalkAmplitudes(tau, np.where(np.arange(T + 1) % 2, 1j, 1.0) * row)
+    yield from map(batch, starts) if len(starts) <= 1 else threaded(iter(starts))
 
 
 def tail_threshold(T: int, q: int) -> int:
@@ -236,7 +204,8 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
     TAIL_BLOCK_BYTES (one row at least): its Toeplitz part C(|k-l|) and
     Hankel part C(k+l) are windows onto the table.
     """
-    WalkSpec(T, q, tau0)
+    if not (T >= 1 and q >= 2 and 0 < tau0 < math.inf):  # a NaN tau0 fails too
+        raise ValueError(f"need T >= 1, q >= 2 and a finite tau0 > 0; got {T}, {q}, {tau0}")
     a, b = tail_threshold(T, q) + 1, T + 1
     n = T + 1
     phi = np.pi / (T + 2)
@@ -392,10 +361,14 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
 
 
 def probability_table_csv(T: int, taus) -> str:
-    out = StringIO()
-    out.write("tau,m,p\n")
-    for tau, row in zip(taus, propagate(T, taus)):
-        probs = WalkAmplitudes(tau, row).probabilities()  # D^2, norm checked
-        cells = chain.from_iterable(zip(range(T + 1), probs.tolist()))
-        out.write(f"{tau:.12g},%d,%.12g\n" * (T + 1) % tuple(cells))
-    return out.getvalue()
+    """The `evolve` table: `tau,m,p` lines of p(m | tau) = D_m(tau)^2.  Each
+    batch of rows is squared, norm checked and formatted in its own `finish`."""
+    def finish(rows, start):
+        probabilities(rows)
+        out = StringIO()
+        for tau, probs in zip(taus[start:start + len(rows)], rows.tolist()):
+            cells = chain.from_iterable(zip(range(T + 1), probs))
+            out.write(f"{tau:.12g},%d,%.12g\n" * (T + 1) % tuple(cells))
+        return out.getvalue()
+
+    return "".join(chain(["tau,m,p\n"], propagate(T, taus, finish)))

@@ -4,12 +4,13 @@ None of these runs in a command: `walk.propagate` and the closed-form tails
 replace the dense eigensystem, and `circuit.simulate_circuit` replaces the
 circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose,
 except `odd_extension_rows`, the propagator kernel `walk.propagate` used
-before its half-length transform, and `step_config`, which steps an
-immutable configuration with a Stepper and its snapshot.
+before its half-length transform; `propagator_rows` and `amplitudes`, which
+copy `walk.propagate`'s rows out of its buffers; and `step_config`, which
+steps an immutable configuration with a Stepper and its snapshot.
 """
 import numpy as np
 
-from hamchain import gates
+from hamchain import gates, walk
 from hamchain.circuit import Circuit
 from hamchain.gates import GateSequence
 from hamchain.machine import Stepper
@@ -60,6 +61,17 @@ def odd_extension_rows(T: int, taus) -> np.ndarray:
     ext[:, 1:T + 2] = x
     ext[:, T + 3:] = -x[:, ::-1]
     return np.fft.rfft(ext, axis=-1).imag[:, 1:T + 2] / -(T + 2)
+
+
+def propagator_rows(T: int, taus) -> np.ndarray:
+    """`walk.propagate`'s real rows D, one per tau, copied out of its buffers."""
+    return np.concatenate(list(walk.propagate(T, taus, lambda rows, start: rows.copy())))
+
+
+def amplitudes(T: int, tau: float) -> np.ndarray:
+    """c_t(tau) = i^(t mod 2) D_t(tau) from history index 0, from the row
+    `walk.propagate` gives the sampler."""
+    return np.where(np.arange(T + 1) % 2, 1j, 1.0) * propagator_rows(T, [tau])[0]
 
 
 def circuit_matrix(circuit: Circuit) -> np.ndarray:

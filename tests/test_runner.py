@@ -16,6 +16,8 @@ from hamchain.circuit import Circuit, simulate_circuit
 from hamchain.gates import QubitState
 from hamchain.runner import RunPlan, run
 
+import oracles
+
 
 def test_plan_validation(w_circuit_2q):
     with pytest.raises(ValueError):
@@ -98,7 +100,7 @@ def test_serialized_report_structure(w_circuit_2q):
 def test_sampled_step_distribution_chi_square():
     """Empirical t-samples at a fixed tau follow |c_t(tau)|^2 (p > 0.001)."""
     T, tau, draws = 34, 12.5, 100_000
-    probs = walk.evolve(T, tau).probabilities()
+    probs = oracles.propagator_rows(T, [tau])[0] ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(2024)
     u = rng.random(draws)
@@ -203,7 +205,7 @@ def test_draw_steps_equal_searchsorted_on_per_row_cdfs(T):
     # where count(cdf <= u) and searchsorted(side="right") must still agree
     taus = np.random.default_rng(T).uniform(
         0.0, walk.default_tau0(T), walk.PROPAGATE_BYTES // (16 * (T + 2)) + 5)
-    rows = np.array(list(walk.propagate(T, taus)))
+    rows = oracles.propagator_rows(T, taus)
     probs = rows**2
     cdfs = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
     picks = np.random.default_rng(0).integers(0, T + 1, len(taus))

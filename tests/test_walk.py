@@ -44,21 +44,21 @@ def test_eigensystem_diagonalizes_hopping_matrix():
 
 
 def test_evolve_at_zero_time_is_identity():
-    amps = walk.evolve(34, 0.0).amps
+    amps = oracles.amplitudes(34, 0.0)
     assert abs(amps[0] - 1.0) <= 1e-12
     assert np.max(np.abs(amps[1:])) <= 1e-12
 
 
 def test_two_site_line_follows_sin_squared():
-    for tau in (0.3, 1.0, 2.5):
-        p = walk.evolve(1, tau).probabilities()
-        assert abs(p[1] - np.sin(tau) ** 2) <= 1e-12
+    taus = (0.3, 1.0, 2.5)
+    for tau, row in zip(taus, oracles.propagator_rows(1, taus)):
+        assert abs(row[1] ** 2 - np.sin(tau) ** 2) <= 1e-12
 
 
 @pytest.mark.parametrize("T", [1, 18, 34])
 @pytest.mark.parametrize("tau", [1.0, 10.0])
 def test_evolve_matches_ode_oracle(T, tau):
-    dev = np.max(np.abs(walk.evolve(T, tau).amps - ode_evolve(T, tau)))
+    dev = np.max(np.abs(oracles.amplitudes(T, tau) - ode_evolve(T, tau)))
     assert dev <= 1e-8
 
 
@@ -87,10 +87,10 @@ def test_propagate_rows_bit_identical_to_one_dimensional_dst(T):
     rng = np.random.default_rng(T)
     for count in (1, 7, batch_rows(T), 2 * batch_rows(T) + 5):
         taus = rng.uniform(0.0, walk.default_tau0(T), count)
-        rows = list(walk.propagate(T, taus))
+        rows = oracles.propagator_rows(T, taus)
         assert len(rows) == count
         for tau, row in zip(taus, rows):
-            assert np.array_equal(row, next(walk.propagate(T, [tau])))
+            assert np.array_equal(row, oracles.propagator_rows(T, [tau])[0])
 
 
 @pytest.mark.parametrize("T", [1719, 2962, 220])
@@ -98,7 +98,7 @@ def test_propagate_rows_match_the_complex_dst_oracle(T):
     taus = np.concatenate([[0.0, walk.default_tau0(T)],
                            np.random.default_rng(T).uniform(0.0, walk.default_tau0(T), 40)])
     phase = parity_phase(T)
-    for tau, row in zip(taus, walk.propagate(T, taus)):
+    for tau, row in zip(taus, oracles.propagator_rows(T, taus)):
         assert np.max(np.abs(phase * row - one_dimensional_dst_row(T, tau))) <= 1e-11
 
 
@@ -115,14 +115,14 @@ def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        rows = list(walk.propagate(T, taus))
+        rows = oracles.propagator_rows(T, taus)
         batches = list(walk.propagate(T, taus, lambda batch, start: (start, batch.copy())))
     finally:
         sys.setswitchinterval(interval)
     assert len(rows) == len(taus)
     for tau, row in zip(taus, rows):
         assert row.dtype == np.float64
-        assert np.array_equal(row, next(walk.propagate(T, [tau])))
+        assert np.array_equal(row, oracles.propagator_rows(T, [tau])[0])
         assert np.max(np.abs(parity_phase(T) * row - one_dimensional_dst_row(T, tau))) <= 1e-11
     assert [start for start, _ in batches] == list(range(0, len(taus), 3))
     assert np.array_equal(np.concatenate([batch for _, batch in batches]), rows)
@@ -138,35 +138,36 @@ def test_one_batch_starts_no_thread_and_matches_the_pool(monkeypatch):
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or start(self))
-    alone = list(walk.propagate(T, taus))
+    alone = oracles.propagator_rows(T, taus)
     firsts = np.concatenate(list(walk.propagate(T, taus, lambda rows, s: rows[:, 0].copy())))
     assert started == []
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert batch_rows(T) == 1
-    pooled = list(walk.propagate(T, taus))
+    pooled = oracles.propagator_rows(T, taus)
     assert started  # the pool ran the batches
     assert len(alone) == len(pooled) == len(taus)
-    assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
-    assert np.array_equal(firsts, np.array(pooled)[:, 0])
+    assert np.array_equal(alone, pooled)
+    assert np.array_equal(firsts, pooled[:, 0])
 
 
 def test_propagate_keeps_few_batches_in_flight(monkeypatch):
-    # 50 batches of 4 rows on 2 threads, read by a consumer that stalls
-    # after its first row; threads that ran ahead through every batch would
-    # hold 50 batches, the bound allows about a third of that
+    # 50 batches of 4 rows on 2 threads, copied out by `finish` and read by
+    # a consumer that stalls after its first batch; threads that ran ahead
+    # through every batch would hold 50 batches, the bound allows about a
+    # third of that
     T, per_batch, batches, workers = 2962, 4, 50, 2
     batch_bytes = per_batch * 16 * (T + 2)
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", batch_bytes)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     taus = np.linspace(0.0, walk.default_tau0(T), per_batch * batches)
-    next(walk.propagate(T, [1.0]))  # lazy set-up stays outside the measurement
+    oracles.propagator_rows(T, [1.0])  # lazy set-up stays outside the measurement
     tracemalloc.start()
     try:
-        rows = walk.propagate(T, taus)
-        next(rows)
+        copies = walk.propagate(T, taus, lambda rows, start: rows.copy())
+        count = len(next(copies))
         time.sleep(0.5)
-        count = 1 + sum(1 for _ in rows)
+        count += sum(len(copy) for copy in copies)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -183,7 +184,7 @@ def test_propagate_rows_match_the_odd_extension_oracle(T):
     tau_max = 10.0 * (T + 2)
     taus = np.concatenate([[0.0, tau_max],
                            np.random.default_rng(T).uniform(0.0, tau_max, 40)])
-    rows = np.array(list(walk.propagate(T, taus)))
+    rows = oracles.propagator_rows(T, taus)
     assert np.max(np.abs(rows - oracles.odd_extension_rows(T, taus))) <= 1e-12
 
 
@@ -194,7 +195,7 @@ def test_propagate_keeps_the_norm_at_the_longest_times(T):
     # T=228519, past the sampler's NORM_TOL
     tau0 = walk.default_tau0(T)
     taus = np.concatenate([[tau0], np.random.default_rng(T).uniform(0.0, tau0, 3)])
-    for row in walk.propagate(T, taus):
+    for row in oracles.propagator_rows(T, taus):
         assert abs(np.sum(row**2) - 1.0) <= 1e-11
 
 
@@ -209,7 +210,7 @@ def test_propagate_allocates_no_large_buffer_after_a_workers_first_batch(monkeyp
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 8 * 2**20)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     rows = batch_rows(T)
-    next(walk.propagate(T, [1.0]))  # lazy set-up stays outside the measurement
+    oracles.propagator_rows(T, [1.0])  # lazy set-up stays outside the measurement
     kept, growth, traced = [], [], [0]
 
     def finish(batch, start):
@@ -230,7 +231,7 @@ def test_propagate_allocates_no_large_buffer_after_a_workers_first_batch(monkeyp
             firsts = np.concatenate(list(walk.propagate(T, taus, finish)))
         finally:
             tracemalloc.stop()
-        assert np.array_equal(firsts, np.array(list(walk.propagate(T, taus)))[:, 0])
+        assert np.array_equal(firsts, oracles.propagator_rows(T, taus)[:, 0])
         assert len(growth) == batches
         assert growth[0] >= 2 * 2**20  # the first batch allocates the buffers
         assert max(growth[1:]) < 2**20
@@ -240,29 +241,29 @@ def test_propagate_allocates_no_large_buffer_after_a_workers_first_batch(monkeyp
 def test_propagate_matches_dense_eigensystem(T):
     lam, v = oracles.eigensystem(T)
     taus = [0.0, 0.4, 3.7, 50.0, walk.default_tau0(T)]
-    for tau, row in zip(taus, walk.propagate(T, taus)):
+    for tau, row in zip(taus, oracles.propagator_rows(T, taus)):
         dense = v @ (np.exp(-1j * lam * tau) * v[0, :])
         assert np.max(np.abs(parity_phase(T) * row - dense)) <= 1e-12
-        assert np.array_equal(walk.evolve(T, tau).amps, parity_phase(T) * row)
 
 
 def test_evolve_builds_no_dense_matrix():
-    # the (T+1)^2 eigenvector matrix would take 80 GB here; one row is 1.6 MB
-    walk.evolve(10, 1.0)  # lazy imports and FFT set-up stay outside the measurement
+    # the (T+1)^2 eigenvector matrix would take 80 GB here; one row is 0.8 MB
+    # and its table about 3 MB
+    walk.probability_table_csv(10, [1.0])  # lazy set-up stays outside the measurement
     tracemalloc.start()
     try:
-        amps = walk.evolve(100000, 3.0).amps
+        table = walk.probability_table_csv(100000, [3.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert amps.shape == (100001,)
+    assert table.count("\n") == 1 + 100001
     assert peak < 32 * 2**20
 
 
 def test_norm_conserved_and_group_property():
     T = 34
-    for tau in (0.0, 3.7, 50.0):
-        assert abs(np.sum(walk.evolve(T, tau).probabilities()) - 1.0) <= 1e-9
+    norms = walk.probabilities(oracles.propagator_rows(T, [0.0, 3.7, 50.0]))
+    assert np.max(np.abs(norms - 1.0)) <= 1e-9
     lam, v = oracles.eigensystem(T)
     u = lambda tau: v @ np.diag(np.exp(-1j * lam * tau)) @ v.T
     assert np.max(np.abs(u(2.0) @ u(3.0) - u(5.0))) <= 1e-9
@@ -390,17 +391,15 @@ def test_residual_envelope_constant(T):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        walk.WalkSpec(0, 6, 1.0)
+        walk.tail_prob(0, 6, 1.0)
     with pytest.raises(ValueError):
-        walk.WalkSpec(10, 1, 1.0)
+        walk.tail_prob(10, 1, 1.0)
     with pytest.raises(ValueError):
-        walk.WalkSpec(10, 6, 0.0)
+        walk.tail_prob(10, 6, 0.0)
 
 
 @pytest.mark.parametrize("tau0", [np.inf, -np.inf, np.nan])
 def test_tail_prob_refuses_a_non_finite_horizon(tau0):
-    with pytest.raises(ValueError, match="finite"):
-        walk.WalkSpec(34, 6, tau0)
     with pytest.raises(ValueError, match="finite"):
         walk.tail_prob(34, 6, tau0)
 
@@ -527,12 +526,28 @@ def test_csv_emitters():
     assert table[1].startswith("0,0,1")
 
 
-def test_probability_table_csv_equals_per_line_formatting():
-    T, taus = 220, [0.0, 1.5, walk.default_tau0(220)]
-    lines = ["tau,m,p\n"]
-    for tau, row in zip(taus, walk.propagate(T, taus)):
-        lines += [f"{tau:.12g},{m},{p:.12g}\n" for m, p in enumerate(np.abs(row) ** 2)]
-    assert walk.probability_table_csv(T, taus) == "".join(lines)
+def test_probability_table_csv_equals_per_line_formatting(monkeypatch):
+    # one batch, formatted on the calling thread; then T=1719 with 200 taus
+    # in random order: 3 batches of up to 76 rows, each formatted in its
+    # `finish` on a pool of 3 threads, which the table joins in tau order
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert batch_rows(1719) == 76
+    many = np.random.default_rng(0).uniform(0.0, walk.default_tau0(1719), 200).tolist()
+    for T, taus, threads in ((220, [0.0, 1.5, walk.default_tau0(220)], False),
+                             (1719, many, True)):
+        lines = ["tau,m,p\n"]
+        for tau, row in zip(taus, oracles.propagator_rows(T, taus)):
+            lines += [f"{tau:.12g},{m},{p:.12g}\n" for m, p in enumerate(np.abs(row) ** 2)]
+        started.clear()
+        got = walk.probability_table_csv(T, taus).splitlines(keepends=True)
+        assert bool(started) == threads
+        assert len(got) == len(lines)
+        # the first line that differs, not pytest's diff of 344001 lines
+        assert next((pair for pair in zip(got, lines) if pair[0] != pair[1]), None) is None
 
 
 def test_evolve_table_matches_the_complex_dst_oracle():
@@ -572,8 +587,10 @@ def test_padding_plan_stops_at_the_cell_step_limit(monkeypatch):
 
 
 def test_non_finite_amplitudes_are_not_normalised():
-    with pytest.raises(ValueError):
-        walk.WalkAmplitudes(0.0, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        walk.probabilities(np.array([[0.6, 0.8], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="not normalized"):
+        walk.probabilities(np.array([[0.6, 0.8], [0.6, 0.7]]))
 
 
 def test_history_length_refuses_too_many_cell_steps():
