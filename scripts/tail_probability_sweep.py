@@ -6,6 +6,7 @@ Example:
     python3 scripts/tail_probability_sweep.py --T 154 --q 6 --factors 1 3 10 30 100 300 1000
 """
 import argparse
+import math
 import sys
 
 from hamchain import walk
@@ -19,13 +20,16 @@ def main(argv=None) -> int:
                     default=[1, 3, 10, 30, 100, 300, 1000],
                     help="averaging horizons as multiples of T")
     args = ap.parse_args(argv)
-    # every tail is computed before anything is printed, so bad input ends
-    # in one error line and an empty stdout
-    try:
-        tails = [walk.tail_prob(args.T, args.q, f * args.T) for f in args.factors]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # the arguments are checked before the first O(T^2) tail, and every tail
+    # is computed before anything is printed, so bad input ends at once in one
+    # error line and an empty stdout
+    horizons = [f * args.T for f in args.factors]
+    if not (args.T >= 1 and args.q >= 2 and all(0 < h < math.inf for h in horizons)):
+        # a NaN factor fails too, and so does one whose horizon overflows
+        print(f"error: need T >= 1, q >= 2 and factors whose horizons factor*T are "
+              f"finite and > 0; got {args.T}, {args.q}, {args.factors}", file=sys.stderr)
         return 2
+    tails = [walk.tail_prob(args.T, args.q, h) for h in horizons]
 
     limit = walk.tail_prob_limit(args.T, args.q)
     print(f"# T={args.T} q={args.q} threshold={walk.tail_threshold(args.T, args.q)} "

@@ -111,24 +111,38 @@ def _limit_address_space():
     ["evolve", "W", "--scheme", "ham8", "--T", "3", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5"],
     ["evolve", "--taus", "1"],
-    ["evolve", "--T", "16777216", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
-        "evolve-without-circuit-or-T", "T-at-max-T-out-of-memory"])
+        "evolve-without-circuit-or-T"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "hamchain.cli", *argv], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    done = _run_under_memory_limit(argv, tmp_path)
     assert done.returncode == 2, done.stderr
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    # a refusal that allocated past the limit would also exit 2, with this line
+    assert "out of memory" not in done.stderr
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    # not a refusal: T = MAX_T is accepted, but its FFT (T+2 = 2*3*2796203,
+    # numpy's Bluestein path) needs more than the limit
+    done = _run_under_memory_limit(["evolve", "--T", "16777216", "--taus", "1"], tmp_path)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory\n"
+
+
+def _run_under_memory_limit(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "hamchain.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):

@@ -1,4 +1,5 @@
 """Smoke tests of the example scripts."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,7 +42,8 @@ def test_script_runs(script, args, first):
     ["--q", "1"],
     ["--factors", "inf"],
     ["--factors", "1", "nan"],
-], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan"])
+    ["--factors", "1", "1e308"],
+], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan", "horizon-overflows"])
 def test_tail_sweep_refuses_bad_input_with_one_line(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
@@ -50,3 +52,17 @@ def test_tail_sweep_refuses_bad_input_with_one_line(args):
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_tail_sweep_checks_every_factor_before_the_first_tail(monkeypatch, capsys):
+    # a bad last factor is refused at once, not after the O(T^2) tails of the
+    # factors before it
+    spec = importlib.util.spec_from_file_location(
+        "tail_probability_sweep", ROOT / "scripts" / "tail_probability_sweep.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script.walk, "tail_prob", lambda *a: pytest.fail("a tail was computed"))
+    assert script.main(["--T", "2000", "--factors", "1", "3", "nan"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
