@@ -85,7 +85,9 @@ class Circuit:
 
 
 def parse_circuit(text: str) -> Circuit:
-    n = rounds = None
+    """The circuit of `text`.  Each header is given once, and every GATE
+    line, I included, names a slot in range that no other line names."""
+    headers: dict[str, int] = {}
     entries: dict[tuple[int, int], Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -94,10 +96,11 @@ def parse_circuit(text: str) -> Circuit:
         parts = line.split()
         key = parts[0].upper()
         try:
-            if key == "QUBITS" and len(parts) == 2:
-                n = int(parts[1])
-            elif key == "ROUNDS" and len(parts) == 2:
-                rounds = int(parts[1])
+            if key in ("QUBITS", "ROUNDS") and len(parts) == 2:
+                value = int(parts[1])
+                if key in headers:
+                    raise CircuitParseError(f"line {lineno}: second {key} header")
+                headers[key] = value
             elif key == "GATE" and len(parts) == 4:
                 name = parts[1].upper()
                 if name not in GATE_NAMES:
@@ -107,20 +110,21 @@ def parse_circuit(text: str) -> Circuit:
                 r, i = int(parts[2]), int(parts[3])
                 if (r, i) in entries:
                     raise CircuitParseError(f"line {lineno}: slot ({r},{i}) filled twice")
-                if name != "I":
-                    entries[(r, i)] = GATE_NAMES[name]
+                entries[(r, i)] = GATE_NAMES[name]
             else:
                 raise CircuitParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
         except ValueError as exc:
             if isinstance(exc, CircuitParseError):
                 raise
             raise CircuitParseError(f"line {lineno}: {exc}") from exc
+    n, rounds = headers.get("QUBITS"), headers.get("ROUNDS")
     if n is None or rounds is None:
         raise CircuitParseError("missing QUBITS or ROUNDS header")
     try:
-        return Circuit(n, rounds, entries)
+        Circuit(n, rounds, entries)  # range-checks every slot, identity ones too
     except ValueError as exc:
         raise CircuitParseError(str(exc)) from exc
+    return Circuit(n, rounds, {slot: g for slot, g in entries.items() if g.label != "I"})
 
 
 def serialize_circuit(c: Circuit) -> str:

@@ -5,10 +5,10 @@ A command loads only the modules it runs: walk imports a scheme's machine
 when first given that scheme (walk.scheme_module), and `verify` imports
 subspace itself, so `evolve --T` loads no machine and `sample` no subspace.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error
-(a file that cannot be read or written included), a run the engines or
-the padding plan refuse (RuleEngineError, PaddingError), or a run out of
-memory.  Errors end in one `error: ...` line on stderr, not a traceback.
+Exit codes: 0 success, 1 verification failure, 2 usage or input error (a
+ValueError, or a file that cannot be read or written), a run the engines
+or the padding plan refuse (RuleEngineError, PaddingError), or a run out
+of memory.  Errors end in one `error: ...` line on stderr, not a traceback.
 A reader that closes stdout early (`... | head`) ends the output quietly;
 the command keeps its code.
 """
@@ -49,8 +49,7 @@ def _write(out_path: str | None, chunks) -> None:
 
 def cmd_trace(args) -> int:
     circuit = _read_circuit(args.circuit)
-    boundary = walk.PERIODIC_X if args.periodic_x else walk.OPEN
-    _write(args.out, walk.enumerate_history(args.scheme, circuit, boundary).dump())
+    _write(args.out, walk.enumerate_history(args.scheme, circuit, args.periodic_x).dump())
     return 0
 
 
@@ -58,22 +57,22 @@ def cmd_evolve(args) -> int:
     if args.T is not None:
         T = args.T
         if args.circuit is not None:
-            raise SystemExit("evolve takes a circuit or --T, not both")
+            raise ValueError("evolve takes a circuit or --T, not both")
         if not 1 <= T <= walk.MAX_T:
-            raise SystemExit(f"--T must lie in 1..{walk.MAX_T}, got {T}")
+            raise ValueError(f"--T must lie in 1..{walk.MAX_T}, got {T}")
     elif args.scheme is None:
-        raise SystemExit("evolve of a circuit needs --scheme ham5 or ham8")
+        raise ValueError("evolve of a circuit needs --scheme ham5 or ham8")
     else:
         T = walk.history_length(args.scheme, _read_circuit(args.circuit))
     entries = args.taus.split(",")
     if any(x.strip() == "" for x in entries):
-        raise SystemExit(f"bad tau grid: empty entry in {args.taus!r}")
+        raise ValueError(f"bad tau grid: empty entry in {args.taus!r}")
     try:
         taus = [float(x) for x in entries]
     except ValueError as exc:
-        raise SystemExit(f"bad tau grid: {exc}")
+        raise ValueError(f"bad tau grid: {exc}")
     if not all(math.isfinite(tau) for tau in taus):
-        raise SystemExit("bad tau grid: times must be finite")
+        raise ValueError("bad tau grid: times must be finite")
     _write(args.out, [walk.probability_table_csv(T, taus)])
     return 0
 
@@ -253,11 +252,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

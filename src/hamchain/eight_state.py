@@ -8,8 +8,9 @@ The solid right cursor executes the program symbol it crosses as a two-qubit
 gate on the data pair beneath it; scaffold bits steer the turn-around rules.
 
 Cursor tokens: L solid-left, l empty-left, R solid-right, r empty-right,
-D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable
-(periodic variant only).
+D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable.
+A configuration whose `ring` is set is the periodic variant: one more cell,
+whose cursor is the X stopper, closes the chain into a ring.
 
 The rule table is compiled at import into machine.Rule values, one per gate
 letter where a rule binds one; its data keys become conditions on the fixed
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import gates
-from .circuit import Circuit, UnsupportedGateError
+from .circuit import NATIVE, Circuit, UnsupportedGateError
 from .machine import History, Machine, Rule, RuleEngineError
 
 # cursor symbols
@@ -39,11 +40,7 @@ STAR = "*"
 XSTOP = "X"  # periodic-variant stopper; no rule mentions it
 
 CURSOR_SYMBOLS = frozenset({GAT, MOV, MOVL, MOVLE, DBLR, ARR, TUR, STAR})
-PROG_SYMBOLS = frozenset({"I", "S", "W", "."})
-GATE_LETTERS = frozenset({"I", "S", "W"})
-
-OPEN = "open"
-PERIODIC_X = "periodic-x"
+PROG_SYMBOLS = frozenset(NATIVE | {"."})
 
 
 class GateOnScaffoldError(RuleEngineError):
@@ -75,7 +72,7 @@ def program_layout(circuit: Circuit) -> ProgramLayout:
     for r in range(1, R + 1):
         for i in range(1, n):
             g = circuit.gate_at(r, i)
-            if g.label not in GATE_LETTERS:
+            if g.label not in NATIVE:
                 raise UnsupportedGateError(
                     f"gate {g.label} at ({r},{i}) is outside {{W,S,I}}; "
                     "rewrite the circuit first"
@@ -99,18 +96,16 @@ def program_layout(circuit: Circuit) -> ProgramLayout:
 @dataclass(frozen=True)
 class Config8:
     layout: ProgramLayout
-    boundary: str
+    ring: bool
     cursors: tuple[str, ...]
     progs: tuple[str, ...]
     datas: tuple[str, ...]
 
     def __post_init__(self):
-        ncells = self.layout.L + (1 if self.boundary == PERIODIC_X else 0)
-        if self.boundary not in (OPEN, PERIODIC_X):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
+        ncells = self.layout.L + self.ring
         if not (len(self.cursors) == len(self.progs) == len(self.datas) == ncells):
             raise ValueError("register length mismatch")
-        ok = CURSOR_SYMBOLS | ({XSTOP} if self.boundary == PERIODIC_X else set())
+        ok = CURSOR_SYMBOLS | ({XSTOP} if self.ring else set())
         if not ok.issuperset(self.cursors):
             for i, c in enumerate(self.cursors, 1):
                 if c not in ok:
@@ -123,16 +118,12 @@ class Config8:
         return len(self.cursors)
 
     @property
-    def ring(self) -> bool:
-        return self.boundary == PERIODIC_X
-
-    @property
     def registers(self) -> tuple:
         """The rewritten cursors and program, then the fixed data."""
         return self.cursors, self.progs, self.datas
 
     def rebuild(self, registers) -> Config8:
-        return Config8(self.layout, self.boundary, registers[0], registers[1], self.datas)
+        return Config8(self.layout, self.ring, registers[0], registers[1], self.datas)
 
     def dump(self, step: int) -> str:
         return ("\n" if step else "") + self.dump_block(step)
@@ -146,17 +137,17 @@ class Config8:
         )
 
 
-def initial_config8(circuit: Circuit, boundary: str = OPEN) -> Config8:
+def initial_config8(circuit: Circuit, ring: bool = False) -> Config8:
     lay = program_layout(circuit)
     L = lay.L
     cursors = [STAR] * (L - 1) + [MOVL]
     progs = ["."] * (L - len(lay.program) - 1) + list(lay.program) + ["."]
     datas = list(lay.data)
-    if boundary == PERIODIC_X:
+    if ring:
         cursors.append(XSTOP)
         progs.append(".")
         datas.append("0")
-    return Config8(lay, boundary, tuple(cursors), tuple(progs), tuple(datas))
+    return Config8(lay, ring, tuple(cursors), tuple(progs), tuple(datas))
 
 
 @dataclass(frozen=True)
@@ -243,7 +234,7 @@ def _compile(name: str, pre: dict, post: dict):
     def side(pat, letter, fixed=False):
         return tuple((*_KEYS[key], letter if sym == "A" else sym)
                      for key, sym in pat.items() if (_KEYS[key][0] == 2) == fixed)
-    for letter in sorted(GATE_LETTERS) if "A" in pre.values() else [None]:
+    for letter in sorted(NATIVE) if "A" in pre.values() else [None]:
         yield Rule(name, side(pre, letter), side(post, letter), side(pre, None, True), letter)
 
 
@@ -259,10 +250,10 @@ MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
                   LIVE_CURSORS, _event)
 
 
-def enumerate_history8(circuit: Circuit, boundary: str = OPEN) -> History:
+def enumerate_history8(circuit: Circuit, ring: bool = False) -> History:
     """The history, with the round of each logical firing set from its rank:
     a round fires n-1 logical gates."""
-    history = History.record(initial_config8(circuit, boundary), MACHINE)
+    history = History.record(initial_config8(circuit, ring), MACHINE)
     logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
     for rank, t in enumerate(logical):
         history.events[t] = replace(history.events[t], round=rank // (circuit.n - 1) + 1)

@@ -14,12 +14,13 @@ window cell their offset gives (tests/test_engine_oracle.py checks this
 against a full scan of the readable tables).
 
 A configuration class supplies `registers` (a tuple, rewritten registers
-first), `ring`, `rebuild(registers)` and `dump(t)`; a Machine adds its rules,
-its live symbols and its gate event.  A configuration checks its symbols
-where it is built: from outside (a machine's initial one, a test's) and as
-a Stepper's snapshot.  A Stepper is the one way to step: it steps one
-configuration in place, forward or backward, and a step applies its rule
-instance's edit, the writes that change a cell, so it touches only the
+first), `ring` (a bool: whether the cells wrap), `rebuild(registers)` and
+`dump(t)`; a Machine adds its rules, its live symbols and its gate event.
+A configuration checks its symbols where it is built: from outside (a
+machine's initial one, a test's) and as a Stepper's snapshot.  A Stepper is
+the one way to step: it steps one configuration in place, forward or
+backward.  Its matches are (window cell j, Rule) pairs, and a step applies
+its match's edit, the writes that change a cell, so it touches only the
 rule's window, and writes only symbols of the tables.  To step an immutable
 configuration, start a Stepper on it and take its snapshot.
 """
@@ -47,11 +48,6 @@ class Rule:
     conditions: tuple = ()
     letter: str | None = None
 
-    @property
-    def key(self) -> tuple:
-        """How a match names the rule: its name, and its letter if it has one."""
-        return (self.name,) if self.letter is None else (self.name, self.letter)
-
 
 def _holds(registers: tuple, ring: bool, j: int, entries) -> bool:
     """Whether each (register, offset, symbol) entry holds at window cell j."""
@@ -78,7 +74,6 @@ class Machine:
         self.rules = tuple(rules)
         self.live = frozenset(live)
         self.event = event
-        self.by_key = {rule.key: rule for rule in self.rules}
         self.rewritten = 1 + max(reg for rule in self.rules for reg, _, _ in rule.pre + rule.post)
         # per direction: live symbol -> (offset, rule, entries) of each source side it anchors
         self.index = {}
@@ -120,7 +115,7 @@ class Stepper:
         self.live = {p for p, sym in enumerate(self.registers[0], 1) if sym in machine.live}
 
     def matches(self, reverse: bool) -> list[tuple]:
-        """Every match (window cell j, *rule.key), ordered by j, then by the table."""
+        """Every match (window cell j, rule), ordered by j, then by the table."""
         m, registers, ring, n = self.machine, self.registers, self.ring, self.n
         first, index = registers[0], m.index[reverse]
         found = []
@@ -131,7 +126,7 @@ class Stepper:
                     found.append((j, rule))
         if len(found) > 1:
             found.sort(key=lambda hit: (hit[0], m.rules.index(hit[1])))
-        return [(j, *rule.key) for j, rule in found]
+        return found
 
     def edit(self, j: int, rule: Rule, reverse: bool) -> frozenset:
         """The (register, cell index, symbol) writes of `rule` at window cell j,
@@ -166,9 +161,8 @@ class Stepper:
         if len(hits) > 1:
             direction = "backward" if reverse else "forward"
             raise RuleEngineError(f"{len(hits)} rule instances match {direction}: "
-                                  f"{[hit[:2] for hit in hits]}")
-        j, *key = hits[0]
-        rule = self.machine.by_key[tuple(key)]
+                                  f"{[(j, rule.name) for j, rule in hits]}")
+        j, rule = hits[0]
         event = self.machine.event(self.base, j, rule, not reverse)
         edit = self.edit(j, rule, reverse)
         return edit, self.apply(edit), event

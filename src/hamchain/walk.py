@@ -299,20 +299,15 @@ def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | 
     return None
 
 
-# eight_state.OPEN and PERIODIC_X, spelled out so that a ham5 run never
-# imports eight_state
-OPEN, PERIODIC_X = "open", "periodic-x"
-
-
-def history_length(scheme: str, circuit, boundary: str = OPEN) -> int:
-    """T of the scheme's history of `circuit`, in closed form, without a
-    step.  What enumerate_history refuses before stepping is refused here:
-    a history that _oversize refuses, a ham5 boundary other than the open
-    chain, and a ham8 gate letter outside {W,S,I}."""
+def history_length(scheme: str, circuit, ring: bool = False) -> int:
+    """T of the scheme's history of `circuit`, on the ham8 ring if `ring`,
+    in closed form, without a step.  What enumerate_history refuses before
+    stepping is refused here: a history that _oversize refuses, a ham5
+    ring, and a ham8 gate letter outside {W,S,I}."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
-    if scheme == "ham5" and boundary != OPEN:
-        raise ValueError(f"ham5 has only the open chain, not boundary {boundary!r}")
-    why = _oversize(scheme, circuit.n, circuit.rounds, T, boundary == PERIODIC_X)
+    if scheme == "ham5" and ring:
+        raise ValueError("ham5 has only the open chain, not boundary 'periodic-x'")
+    why = _oversize(scheme, circuit.n, circuit.rounds, T, ring)
     if why is not None:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has {why}")
     if scheme == "ham8":
@@ -320,15 +315,16 @@ def history_length(scheme: str, circuit, boundary: str = OPEN) -> int:
     return T
 
 
-def enumerate_history(scheme: str, circuit, boundary: str = OPEN):
+def enumerate_history(scheme: str, circuit, ring: bool = False):
     """The scheme's history of `circuit`.  ham5 reads only n and the round
-    count from it and has only the open chain; `boundary` is ham8's.  What
-    history_length refuses is refused before any step."""
-    history_length(scheme, circuit, boundary)
+    count from it and has only the open chain; `ring` asks for ham8's
+    periodic variant.  What history_length refuses is refused before any
+    step."""
+    history_length(scheme, circuit, ring)
     m = scheme_module(scheme)
     if scheme == "ham5":
         return m.enumerate_history5(circuit.n, circuit.rounds)
-    return m.enumerate_history8(circuit, boundary)
+    return m.enumerate_history8(circuit, ring)
 
 
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:

@@ -59,7 +59,7 @@ def test_round_concatenation(ws_circuit_3q2r):
 
 
 def test_parse_and_serialize_basic():
-    text = "QUBITS 3\nROUNDS 2\n# comment\nGATE W 1 1\nGATE CX 2 2\n"
+    text = "QUBITS 3\nROUNDS 2\n# comment\nGATE W 1 1\nGATE CX 2 2\nGATE I 1 2\n"
     c = parse_circuit(text)
     assert c.n == 3 and c.rounds == 2
     assert c.gate_at(1, 1).label == "W"
@@ -76,6 +76,12 @@ def test_parse_and_serialize_basic():
     "QUBITS 3\nROUNDS 1\nGATE W 1 1\nGATE S 1 1\n",  # duplicate slot
     "QUBITS x\nROUNDS 1\n",               # bad integer
     "QUBITS 3\nROUNDS 1\nstuff\n",        # junk line
+    "QUBITS 2\nQUBITS 3\nROUNDS 1\n",     # repeated header
+    "QUBITS 2\nROUNDS 1\nROUNDS 2\n",
+    "QUBITS 2\nROUNDS 1\nGATE I 1 5\n",   # an identity slot is range-checked too
+    "QUBITS 2\nROUNDS 1\nGATE I 0 -3\n",
+    "QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE I 1 1\n",  # and fills its slot
+    "QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE W 1 1\n",
 ])
 def test_parse_errors(bad):
     with pytest.raises(CircuitParseError):

@@ -66,7 +66,7 @@ def test_trace_ham5_rejects_periodic_x(ws_file, capsys):
     assert cli.main(["trace", ws_file, "--scheme", "ham5", "--periodic-x"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+    assert err == "error: ham5 has only the open chain, not boundary 'periodic-x'\n"
 
 
 @pytest.mark.parametrize("scheme", ["ham5", "ham8"])
@@ -111,14 +111,16 @@ def _limit_address_space():
     ["evolve", "W", "--scheme", "ham8", "--T", "3", "--taus", "1"],
     ["sample", "W", "--scheme", "ham5"],
     ["evolve", "--taus", "1"],
+    ["trace", "TWICE", "--scheme", "ham5"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
-        "evolve-without-circuit-or-T"])
+        "evolve-without-circuit-or-T", "repeated-header"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
-    files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"}
+    files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n",
+             "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     done = _run_under_memory_limit(argv, tmp_path)
@@ -213,8 +215,21 @@ def test_evolve_requires_circuit_or_T(capsys):
     assert exc.value.code == 2
 
 
-def test_evolve_bad_grid_exits_2(tmp_path):
-    assert cli.main(["evolve", "--T", "3", "--taus", "abc"]) == 2
+def test_evolve_bad_grid_exits_2(w_file, capsys):
+    cases = [
+        (["W", "--scheme", "ham5", "--T", "3", "--taus", "1"],
+         "evolve takes a circuit or --T, not both"),
+        (["--T", "0", "--taus", "1"], f"--T must lie in 1..{walk.MAX_T}, got 0"),
+        (["W", "--taus", "1"], "evolve of a circuit needs --scheme ham5 or ham8"),
+        (["--T", "3", "--taus", "1,,2"], "bad tau grid: empty entry in '1,,2'"),
+        (["--T", "3", "--taus", "abc"],
+         "bad tau grid: could not convert string to float: 'abc'"),
+        (["--T", "3", "--taus", "inf"], "bad tau grid: times must be finite"),
+    ]
+    for argv, err in cases:
+        argv = [w_file if arg == "W" else arg for arg in argv]
+        assert cli.main(["evolve", *argv]) == 2, argv
+        assert capsys.readouterr() == ("", f"error: {err}\n"), argv
 
 
 def test_sample_deterministic(w_file, tmp_path):

@@ -103,7 +103,7 @@ def oracle_step5(c, reverse):
 
 def _cell8(c, key, j):
     idx = j + {"s-": -1, "s": 0, "p": 0, "p+": 1, "d": 0, "d+": 1}[key]
-    if c.boundary == e8.PERIODIC_X:
+    if c.ring:
         return (idx - 1) % c.ncells + 1
     return idx if 1 <= idx <= c.ncells else None
 
@@ -165,7 +165,7 @@ def oracle_step8(c, reverse):
     if name == "4a":
         pair = (_read8(c, "d", j), _read8(c, "d+", j))
         event = e8.GateEvent8(round=0, cell=j, letter=letter, pair=pair, forward=not reverse)
-    return e8.Config8(c.layout, c.boundary, tuple(cursors), tuple(progs), c.datas), event
+    return e8.Config8(c.layout, c.ring, tuple(cursors), tuple(progs), c.datas), event
 
 
 def outcome(step, c, reverse):
@@ -187,10 +187,14 @@ def engine_step8(c, reverse):
     return step_config(e8.MACHINE, c, reverse)
 
 
+def engine_matches5(c, reverse):
+    """The engine's matches as (cell, name)."""
+    return [(j, rule.name) for j, rule in Stepper(f5.MACHINE, c).matches(reverse)]
+
+
 def engine_matches8(c, reverse):
     """The engine's matches as (cell, name, letter or None)."""
-    return [(j, name, *letter) if letter else (j, name, None)
-            for j, name, *letter in Stepper(e8.MACHINE, c).matches(reverse)]
+    return [(j, rule.name, rule.letter) for j, rule in Stepper(e8.MACHINE, c).matches(reverse)]
 
 
 def ws_circuit(n, R):
@@ -223,14 +227,14 @@ def test_ham5_matches_full_scan_oracle(n, R):
     configs = list(tr.configs())
     for c in configs:
         for reverse in (False, True):
-            assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
+            assert engine_matches5(c, reverse) == oracle_matches5(c, reverse)
             assert outcome(engine_step5, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
-@pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
+@pytest.mark.parametrize("ring", [False, True], ids=["open", "periodic-x"])
 @pytest.mark.parametrize("n,R", SIZES)
-def test_ham8_matches_cursor_scan_oracle(n, R, boundary):
-    tr = e8.enumerate_history8(ws_circuit(n, R), boundary)
+def test_ham8_matches_cursor_scan_oracle(n, R, ring):
+    tr = e8.enumerate_history8(ws_circuit(n, R), ring)
     configs = list(tr.configs())
     for c in configs:
         for reverse in (False, True):
@@ -239,7 +243,7 @@ def test_ham8_matches_cursor_scan_oracle(n, R, boundary):
             assert outcome(engine_step8, c, reverse) == outcome(oracle_step8, c, reverse)
     # the ring's extra backward match at t=0 is reproduced, not filtered out
     back = Stepper(e8.MACHINE, configs[0]).step(reverse=True)
-    assert (back is not None) == (boundary == e8.PERIODIC_X)
+    assert (back is not None) == ring
 
 
 def test_ham5_perturbed_configurations_match_the_oracle():
@@ -253,21 +257,21 @@ def test_ham5_perturbed_configurations_match_the_oracle():
                 syms[k] = sym
                 c = f5.Config5(c0.lattice, tuple(syms))
                 for reverse in (False, True):
-                    assert Stepper(f5.MACHINE, c).matches(reverse) == oracle_matches5(c, reverse)
+                    assert engine_matches5(c, reverse) == oracle_matches5(c, reverse)
                     assert outcome(engine_step5, c, reverse) == outcome(oracle_step5, c, reverse)
 
 
-@pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
-def test_ham8_perturbed_configurations_match_the_oracle(boundary):
+@pytest.mark.parametrize("ring", [False, True], ids=["open", "periodic-x"])
+def test_ham8_perturbed_configurations_match_the_oracle(ring):
     # a second live cursor at every cell of every fifth configuration; on the
     # ring it also replaces the stopper, so windows wrap round the chain
-    configs = list(e8.enumerate_history8(ws_circuit(2, 2), boundary).configs())
+    configs = list(e8.enumerate_history8(ws_circuit(2, 2), ring).configs())
     for c0 in configs[::5]:
         for k in range(c0.ncells):
             for sym in ("L", "l", "t", "R", "r", "D", "d"):
                 cursors = list(c0.cursors)
                 cursors[k] = sym
-                c = e8.Config8(c0.layout, c0.boundary, tuple(cursors), c0.progs, c0.datas)
+                c = e8.Config8(c0.layout, c0.ring, tuple(cursors), c0.progs, c0.datas)
                 for reverse in (False, True):
                     assert (outcome(engine_matches8, c, reverse)
                             == outcome(oracle_matches8, c, reverse))
@@ -282,7 +286,7 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
     cursors = list(c0.cursors)
     cursors[-1], cursors[j - 1] = e8.STAR, e8.TUR
     progs = ["."] * c0.ncells
-    c = e8.Config8(c0.layout, c0.boundary, tuple(cursors), tuple(progs), c0.datas)
+    c = e8.Config8(c0.layout, c0.ring, tuple(cursors), tuple(progs), c0.datas)
     assert outcome(engine_step8, c, False) == outcome(oracle_step8, c, False) == "placeholder"
     with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j}"):
         Stepper(e8.MACHINE, c).step()
@@ -297,7 +301,7 @@ def test_ham5_live_symbols_far_apart_are_both_found():
     c = f5.Config5(c0.lattice, tuple(syms))
     L = c0.lattice.L
     assert sorted(Stepper(f5.MACHINE, c).live) == [1, L - 2]
-    assert Stepper(f5.MACHINE, c).matches(False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
+    assert engine_matches5(c, False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
     message = f"2 rule instances match forward: [(1, '6a'), ({L - 2}, '7b')]"
     with pytest.raises(f5.RuleEngineError, match=re.escape(message)):
         Stepper(f5.MACHINE, c).step()

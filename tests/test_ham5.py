@@ -107,8 +107,8 @@ def test_rule_tally_derives_step_count(n, R):
     # every later round fires the same 3n^2+n+1 rewrites.
     tr = f5.enumerate_history5(n, R)
     configs = list(tr.configs())
-    tally = Counter(name for c in configs[:-1]
-                    for _, name in machine.Stepper(f5.MACHINE, c).matches(False))
+    tally = Counter(rule.name for c in configs[:-1]
+                    for _, rule in machine.Stepper(f5.MACHINE, c).matches(False))
     later = R - 1
     expected = {
         "1": R * (n - 1), "2": later, "3": n * later, "4": n * n * later,
@@ -188,9 +188,9 @@ def test_gate_event_position_is_the_rank_of_the_g_placeholder(n, R):
             _, event = step_config(f5.MACHINE, c_from, reverse)
             if event is None:
                 continue
-            ((s, name),) = machine.Stepper(f5.MACHINE, c_from).matches(reverse)
+            ((s, rule),) = machine.Stepper(f5.MACHINE, c_from).matches(reverse)
             # forward the window starts on g, backward on the q it became
-            assert name == "1" and c_from.symbols[s - 1] == (f5.Q if reverse else f5.G)
+            assert rule.name == "1" and c_from.symbols[s - 1] == (f5.Q if reverse else f5.G)
             head = c_from.symbols[:s]
             assert event.position == head.count(f5.Q) + head.count(f5.G)
 

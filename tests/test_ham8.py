@@ -115,17 +115,18 @@ def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
 
 
-# SHA-256 of the full `trace --scheme ham8` text of ws_circuit_3q2r
+# SHA-256 of the full `trace --scheme ham8` text of ws_circuit_3q2r, on the
+# open chain and on the ring
 DUMP_SHA256 = {
-    e8.OPEN: "4240b0414d8dc83e1da5323ca023fc90566b8db5407d45a4ca4734ad929768f5",
-    e8.PERIODIC_X: "4bdd8b3736db89d925b362f7b88aa3af3007d8955b0ffc84fd66da65dca9e558",
+    False: "4240b0414d8dc83e1da5323ca023fc90566b8db5407d45a4ca4734ad929768f5",
+    True: "4bdd8b3736db89d925b362f7b88aa3af3007d8955b0ffc84fd66da65dca9e558",
 }
 
 
-@pytest.mark.parametrize("boundary", [e8.OPEN, e8.PERIODIC_X])
-def test_full_dump_digest(ws_circuit_3q2r, boundary):
-    text = "".join(e8.enumerate_history8(ws_circuit_3q2r, boundary).dump())
-    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[boundary]
+@pytest.mark.parametrize("ring", [False, True], ids=["open", "periodic-x"])
+def test_full_dump_digest(ws_circuit_3q2r, ring):
+    text = "".join(e8.enumerate_history8(ws_circuit_3q2r, ring).dump())
+    assert hashlib.sha256(text.encode()).hexdigest() == DUMP_SHA256[ring]
 
 
 def test_events_carry_their_round(ws_circuit_3q2r):
@@ -163,7 +164,7 @@ def test_rule_conditions_never_read_qubit_placeholders(w_circuit_2q):
 def test_periodic_variant_same_length_and_fixed_stopper(ws_circuit_3q2r):
     tro = e8.enumerate_history8(ws_circuit_3q2r)
     open_configs = list(tro.configs())
-    trp = e8.enumerate_history8(ws_circuit_3q2r, e8.PERIODIC_X)
+    trp = e8.enumerate_history8(ws_circuit_3q2r, ring=True)
     ring_configs = list(trp.configs())
     assert trp.T == tro.T
     for c in ring_configs:
@@ -179,7 +180,7 @@ def test_periodic_variant_reversible_after_first_step(w_circuit_2q):
     # The ring admits one extra reverse match at the initial configuration
     # (a left-cursor step wrapping through the stopper cell), so the history
     # is only forward-terminated; every later configuration reverses cleanly.
-    trp = e8.enumerate_history8(w_circuit_2q, e8.PERIODIC_X)
+    trp = e8.enumerate_history8(w_circuit_2q, ring=True)
     ring_configs = list(trp.configs())
     assert machine.Stepper(e8.MACHINE, ring_configs[0]).step(reverse=True) is not None
     state = machine.Stepper(e8.MACHINE, trp.first)
@@ -193,8 +194,33 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
     cursors = list(c0.cursors)
     cursors[1] = e8.MOVL  # second cursor alongside the real one
     with pytest.raises(e8.RuleEngineError):
-        machine.Stepper(e8.MACHINE, e8.Config8(c0.layout, c0.boundary, tuple(cursors),
+        machine.Stepper(e8.MACHINE, e8.Config8(c0.layout, c0.ring, tuple(cursors),
                                                c0.progs, c0.datas)).step()
+
+
+def test_config_accepts_the_stopper_only_on_the_ring(w_circuit_2q):
+    ring = e8.initial_config8(w_circuit_2q, ring=True)
+    assert ring.cursors[-1] == e8.XSTOP
+    c0 = e8.initial_config8(w_circuit_2q)
+    cursors = (e8.XSTOP,) + c0.cursors[1:]
+    with pytest.raises(ValueError, match="cell 1: bad cursor symbol 'X'"):
+        e8.Config8(c0.layout, False, cursors, c0.progs, c0.datas)
+    assert e8.Config8(c0.layout, True, cursors + (e8.STAR,), ring.progs, ring.datas).ring
+
+
+def test_config_rejects_a_bad_program_symbol(w_circuit_2q):
+    c0 = e8.initial_config8(w_circuit_2q)
+    with pytest.raises(ValueError, match="bad program symbol"):
+        e8.Config8(c0.layout, False, c0.cursors, ("Z",) + c0.progs[1:], c0.datas)
+
+
+def test_config_rejects_registers_of_unequal_length(w_circuit_2q):
+    c0 = e8.initial_config8(w_circuit_2q)
+    with pytest.raises(ValueError, match="register length mismatch"):
+        e8.Config8(c0.layout, False, c0.cursors, c0.progs[:-1], c0.datas)
+    # the ring needs its stopper cell in every register
+    with pytest.raises(ValueError, match="register length mismatch"):
+        e8.Config8(c0.layout, True, c0.cursors, c0.progs, c0.datas)
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):
@@ -209,7 +235,7 @@ def test_local_terms_tile_every_cell(w_circuit_2q):
         ends[t.position].add(t.rule.name)
     assert ends[1] == {"3a", "3b", "4a", "4b", "5a", "5b"}  # no "s-"
     assert ends[c0.ncells] == {"1a", "1b", "1c", "2a", "2b"}  # no "p+" or "d+"
-    ring = e8.initial_config8(w_circuit_2q, e8.PERIODIC_X)
+    ring = e8.initial_config8(w_circuit_2q, ring=True)
     assert len(machine.local_terms(e8.MACHINE, ring)) == 17 * ring.ncells
 
 

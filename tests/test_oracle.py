@@ -64,7 +64,7 @@ def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
 
 def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
     c0 = e8.initial_config8(w_circuit_2q)
-    dead = e8.Config8(c0.layout, c0.boundary, (e8.STAR,) * c0.ncells,
+    dead = e8.Config8(c0.layout, c0.ring, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
     terms = machine.local_terms(e8.MACHINE, c0)
     state = machine.Stepper(e8.MACHINE, dead)
@@ -245,7 +245,7 @@ def test_rogue_term_with_a_neighbours_changes_names_the_neighbour(ws_circuit_3q2
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     configs = list(f5.enumerate_history5(3, 2).configs())
     fired = [t for t, c in enumerate(configs[:-1])
-             if [name for _, name in machine.Stepper(f5.MACHINE, c).matches(False)] == ["3"]]
+             if [rule.name for _, rule in machine.Stepper(f5.MACHINE, c).matches(False)] == ["3"]]
     assert fired
     for t in fired:
         assert f"register mismatch vs t'={t + 1}" in rep.lines[t]
@@ -258,10 +258,10 @@ def test_real_term_tiled_twice_fails_with_a_register_mismatch(ws_circuit_3q2r, m
     # sum to -2q; a shortcut that passed an image for being the neighbour's
     # array, without counting the images, would pass them
     c0 = f5.initial_config5(3, 2)
-    ((s, name),) = machine.Stepper(f5.MACHINE, c0).matches(False)
+    ((s, rule),) = machine.Stepper(f5.MACHINE, c0).matches(False)
     local_terms = machine.local_terms
     monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
-        t for t in local_terms(m, c0) if (t.position, t.rule.name) == (s, name)])
+        t for t in local_terms(m, c0) if (t.position, t.rule) == (s, rule)])
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     assert rep.failures == 2
     assert rep.lines[:2] == ["t=0 FAIL: register mismatch vs t'=1",
@@ -293,9 +293,9 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     n, R = ws_circuit_3q2r.n, ws_circuit_3q2r.rounds
     T = f5.step_count_formula5(n, R)
     last = list(f5.enumerate_history5(n, R).configs())[T - 1]
-    ((s, name),) = machine.Stepper(f5.MACHINE, last).matches(False)
+    ((s, rule),) = machine.Stepper(f5.MACHINE, last).matches(False)
     event = machine.Stepper(f5.MACHINE, last).step()[2]
-    assert name == "1" and (event.round, event.position) == (R, n - 1)
+    assert rule.name == "1" and (event.round, event.position) == (R, n - 1)
     terms = machine.local_terms(f5.MACHINE, last)
     kept = [term for term in terms if (term.position, term.rule.name) != (s, "1")]
     assert len(kept) == len(terms) - 1

@@ -605,16 +605,16 @@ def test_history_length_refuses_too_many_cell_steps():
     assert walk.history_length("ham8", Circuit(2, 92)) * 552 <= walk.MAX_CELL_STEPS
 
 
-@pytest.mark.parametrize("scheme,boundary,cells", [
-    ("ham5", e8.OPEN, 1 + 2 * 3 * 2),
-    ("ham8", e8.OPEN, 3 + 4 + 2 * 1 * 4),
-    ("ham8", e8.PERIODIC_X, 3 + 4 + 2 * 1 * 4 + 1),  # the ring's stopper cell
-])
-def test_history_length_limit_counts_every_cell(scheme, boundary, cells, monkeypatch):
+@pytest.mark.parametrize("scheme,ring,cells", [
+    ("ham5", False, 1 + 2 * 3 * 2),
+    ("ham8", False, 3 + 4 + 2 * 1 * 4),
+    ("ham8", True, 3 + 4 + 2 * 1 * 4 + 1),  # the ring's stopper cell
+], ids=["ham5-open-13", "ham8-open-15", "ham8-periodic-x-16"])
+def test_history_length_limit_counts_every_cell(scheme, ring, cells, monkeypatch):
     circuit = Circuit(3, 2)
     T = walk.closed_form_steps(3, 2, 2, scheme)[0]
     monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells)
-    assert walk.history_length(scheme, circuit, boundary) == T
+    assert walk.history_length(scheme, circuit, ring) == T
     monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells - 1)
     with pytest.raises(ValueError, match="cell steps"):
-        walk.history_length(scheme, circuit, boundary)
+        walk.history_length(scheme, circuit, ring)
