@@ -88,7 +88,7 @@ def parse_circuit(text: str) -> Circuit:
     """The circuit of `text`.  Each header is given once, and every GATE
     line, I included, names a slot in range that no other line names."""
     headers: dict[str, int] = {}
-    entries: dict[tuple[int, int], Gate] = {}
+    entries: dict[tuple[int, int], tuple[Gate, int]] = {}  # slot -> (gate, line number)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -110,7 +110,7 @@ def parse_circuit(text: str) -> Circuit:
                 r, i = int(parts[2]), int(parts[3])
                 if (r, i) in entries:
                     raise CircuitParseError(f"line {lineno}: slot ({r},{i}) filled twice")
-                entries[(r, i)] = GATE_NAMES[name]
+                entries[(r, i)] = GATE_NAMES[name], lineno
             else:
                 raise CircuitParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
         except ValueError as exc:
@@ -121,10 +121,15 @@ def parse_circuit(text: str) -> Circuit:
     if n is None or rounds is None:
         raise CircuitParseError("missing QUBITS or ROUNDS header")
     try:
-        Circuit(n, rounds, entries)  # range-checks every slot, identity ones too
+        Circuit(n, rounds)
     except ValueError as exc:
         raise CircuitParseError(str(exc)) from exc
-    return Circuit(n, rounds, {slot: g for slot, g in entries.items() if g.label != "I"})
+    for slot, (g, lineno) in entries.items():
+        try:
+            Circuit(n, rounds, {slot: g})  # range-checks the slot, an identity one too
+        except ValueError as exc:
+            raise CircuitParseError(f"line {lineno}: {exc}") from exc
+    return Circuit(n, rounds, {slot: g for slot, (g, _) in entries.items() if g.label != "I"})
 
 
 def serialize_circuit(c: Circuit) -> str:

@@ -8,10 +8,14 @@ rewritten registers and its conditions as (register, offset, value) triples
 over the fixed ones, offsets counted from the window cell j.  On a ring the
 cells wrap; on the open chain a window that leaves the chain does not match.
 A fixed register may hold qubit placeholders w1..wn, which no condition may
-read.  Each side of each rule holds a live symbol of register 0, so the
-matcher tries only the rules filed under the live symbols present, at the
-window cell their offset gives (tests/test_engine_oracle.py checks this
-against a full scan of the readable tables).
+read.  The local terms are the rules tiled over a chain, and one filing
+(file_terms) and one match loop (Stepper.find) serve both stepping and
+certification: a term is filed under the cell and symbol of the first live
+symbol of register 0 on its source side, and only the terms filed under a
+live cell's symbol are tried.  Each side of each rule holds a live symbol
+of register 0; a Machine files its own terms once per chain
+(tests/test_engine_oracle.py checks its matches against a full scan of the
+readable tables).
 
 A configuration class supplies `registers` (a tuple, rewritten registers
 first), `ring` (a bool: whether the cells wrap), `rebuild(registers)` and
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import gates
 
@@ -75,29 +80,11 @@ class Machine:
         self.live = frozenset(live)
         self.event = event
         self.rewritten = 1 + max(reg for rule in self.rules for reg, _, _ in rule.pre + rule.post)
-        # per direction: live symbol -> (offset, rule, entries) of each source side it anchors
-        self.index = {}
-        for reverse in (False, True):
-            index = self.index[reverse] = {}
-            for rule in self.rules:
-                src = rule.post if reverse else rule.pre
-                anchor = self.anchor(src)
-                if anchor is None:
+        for rule in self.rules:
+            for side in (rule.pre, rule.post):
+                if not any(reg == 0 and sym in self.live for reg, _, sym in side):
                     raise ValueError(f"rule {rule.name} has a side without a live symbol")
-                index.setdefault(anchor[1], []).append((anchor[0], rule, src + rule.conditions))
-
-    def anchor(self, side) -> tuple | None:
-        """(offset, symbol) of the first live symbol of register 0 in `side`."""
-        for reg, off, sym in side:
-            if reg == 0 and sym in self.live:
-                return off, sym
-        return None
-
-    def match_at(self, c, j: int, rule: Rule, reverse: bool) -> bool:
-        """Whether `rule` rewrites c (a configuration or a Stepper) at window
-        cell j, backward if `reverse`."""
-        src = rule.post if reverse else rule.pre
-        return _holds(c.registers, c.ring, j, src + rule.conditions)
+        self.filed = {}  # (cell count, ring) -> file_terms of the local terms of that chain
 
 
 class Stepper:
@@ -113,20 +100,33 @@ class Stepper:
         self.registers = [list(reg) for reg in c.registers[:k]] + list(c.registers[k:])
         self.n = len(self.registers[0])
         self.live = {p for p, sym in enumerate(self.registers[0], 1) if sym in machine.live}
+        key = self.n, self.ring  # each chain's terms are filed once per machine
+        if key not in machine.filed:
+            machine.filed[key] = file_terms(local_terms(machine, self), machine.live, self)
+        self.filed = machine.filed[key]
 
-    def matches(self, reverse: bool) -> list[tuple]:
-        """Every match (window cell j, rule), ordered by j, then by the table."""
-        m, registers, ring, n = self.machine, self.registers, self.ring, self.n
-        first, index = registers[0], m.index[reverse]
+    def find(self, filed: tuple, reverse: bool) -> list[tuple]:
+        """The filed entries (file_terms) of the terms that rewrite the
+        configuration, backward if `reverse`, in term order: only those filed
+        under a live cell and its symbol, or under None, are tried."""
+        index, registers, ring = filed[reverse], self.registers, self.ring
+        first = registers[0]
         found = []
         for p in self.live:
-            for off, rule, entries in index.get(first[p - 1], ()):
-                j = (p - off - 1) % n + 1 if ring else p - off
-                if 1 <= j <= n and _holds(registers, ring, j, entries):
-                    found.append((j, rule))
+            for hit in index.get((p, first[p - 1]), ()):
+                if _holds(registers, ring, hit[1], hit[3]):
+                    found.append(hit)
+        for hit in index.get(None, ()):
+            if _holds(registers, ring, hit[1], hit[3]):
+                found.append(hit)
         if len(found) > 1:
-            found.sort(key=lambda hit: (hit[0], m.rules.index(hit[1])))
+            found.sort(key=lambda hit: hit[0])
         return found
+
+    def matches(self, reverse: bool) -> list[tuple]:
+        """Every match (window cell j, rule) of the machine's rules, ordered by
+        j, then by the table."""
+        return [(j, rule) for _, j, rule, _ in self.find(self.filed, reverse)]
 
     def edit(self, j: int, rule: Rule, reverse: bool) -> frozenset:
         """The (register, cell index, symbol) writes of `rule` at window cell j,
@@ -172,8 +172,7 @@ class Stepper:
         return self.base.rebuild([tuple(reg) for reg in self.registers[:self.machine.rewritten]])
 
 
-@dataclass(frozen=True)
-class LocalTerm:
+class LocalTerm(NamedTuple):
     """-|post><pre| + h.c. on the window of `rule` at window cell `position`."""
 
     position: int
@@ -183,10 +182,31 @@ class LocalTerm:
 def local_terms(machine: Machine, c0) -> list[LocalTerm]:
     """Each rule at each window cell where its window fits c0's chain (every cell on a ring)."""
     n = len(c0.registers[0])
-    spans = [(rule, [off for _, off, _ in rule.pre + rule.post + rule.conditions])
-             for rule in machine.rules]
-    return [LocalTerm(j, rule) for j in range(1, n + 1) for rule, offsets in spans
-            if c0.ring or (j + min(offsets) >= 1 and j + max(offsets) <= n)]
+    spans = []  # (rule, first and last window cell where it fits the open chain)
+    for rule in machine.rules:
+        offsets = [off for _, off, _ in rule.pre + rule.post + rule.conditions]
+        spans.append((rule, 1 - min(offsets), n - max(offsets)))
+    return [LocalTerm(j, rule) for j in range(1, n + 1) for rule, lo, hi in spans
+            if c0.ring or lo <= j <= hi]
+
+
+def file_terms(terms: list[LocalTerm], live: frozenset, c) -> tuple[dict, dict]:
+    """The terms for Stepper.find, forward then backward.  A term's source
+    side (pre forward, post backward) matches only where its first live
+    symbol of register 0 is, so it is filed under that cell of c's chain,
+    wrapped on a ring, and that symbol, as (term index, window cell, rule,
+    side + conditions).  A side without a live symbol is filed under None."""
+    n, ring = len(c.registers[0]), c.ring
+    filed = ({}, {})
+    for i, (j, rule) in enumerate(terms):
+        for side, index in ((rule.pre, filed[0]), (rule.post, filed[1])):
+            key = None
+            for reg, off, sym in side:
+                if reg == 0 and sym in live:
+                    key = (j + off - 1) % n + 1 if ring else j + off, sym
+                    break
+            index.setdefault(key, []).append((i, j, rule, side + rule.conditions))
+    return filed
 
 
 @dataclass

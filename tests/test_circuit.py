@@ -68,24 +68,37 @@ def test_parse_and_serialize_basic():
     assert parse_circuit(serialize_circuit(c)).gates.keys() == c.gates.keys()
 
 
-@pytest.mark.parametrize("bad", [
-    "GATE W 1 1\n",                       # missing headers
-    "QUBITS 3\nROUNDS 1\nGATE Q 1 1\n",   # unknown gate
-    "QUBITS 3\nROUNDS 1\nGATE W 2 1\n",   # round out of range
-    "QUBITS 3\nROUNDS 1\nGATE W 1 3\n",   # position out of range
-    "QUBITS 3\nROUNDS 1\nGATE W 1 1\nGATE S 1 1\n",  # duplicate slot
-    "QUBITS x\nROUNDS 1\n",               # bad integer
-    "QUBITS 3\nROUNDS 1\nstuff\n",        # junk line
-    "QUBITS 2\nQUBITS 3\nROUNDS 1\n",     # repeated header
-    "QUBITS 2\nROUNDS 1\nROUNDS 2\n",
-    "QUBITS 2\nROUNDS 1\nGATE I 1 5\n",   # an identity slot is range-checked too
-    "QUBITS 2\nROUNDS 1\nGATE I 0 -3\n",
-    "QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE I 1 1\n",  # and fills its slot
-    "QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE W 1 1\n",
-])
+# (circuit text, the line its refusal names, or None when it names none)
+PARSE_ERRORS = [
+    ("GATE W 1 1\n", None),                       # missing headers
+    ("QUBITS 3\nROUNDS 1\nGATE Q 1 1\n", 3),   # unknown gate
+    ("QUBITS 3\nROUNDS 1\nGATE W 2 1\n", 3),   # round out of range
+    ("QUBITS 3\nROUNDS 1\nGATE W 1 3\n", 3),   # position out of range
+    ("QUBITS 3\nROUNDS 1\nGATE T 1 2\n", 3),   # a Toffoli that runs past the last qubit
+    ("QUBITS 3\nGATE W 2 1\nROUNDS 1\n", 2),   # a slot read before the header it breaks
+    ("QUBITS 3\nROUNDS 2\nGATE W 2 1\nGATE W 3 1\n", 4),  # the line of the bad slot
+    ("QUBITS 3\nROUNDS 1\nGATE W 1 1\nGATE S 1 1\n", 4),  # duplicate slot
+    ("QUBITS x\nROUNDS 1\n", 1),               # bad integer
+    ("QUBITS 3\nROUNDS 1\nstuff\n", 3),        # junk line
+    ("QUBITS 2\nQUBITS 3\nROUNDS 1\n", 2),     # repeated header
+    ("QUBITS 2\nROUNDS 1\nROUNDS 2\n", 3),
+    ("QUBITS 2\nROUNDS 1\nGATE I 1 5\n", 3),   # an identity slot is range-checked too
+    ("QUBITS 2\nROUNDS 1\nGATE I 0 -3\n", 3),
+    ("QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE I 1 1\n", 4),  # and fills its slot
+    ("QUBITS 2\nROUNDS 1\nGATE I 1 1\nGATE W 1 1\n", 4),
+    ("QUBITS 1\nROUNDS 1\n", None),             # a header out of range
+]
+
+
+@pytest.mark.parametrize("bad", [text for text, _ in PARSE_ERRORS])
 def test_parse_errors(bad):
-    with pytest.raises(CircuitParseError):
+    with pytest.raises(CircuitParseError) as err:
         parse_circuit(bad)
+    line = dict(PARSE_ERRORS)[bad]
+    if line is None:
+        assert not str(err.value).startswith("line ")
+    else:
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 @settings(max_examples=60, deadline=None)

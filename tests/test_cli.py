@@ -112,15 +112,17 @@ def _limit_address_space():
     ["sample", "W", "--scheme", "ham5"],
     ["evolve", "--taus", "1"],
     ["trace", "TWICE", "--scheme", "ham5"],
+    ["trace", "RANGE", "--scheme", "ham8"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
-        "evolve-without-circuit-or-T", "repeated-header"])
+        "evolve-without-circuit-or-T", "repeated-header", "slot-out-of-range"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n",
-             "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n"}
+             "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n",
+             "RANGE": "QUBITS 2\nROUNDS 1\nGATE W 2 1\n"}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     done = _run_under_memory_limit(argv, tmp_path)

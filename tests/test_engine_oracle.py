@@ -12,7 +12,7 @@ import pytest
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates
+from hamchain import gates, machine
 from hamchain.circuit import Circuit
 from hamchain.machine import Stepper
 
@@ -221,6 +221,13 @@ def test_every_compiled_rule_side_holds_a_live_symbol_of_register_0():
                 assert {sym for reg, _, sym in side if reg == 0} & machine.live, rule
 
 
+def test_a_rule_side_without_a_live_symbol_is_refused():
+    # such a side would be filed under None and tried on every state
+    idle = machine.Rule("idle", ((0, 0, e8.STAR),), ((0, 0, e8.MOVL),))
+    with pytest.raises(ValueError, match="^rule idle has a side without a live symbol$"):
+        machine.Machine([idle], e8.MACHINE.live, e8.MACHINE.event)
+
+
 @pytest.mark.parametrize("n,R", SIZES)
 def test_ham5_matches_full_scan_oracle(n, R):
     tr = f5.enumerate_history5(n, R)
@@ -244,6 +251,54 @@ def test_ham8_matches_cursor_scan_oracle(n, R, ring):
     # the ring's extra backward match at t=0 is reproduced, not filtered out
     back = Stepper(e8.MACHINE, configs[0]).step(reverse=True)
     assert (back is not None) == ring
+
+
+def test_filed_terms_are_kept_per_cell_count_and_ring(monkeypatch):
+    # the open chain at n=3, R=1 and the ham8 ring at n=2, R=1 both have 7
+    # cells: stepped alternately by one machine, each must match the oracle
+    # (the ring's backward match at t=0 wraps, which the open chain's terms
+    # lack), and the machine files the terms of each chain once
+    ring = e8.initial_config8(ws_circuit(2, 1), ring=True)
+    chain = e8.initial_config8(ws_circuit(3, 1))
+    assert ring.ncells == chain.ncells == 7
+    filed = []
+    file_terms = machine.file_terms
+
+    def counted(terms, live, c):
+        filed.append((len(c.registers[0]), c.ring))
+        return file_terms(terms, live, c)
+
+    monkeypatch.setattr(machine, "file_terms", counted)
+    m = machine.Machine(e8.MACHINE.rules, e8.MACHINE.live, e8.MACHINE.event)
+    states = [Stepper(m, chain), Stepper(m, ring)]
+    assert filed == [(7, False), (7, True)]
+    steps = [0, 0]
+    while states:
+        for k, state in enumerate(list(states)):
+            c = state.snapshot()
+            for reverse in (False, True):
+                assert ([(j, rule.name, rule.letter) for j, rule in state.matches(reverse)]
+                        == oracle_matches8(c, reverse))
+            want = oracle_step8(c, False)
+            got = state.step()
+            if want is None:
+                assert got is None
+                states.remove(state)
+                continue
+            assert (state.snapshot(), got[2]) == want
+            steps[k] += 1
+    assert steps[0] > 0 and steps[1] > 0
+    # no step of either history wraps; a cursor D in the stopper's cell makes
+    # rule 2a's window wrap, on the ring alone, with its live symbol in cell 7
+    wrapped = e8.Config8(ring.layout, True, (e8.STAR,) * 6 + (e8.DBLR,), ring.progs, ring.datas)
+    for c in (wrapped, e8.Config8(chain.layout, False, wrapped.cursors, chain.progs, chain.datas)):
+        for reverse in (False, True):
+            assert ([(j, rule.name, rule.letter) for j, rule in Stepper(m, c).matches(reverse)]
+                    == oracle_matches8(c, reverse))
+    assert oracle_matches8(wrapped, False) == [(1, "2a", None)]
+    # a second Stepper on a chain already filed does not file it again
+    Stepper(m, chain), Stepper(m, ring)
+    assert filed == [(7, False), (7, True)]
 
 
 def test_ham5_perturbed_configurations_match_the_oracle():

@@ -149,9 +149,10 @@ def test_local_terms_have_one_gate_term_per_slot():
     L = history.first.lattice.L
     assert [(t.position, t.rule) for t in terms] == [
         (s, rule) for s in range(1, L - 1) for rule in f5.MACHINE.rules]
+    filed = machine.file_terms(terms, f5.MACHINE.live, history.first)
     fired = []
     for t, c in enumerate(history.configs()):
-        hits = [term for term in terms if f5.MACHINE.match_at(c, term.position, term.rule, False)]
+        hits = [terms[i] for i, *_ in machine.Stepper(f5.MACHINE, c).find(filed, False)]
         assert len(hits) == (t < history.T)
         if t in history.events:
             (term,) = hits

@@ -189,6 +189,19 @@ def test_periodic_variant_reversible_after_first_step(w_circuit_2q):
         assert_steps_back(state)
 
 
+def test_ring_walks_back_from_t0_eight_steps_then_reads_a_placeholder(w_circuit_2q):
+    # the ring's extra backward match at t=0 starts a walk off the history,
+    # through the stopper cell, so the cells its matches are filed under wrap
+    # round the chain: eight steps back succeed, and the ninth meets a rule
+    # condition that reads the placeholder w1
+    state = machine.Stepper(e8.MACHINE, e8.initial_config8(w_circuit_2q, ring=True))
+    for _ in range(8):
+        assert state.step(reverse=True) is not None
+    with pytest.raises(e8.RuleEngineError,
+                       match="^rule condition reads qubit placeholder w1 at cell 2$"):
+        state.step(reverse=True)
+
+
 def test_rule_engine_flags_ambiguity(w_circuit_2q):
     c0 = e8.initial_config8(w_circuit_2q)
     cursors = list(c0.cursors)

@@ -33,15 +33,11 @@ def test_certify_with_superposed_register(w_circuit_2q):
     assert subspace.certify_subspace("ham8", w_circuit_2q, init).passed
 
 
-def _both(terms):
-    """Each term in both directions, as the picker's (term, reverse) pairs."""
-    return [(term, reverse) for term in terms for reverse in (False, True)]
-
-
 def _image_patterns(m, terms, c, q, circuit):
     """The configuration each image of the dressed state (c, q) names."""
     out = []
-    for edit, _ in subspace.images(m, _both(terms), machine.Stepper(m, c), q, circuit):
+    filed = machine.file_terms(terms, m.live, c)
+    for edit, _ in subspace.images(filed, machine.Stepper(m, c), q, circuit):
         image = machine.Stepper(m, c)
         image.apply(edit)
         out.append(image.snapshot())
@@ -66,10 +62,9 @@ def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
     c0 = e8.initial_config8(w_circuit_2q)
     dead = e8.Config8(c0.layout, c0.ring, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
-    terms = machine.local_terms(e8.MACHINE, c0)
+    filed = machine.file_terms(machine.local_terms(e8.MACHINE, c0), e8.MACHINE.live, c0)
     state = machine.Stepper(e8.MACHINE, dead)
-    assert subspace.images(e8.MACHINE, _both(terms), state, QubitState.basis("00"),
-                           w_circuit_2q) == []
+    assert subspace.images(filed, state, QubitState.basis("00"), w_circuit_2q) == []
 
 
 def _superposed(n):
@@ -108,9 +103,10 @@ def test_backward_gate_without_its_inverse_fails_certification(w_circuit_2q, mon
 
 
 def test_dropped_rule_fails_with_missing_neighbor(w_circuit_2q, monkeypatch):
-    local_terms = machine.local_terms
-    monkeypatch.setattr(machine, "local_terms", lambda m, c0: [
-        t for t in local_terms(m, c0) if t.rule.name != "1b"])
+    # certification reads its terms through its own binding of local_terms,
+    # so dropping a term there leaves the stepping that gives the neighbours
+    monkeypatch.setattr(subspace, "local_terms", lambda m, c0: [
+        t for t in machine.local_terms(m, c0) if t.rule.name != "1b"])
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     assert not rep.passed
     assert any("missing neighbor" in line for line in rep.lines)
@@ -144,6 +140,22 @@ def test_certify_rejects_unknown_scheme(w_circuit_2q):
         subspace.certify_subspace("ham9", w_circuit_2q)
 
 
+def _scan_images(terms, state, q, circuit):
+    """The images of (state, q) under every term in both directions, in term
+    order, forward first, each side and its conditions read cell by cell."""
+    registers, n, m = state.registers, state.n, state.machine
+    out = []
+    for term in terms:
+        j, rule = term.position, term.rule
+        for reverse in (False, True):
+            cells = [(reg, (j + off - 1) % n if state.ring else j + off - 1, sym)
+                     for reg, off, sym in (rule.post if reverse else rule.pre) + rule.conditions]
+            if all(0 <= i < n and registers[reg][i] == sym for reg, i, sym in cells):
+                event = m.event(state.base, j, rule, not reverse)
+                out.append((state.edit(j, rule, reverse), machine.fire(event, circuit, q)))
+    return out
+
+
 @pytest.mark.parametrize("scheme,circuit", [
     ("ham5", Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
                             (2, 1): gates.CX, (2, 2): gates.W})),
@@ -153,25 +165,34 @@ def test_certify_rejects_unknown_scheme(w_circuit_2q):
                             (2, 1): gates.SWAP, (2, 2): gates.W})),
 ])
 def test_picked_terms_give_the_images_of_all_terms(scheme, circuit):
+    # the terms that find picks from the filed index, in both directions,
+    # give the images of a full scan of every term, in the same order
     amps = np.arange(1, 2**circuit.n + 1, dtype=complex)
     init = QubitState(circuit.n, amps / np.linalg.norm(amps))
     history = walk.enumerate_history(scheme, circuit)
     m = history.machine
     terms = machine.local_terms(m, history.first)
-    pick = subspace._term_picker(m, terms, history.first)
+    filed = machine.file_terms(terms, m.live, history.first)
+    for index in filed:
+        assert sorted(i for bucket in index.values() for i, *_ in bucket) == list(range(len(terms)))
     for c, q in zip(history.configs(), history.registers(circuit, init)):
         state = machine.Stepper(m, c)
-        picked = pick(state)
-        assert len(picked) < len(terms)
-        want = subspace.images(m, _both(terms), state, q, circuit)
-        got = subspace.images(m, picked, state, q, circuit)
+        first = state.registers[0]
+        tried = sum(len(index.get((p, first[p - 1]), ())) for index in filed for p in state.live)
+        assert tried < len(terms)
+        want = _scan_images(terms, state, q, circuit)
+        got = subspace.images(filed, state, q, circuit)
         assert [edit for edit, _ in got] == [edit for edit, _ in want]
         assert all(np.array_equal(a.amps, b.amps) for (_, a), (_, b) in zip(got, want))
 
 
 def _add_term(monkeypatch, rogue):
-    local_terms = machine.local_terms
-    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [rogue])
+    monkeypatch.setattr(subspace, "local_terms",
+                        lambda m, c0: machine.local_terms(m, c0) + [rogue])
+
+
+def _holds_no_live_symbol(m, rule):
+    return not {sym for reg, _, sym in rule.pre + rule.post if reg == 0} & m.live
 
 
 def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monkeypatch):
@@ -181,7 +202,7 @@ def test_rogue_ham5_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     rogue = machine.LocalTerm(2, machine.Rule(
         "rogue", tuple((0, k, sym) for k, sym in enumerate(lhs)),
         tuple((0, k, sym) for k, sym in enumerate(rhs))))
-    assert f5.MACHINE.anchor(rogue.rule.pre) is f5.MACHINE.anchor(rogue.rule.post) is None
+    assert _holds_no_live_symbol(f5.MACHINE, rogue.rule)
     _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham5", w_circuit_2q)
     trace = f5.enumerate_history5(2, 1)
@@ -199,7 +220,7 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
     # of those has the rewritten pattern as a neighbour
     rogue = machine.LocalTerm(1, machine.Rule("rogue", pre=((0, 0, e8.STAR), (1, 0, ".")),
                                               post=((0, 0, e8.STAR), (1, 0, "I"))))
-    assert e8.MACHINE.anchor(rogue.rule.pre) is e8.MACHINE.anchor(rogue.rule.post) is None
+    assert _holds_no_live_symbol(e8.MACHINE, rogue.rule)
     _add_term(monkeypatch, rogue)
     rep = subspace.certify_subspace("ham8", w_circuit_2q)
     trace = e8.enumerate_history8(w_circuit_2q)
@@ -219,7 +240,7 @@ def test_rogue_term_one_cell_past_a_neighbour_is_unexpected(ws_circuit_3q2r, mon
     rhs = (f5.MOVLE, f5.BLANK, f5.PLUS)
     rogue = machine.Rule("rogue", rule3.pre, tuple((0, k, sym) for k, sym in enumerate(rhs)))
     local_terms = machine.local_terms
-    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+    monkeypatch.setattr(subspace, "local_terms", lambda m, c0: local_terms(m, c0) + [
         machine.LocalTerm(t.position, rogue) for t in local_terms(m, c0) if t.rule is rule3])
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     lhs = tuple(sym for _, _, sym in rule3.pre)
@@ -240,7 +261,7 @@ def test_rogue_term_with_a_neighbours_changes_names_the_neighbour(ws_circuit_3q2
     rule3 = next(rule for rule in f5.MACHINE.rules if rule.name == "3")
     rogue = machine.Rule("rogue", rule3.pre[:2], rule3.post[:2])
     local_terms = machine.local_terms
-    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+    monkeypatch.setattr(subspace, "local_terms", lambda m, c0: local_terms(m, c0) + [
         machine.LocalTerm(t.position, rogue) for t in local_terms(m, c0) if t.rule is rule3])
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     configs = list(f5.enumerate_history5(3, 2).configs())
@@ -260,7 +281,7 @@ def test_real_term_tiled_twice_fails_with_a_register_mismatch(ws_circuit_3q2r, m
     c0 = f5.initial_config5(3, 2)
     ((s, rule),) = machine.Stepper(f5.MACHINE, c0).matches(False)
     local_terms = machine.local_terms
-    monkeypatch.setattr(machine, "local_terms", lambda m, c0: local_terms(m, c0) + [
+    monkeypatch.setattr(subspace, "local_terms", lambda m, c0: local_terms(m, c0) + [
         t for t in local_terms(m, c0) if (t.position, t.rule) == (s, rule)])
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     assert rep.failures == 2
@@ -299,7 +320,7 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     terms = machine.local_terms(f5.MACHINE, last)
     kept = [term for term in terms if (term.position, term.rule.name) != (s, "1")]
     assert len(kept) == len(terms) - 1
-    monkeypatch.setattr(machine, "local_terms", lambda *a, **k: kept)
+    monkeypatch.setattr(subspace, "local_terms", lambda *a, **k: kept)
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     assert len(rep.lines) == T + 1
     assert [t for t, line in enumerate(rep.lines) if "FAIL" in line] == [T - 1, T]
