@@ -16,7 +16,8 @@ The rule table is compiled at import into machine.Rule values, one per gate
 letter where a rule binds one; its data keys become conditions on the fixed
 data register, and `machine.Stepper` steps it either way.  A history keeps
 each rule-4a event under its step and sets the round of each logical firing
-from its rank; the letter I fires nothing.
+from its rank; the letter I fires nothing.  The scheme's interface
+(walk.scheme_module) is first_config, closed_forms, cells and history.
 """
 from __future__ import annotations
 
@@ -51,19 +52,13 @@ class GateOnScaffoldError(RuleEngineError):
 class ProgramLayout:
     """Program word and data scaffold for an n-qubit, R-round circuit."""
 
-    n: int
-    R: int
     program: tuple[str, ...]  # length R(n+1): I, round 1, I, I, round 2, ..., I
-    data: tuple[str, ...]  # length L: scaffold bits and w1..wn placeholders
+    data: tuple[str, ...]  # one per cell of the open chain: scaffold bits and w1..wn
 
-    @property
-    def L(self) -> int:
-        return self.cells(self.n, self.R)
 
-    @staticmethod
-    def cells(n: int, R: int) -> int:
-        """Cells of the open chain of an n-qubit, R-round circuit."""
-        return n + 4 + 2 * (R - 1) * (n + 1)
+def cells(n: int, R: int, ring: bool = False) -> int:
+    """Cells of the chain of an n-qubit, R-round circuit, stopper included."""
+    return n + 4 + 2 * (R - 1) * (n + 1) + ring
 
 
 def program_layout(circuit: Circuit) -> ProgramLayout:
@@ -73,24 +68,15 @@ def program_layout(circuit: Circuit) -> ProgramLayout:
         for i in range(1, n):
             g = circuit.gate_at(r, i)
             if g.label not in NATIVE:
-                raise UnsupportedGateError(
-                    f"gate {g.label} at ({r},{i}) is outside {{W,S,I}}; "
-                    "rewrite the circuit first"
-                )
+                raise UnsupportedGateError(f"gate {g.label} at ({r},{i}) is outside "
+                                           "{W,S,I}; rewrite the circuit first")
             word.append(g.label)
         word.extend(["I", "I"] if r < R else ["I"])
     spacer = ["1"] + ["0"] * n
-    data = (
-        ["0"]
-        + spacer * (R - 1)
-        + ["1"]
-        + [f"w{i}" for i in range(1, n + 1)]
-        + spacer * (R - 1)
-        + ["1", "0"]
-    )
-    layout = ProgramLayout(n, R, tuple(word), tuple(data))
-    assert len(word) == R * (n + 1) and len(data) == layout.L
-    return layout
+    data = (["0"] + spacer * (R - 1) + ["1"] + [f"w{i}" for i in range(1, n + 1)]
+            + spacer * (R - 1) + ["1", "0"])
+    assert len(word) == R * (n + 1) and len(data) == cells(n, R)
+    return ProgramLayout(tuple(word), tuple(data))
 
 
 @dataclass(frozen=True)
@@ -102,7 +88,7 @@ class Config8:
     datas: tuple[str, ...]
 
     def __post_init__(self):
-        ncells = self.layout.L + self.ring
+        ncells = len(self.layout.data) + self.ring
         if not (len(self.cursors) == len(self.progs) == len(self.datas) == ncells):
             raise ValueError("register length mismatch")
         ok = CURSOR_SYMBOLS | ({XSTOP} if self.ring else set())
@@ -137,17 +123,14 @@ class Config8:
         )
 
 
-def initial_config8(circuit: Circuit, ring: bool = False) -> Config8:
+def first_config(circuit: Circuit, ring: bool = False) -> Config8:
+    """The left cursor ending the open chain over the program word's end, then
+    any ring stopper; program_layout refuses a letter outside {W,S,I}."""
     lay = program_layout(circuit)
-    L = lay.L
-    cursors = [STAR] * (L - 1) + [MOVL]
-    progs = ["."] * (L - len(lay.program) - 1) + list(lay.program) + ["."]
-    datas = list(lay.data)
-    if ring:
-        cursors.append(XSTOP)
-        progs.append(".")
-        datas.append("0")
-    return Config8(lay, ring, tuple(cursors), tuple(progs), tuple(datas))
+    L = len(lay.data)
+    cursors = (STAR,) * (L - 1) + (MOVL,) + (XSTOP,) * ring
+    progs = (".",) * (L - len(lay.program) - 1) + lay.program + (".",) * (1 + ring)
+    return Config8(lay, ring, cursors, progs, lay.data + ("0",) * ring)
 
 
 @dataclass(frozen=True)
@@ -250,14 +233,24 @@ MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
                   LIVE_CURSORS, _event)
 
 
+def history(circuit: Circuit, ring: bool = False) -> History:
+    """The history of `circuit`, through enumerate_history8."""
+    return enumerate_history8(circuit, ring)
+
+
 def enumerate_history8(circuit: Circuit, ring: bool = False) -> History:
     """The history, with the round of each logical firing set from its rank:
     a round fires n-1 logical gates."""
-    history = History.record(initial_config8(circuit, ring), MACHINE)
+    history = History.record(first_config(circuit, ring), MACHINE)
     logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
     for rank, t in enumerate(logical):
         history.events[t] = replace(history.events[t], round=rank // (circuit.n - 1) + 1)
     return history
+
+
+def closed_forms(n: int, R: int, r: int) -> tuple[int, int]:
+    """(T, step of the last gate of rounds 1..r) of the R-round history."""
+    return step_count_formula8(n, R), last_gate_step8(n, R, r)
 
 
 def step_count_formula8(n: int, R: int) -> int:

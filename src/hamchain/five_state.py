@@ -9,7 +9,8 @@ boundaries are static lattice metadata, not symbols: the rule table compiles
 at import into machine.Rule values whose boundary keys are conditions on a
 fixed register of boundary flags, and `machine.Stepper` steps it either
 way.  A history keeps each rule-1 event under its step; an identity slot
-fires nothing.
+fires nothing.  The scheme's interface (walk.scheme_module) is
+first_config, closed_forms, cells and history; ham5 has no ring.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .circuit import Circuit
 from .machine import History, Machine, Rule, RuleEngineError
 
 # odd-site symbols
@@ -42,15 +44,9 @@ class Lattice5:
     n: int
     R: int
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2")
-        if self.R < 1:
-            raise ValueError("need R >= 1")
-
     @property
     def L(self) -> int:
-        return 1 + 2 * self.n * self.R
+        return cells(self.n, self.R)
 
     def boundary_after(self, i: int) -> bool:
         """True if a block boundary sits between sites i and i+1."""
@@ -119,12 +115,20 @@ class GateEvent:
         return (mat if self.forward else mat.conj().T), self.qubits
 
 
-def initial_config5(n: int, R: int) -> Config5:
-    lat = Lattice5(n, R)
-    syms = [TUR]
-    syms += [Q, PLUS] * (n - 1) + [Q, BUL]
-    syms += [BLANK, BUL] * (n * (R - 1))
-    return Config5(lat, tuple(syms))
+def cells(n: int, R: int, ring: bool = False) -> int:
+    """Sites of the chain of an n-qubit, R-round circuit; a ring is refused."""
+    if ring:
+        raise ValueError("ham5 has only the open chain, not boundary 'periodic-x'")
+    return 1 + 2 * n * R
+
+
+def first_config(circuit: Circuit, ring: bool = False) -> Config5:
+    """The turn-around, the qubit block, then R-1 empty blocks: ham5 reads
+    only n and the round count of `circuit`.  A ring is refused (cells)."""
+    n, R = circuit.n, circuit.rounds
+    cells(n, R, ring)
+    syms = [TUR] + [Q, PLUS] * (n - 1) + [Q, BUL] + [BLANK, BUL] * (n * (R - 1))
+    return Config5(Lattice5(n, R), tuple(syms))
 
 
 # Rewrite rules over windows of three consecutive sites (s, s+1, s+2).
@@ -167,8 +171,19 @@ MACHINE = Machine(
     LIVE5, _event)
 
 
+def history(circuit: Circuit, ring: bool = False) -> History:
+    """enumerate_history5 of `circuit`; a ring is refused (cells)."""
+    cells(circuit.n, circuit.rounds, ring)
+    return enumerate_history5(circuit.n, circuit.rounds)
+
+
 def enumerate_history5(n: int, R: int) -> History:
-    return History.record(initial_config5(n, R), MACHINE)
+    return History.record(first_config(Circuit(n, R)), MACHINE)
+
+
+def closed_forms(n: int, R: int, r: int) -> tuple[int, int]:
+    """(T, step of the last gate of rounds 1..r) of the R-round history."""
+    return step_count_formula5(n, R), last_gate_step5(n, r)
 
 
 def step_count_formula5(n: int, R: int) -> int:

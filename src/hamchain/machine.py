@@ -19,14 +19,16 @@ readable tables).
 
 A configuration class supplies `registers` (a tuple, rewritten registers
 first), `ring` (a bool: whether the cells wrap), `rebuild(registers)` and
-`dump(t)`; a Machine adds its rules, its live symbols and its gate event.
-A configuration checks its symbols where it is built: from outside (a
-machine's initial one, a test's) and as a Stepper's snapshot.  A Stepper is
+`dump(t)`; a Machine adds its rules, its live symbols and its gate event,
+and its module the rest of its scheme (walk.scheme_module).  A
+configuration checks its symbols where it is built: from outside (a
+machine's first one, a test's) and as a Stepper's snapshot.  A Stepper is
 the one way to step: it steps one configuration in place, forward or
-backward.  Its matches are (window cell j, Rule) pairs, and a step applies
-its match's edit, the writes that change a cell, so it touches only the
-rule's window, and writes only symbols of the tables.  To step an immutable
-configuration, start a Stepper on it and take its snapshot.
+backward.  A step takes the one match Stepper.find gives, a filed term at
+window cell j, and applies its edit, the writes that change a cell, so it
+touches only the rule's window, and writes only symbols of the tables.  To
+step an immutable configuration, start a Stepper on it and take its
+snapshot.
 """
 from __future__ import annotations
 
@@ -123,11 +125,6 @@ class Stepper:
             found.sort(key=lambda hit: hit[0])
         return found
 
-    def matches(self, reverse: bool) -> list[tuple]:
-        """Every match (window cell j, rule) of the machine's rules, ordered by
-        j, then by the table."""
-        return [(j, rule) for _, j, rule, _ in self.find(self.filed, reverse)]
-
     def edit(self, j: int, rule: Rule, reverse: bool) -> frozenset:
         """The (register, cell index, symbol) writes of `rule` at window cell j,
         backward if `reverse`, that change a cell, the last write to a cell
@@ -155,14 +152,14 @@ class Stepper:
         """Take the forward step in place, or the backward one if `reverse`:
         (its edit, the edit that undoes it, the event on the edge), or None
         when no rule matches; RuleEngineError when several do."""
-        hits = self.matches(reverse)
+        hits = self.find(self.filed, reverse)
         if not hits:
             return None
         if len(hits) > 1:
             direction = "backward" if reverse else "forward"
             raise RuleEngineError(f"{len(hits)} rule instances match {direction}: "
-                                  f"{[(j, rule.name) for j, rule in hits]}")
-        j, rule = hits[0]
+                                  f"{[(j, rule.name) for _, j, rule, _ in hits]}")
+        _, j, rule, _ = hits[0]
         event = self.machine.event(self.base, j, rule, not reverse)
         edit = self.edit(j, rule, reverse)
         return edit, self.apply(edit), event

@@ -20,8 +20,9 @@ compared.  The neighbours are the forward step's edit and the undo of the
 previous step's edit.  Registers are summed per pattern in image order and
 compared with the neighbour's to QUBIT_TOL; one image whose register is the
 neighbour's own array differs from it by exactly 0, and is not summed.
-Only the machine of the scheme being certified is imported
-(walk.scheme_module).
+The machine of the scheme being certified is the only one imported, and
+is reached only through walk.scheme_module and its interface: its MACHINE
+and first_config.
 """
 from __future__ import annotations
 
@@ -70,9 +71,7 @@ def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None =
         initial = QubitState.basis("0" * circuit.n)
     walk.history_length(scheme, circuit)
     module = walk.scheme_module(scheme)
-    m = module.MACHINE
-    first = (module.initial_config5(circuit.n, circuit.rounds) if scheme == "ham5"
-             else module.initial_config8(circuit))
+    m, first = module.MACHINE, module.first_config(circuit)
     filed = machine.file_terms(local_terms(m, first), m.live, first)
     state, q = machine.Stepper(m, first), initial
     report = CertReport(scheme)

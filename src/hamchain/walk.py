@@ -20,9 +20,10 @@ worker reuses.  Each batch goes to a `finish` on its worker, which draws
 the sampler's steps or formats the `evolve` table.  It needs numpy alone.
 `tail_prob` sums the time-averaged tail in closed form from one O(T)
 table, in O(T^2) time and O(T) memory, and `tail_prob_limit` is its
-tau0 -> infinity limit.  The dense hopping matrix,
-eigenvectors and time average that the tests check these against live in
-tests/oracles.py.
+tau0 -> infinity limit.  The dense hopping matrix, eigenvectors and time
+average that the tests check these against live in tests/oracles.py.  T,
+its limits and the padding come from each machine's own closed forms, which
+scheme_module alone reaches.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ def _angles(T: int) -> np.ndarray:
 
 
 PROPAGATE_BYTES = 2 * 2**20  # bytes of input and spectrum rows in one `propagate` batch
+PROPAGATE_MIN_ROWS = 4  # fewest rows of a `propagate` batch, whatever PROPAGATE_BYTES allows
 MAX_T = 2**24  # longest history line: near it one row's FFT or table needs over 3 GiB
 MAX_CELL_STEPS = 2**32  # most T x cells of a history: trace and configs() snapshot every cell
 
@@ -94,10 +96,12 @@ def propagate(T: int, taus, finish):
     takes its Bluestein path; padding to a fast length would change the
     bits, so it is not done.
 
-    A batch holds PROPAGATE_BYTES // (16 (T+2)) rows (at least one) of y
-    and of its spectrum; D is written over y.  Each worker allocates these
-    two buffers once per call, on its first batch, and reuses them, so a
-    batch touches no fresh memory.  Batches are computed, `finish`
+    A batch holds PROPAGATE_BYTES // (16 (T+2)) rows of y and of its
+    spectrum, at least PROPAGATE_MIN_ROWS, as numpy's FFT plans each call
+    anew; D is written over y.  Each worker allocates these two buffers
+    once per call, on its first batch, and reuses them, so a batch touches
+    no fresh memory: at most max(PROPAGATE_BYTES, 64 (T+2)) bytes, 1 GiB at
+    MAX_T, and no more rows than taus.  Batches are computed, `finish`
     included, on os.cpu_count() threads, at most that many in flight
     besides the one being read, so memory stays O(workers * batch) however
     many taus are given.  When the taus fit in one batch, it is computed on
@@ -115,7 +119,7 @@ def propagate(T: int, taus, finish):
     amp = (4.0 / M) * sin_theta * np.sqrt(sin_theta**2 + 0.25)
     phase = np.arctan2(0.5, sin_theta)
     taus = np.asarray(taus, dtype=float)
-    rows = max(1, PROPAGATE_BYTES // (16 * M))
+    rows = max(PROPAGATE_MIN_ROWS, PROPAGATE_BYTES // (16 * M))
     odd, even = (T + 1) // 2, (T + 2) // 2  # how many t in 0..T are odd, even
     buffers = threading.local()
 
@@ -270,7 +274,10 @@ def scheme_module(scheme: str):
     """The rewrite machine of `scheme`: five_state for ham5, eight_state for
     ham8.  It is imported here, on first use, so that a command loads only
     the machine it runs, and `evolve --T` none.  sys.modules is read first:
-    padding_plan asks once per candidate round count."""
+    padding_plan asks once per candidate round count.  A machine module
+    answers for its scheme with first_config(circuit, ring), closed_forms(n,
+    R, r), cells(n, R, ring) and history(circuit, ring), and each refuses a
+    chain or a circuit the scheme cannot build."""
     if scheme not in SCHEME_MODULES:
         raise ValueError(f"unknown scheme {scheme!r}")
     name = SCHEME_MODULES[scheme]
@@ -279,19 +286,16 @@ def scheme_module(scheme: str):
 
 def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
     """(T, step of the last gate of rounds 1..r) of the R-round history."""
-    m = scheme_module(scheme)
-    if scheme == "ham5":
-        return m.step_count_formula5(n, R), m.last_gate_step5(n, r)
-    return m.step_count_formula8(n, R), m.last_gate_step8(n, R, r)
+    return scheme_module(scheme).closed_forms(n, R, r)
 
 
 def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:
     """Why the n-qubit, R-round history of T steps is refused, or None: a T
     over MAX_T, or a T x cells over MAX_CELL_STEPS (a step touches only its
     window, but trace and History.configs() snapshot every cell at every
-    index), with the cells taken from the closed forms."""
-    m = scheme_module(scheme)
-    cells = m.Lattice5(n, R).L if scheme == "ham5" else m.ProgramLayout.cells(n, R) + ring
+    index), with the cells taken from the closed forms; cells refuses a
+    chain the scheme does not have."""
+    cells = scheme_module(scheme).cells(n, R, ring)
     if T > MAX_T:
         return f"T={T}, over the limit of {MAX_T}"
     if T * cells > MAX_CELL_STEPS:
@@ -300,31 +304,23 @@ def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | 
 
 
 def history_length(scheme: str, circuit, ring: bool = False) -> int:
-    """T of the scheme's history of `circuit`, on the ham8 ring if `ring`,
-    in closed form, without a step.  What enumerate_history refuses before
-    stepping is refused here: a history that _oversize refuses, a ham5
-    ring, and a ham8 gate letter outside {W,S,I}."""
+    """T of the scheme's history of `circuit`, on the ring if `ring`, in
+    closed form, without a step.  What enumerate_history refuses before
+    stepping is refused here, in this order: a chain the scheme does not
+    have, a history that _oversize refuses, and a first configuration the
+    scheme cannot build."""
     T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
-    if scheme == "ham5" and ring:
-        raise ValueError("ham5 has only the open chain, not boundary 'periodic-x'")
     why = _oversize(scheme, circuit.n, circuit.rounds, T, ring)
     if why is not None:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has {why}")
-    if scheme == "ham8":
-        scheme_module(scheme).program_layout(circuit)  # raises on a letter outside {W,S,I}
+    scheme_module(scheme).first_config(circuit, ring)
     return T
 
 
 def enumerate_history(scheme: str, circuit, ring: bool = False):
-    """The scheme's history of `circuit`.  ham5 reads only n and the round
-    count from it and has only the open chain; `ring` asks for ham8's
-    periodic variant.  What history_length refuses is refused before any
-    step."""
+    """The scheme's history of `circuit`, after history_length's refusals."""
     history_length(scheme, circuit, ring)
-    m = scheme_module(scheme)
-    if scheme == "ham5":
-        return m.enumerate_history5(circuit.n, circuit.rounds)
-    return m.enumerate_history8(circuit, ring)
+    return scheme_module(scheme).history(circuit, ring)
 
 
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:

@@ -5,8 +5,9 @@ replace the dense eigensystem, and `circuit.simulate_circuit` replaces the
 circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose,
 except `odd_extension_rows`, the propagator kernel `walk.propagate` used
 before its half-length transform; `propagator_rows` and `amplitudes`, which
-copy `walk.propagate`'s rows out of its buffers; and `step_config`, which
-steps an immutable configuration with a Stepper and its snapshot.
+copy `walk.propagate`'s rows out of its buffers; `matches`, which lists a
+Stepper's matches; and `step_config`, which steps an immutable
+configuration with a Stepper and its snapshot.
 """
 import numpy as np
 
@@ -78,6 +79,12 @@ def circuit_matrix(circuit: Circuit) -> np.ndarray:
     """Dense 2^n unitary of the whole circuit (test/oracle helper)."""
     seq: GateSequence = list(reversed(circuit.applications()))
     return gates.sequence_matrix(seq, circuit.n)
+
+
+def matches(state: Stepper, reverse: bool) -> list[tuple]:
+    """Every match (window cell j, rule) of the stepper's filed terms,
+    backward if `reverse`, ordered by j, then by the table."""
+    return [(j, rule) for _, j, rule, _ in state.find(state.filed, reverse)]
 
 
 def step_config(machine, c, reverse: bool = False):

@@ -22,6 +22,7 @@ from hamchain.machine import Stepper
 from hamchain.runner import RunPlan, run
 
 import oracles
+from oracles import matches
 
 WS_3Q2R = Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
                          (2, 1): gates.SWAP, (2, 2): gates.W})
@@ -83,8 +84,8 @@ def test_criterion_3_rule_sanity():
         for t, c in enumerate(configs):
             fwd = Stepper(mod.MACHINE, c).step() if scheme == "ham8" else None
             if scheme == "ham5":
-                ok &= len(Stepper(f5.MACHINE, c).matches(False)) == (0 if t == tr.T else 1)
-                ok &= len(Stepper(f5.MACHINE, c).matches(True)) == (0 if t == 0 else 1)
+                ok &= len(matches(Stepper(f5.MACHINE, c), False)) == (0 if t == tr.T else 1)
+                ok &= len(matches(Stepper(f5.MACHINE, c), True)) == (0 if t == 0 else 1)
             else:
                 ok &= (fwd is None) == (t == tr.T)
                 ok &= (Stepper(mod.MACHINE, c).step(reverse=True) is None) == (t == 0)

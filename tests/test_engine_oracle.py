@@ -16,7 +16,7 @@ from hamchain import gates, machine
 from hamchain.circuit import Circuit
 from hamchain.machine import Stepper
 
-from oracles import step_config
+from oracles import matches, step_config
 
 SIZES = [(n, R) for n in (2, 3, 4) for R in (1, 2, 3)]
 
@@ -189,12 +189,12 @@ def engine_step8(c, reverse):
 
 def engine_matches5(c, reverse):
     """The engine's matches as (cell, name)."""
-    return [(j, rule.name) for j, rule in Stepper(f5.MACHINE, c).matches(reverse)]
+    return [(j, rule.name) for j, rule in matches(Stepper(f5.MACHINE, c), reverse)]
 
 
 def engine_matches8(c, reverse):
     """The engine's matches as (cell, name, letter or None)."""
-    return [(j, rule.name, rule.letter) for j, rule in Stepper(e8.MACHINE, c).matches(reverse)]
+    return [(j, rule.name, rule.letter) for j, rule in matches(Stepper(e8.MACHINE, c), reverse)]
 
 
 def ws_circuit(n, R):
@@ -258,8 +258,8 @@ def test_filed_terms_are_kept_per_cell_count_and_ring(monkeypatch):
     # cells: stepped alternately by one machine, each must match the oracle
     # (the ring's backward match at t=0 wraps, which the open chain's terms
     # lack), and the machine files the terms of each chain once
-    ring = e8.initial_config8(ws_circuit(2, 1), ring=True)
-    chain = e8.initial_config8(ws_circuit(3, 1))
+    ring = e8.first_config(ws_circuit(2, 1), ring=True)
+    chain = e8.first_config(ws_circuit(3, 1))
     assert ring.ncells == chain.ncells == 7
     filed = []
     file_terms = machine.file_terms
@@ -277,7 +277,7 @@ def test_filed_terms_are_kept_per_cell_count_and_ring(monkeypatch):
         for k, state in enumerate(list(states)):
             c = state.snapshot()
             for reverse in (False, True):
-                assert ([(j, rule.name, rule.letter) for j, rule in state.matches(reverse)]
+                assert ([(j, rule.name, rule.letter) for j, rule in matches(state, reverse)]
                         == oracle_matches8(c, reverse))
             want = oracle_step8(c, False)
             got = state.step()
@@ -293,7 +293,7 @@ def test_filed_terms_are_kept_per_cell_count_and_ring(monkeypatch):
     wrapped = e8.Config8(ring.layout, True, (e8.STAR,) * 6 + (e8.DBLR,), ring.progs, ring.datas)
     for c in (wrapped, e8.Config8(chain.layout, False, wrapped.cursors, chain.progs, chain.datas)):
         for reverse in (False, True):
-            assert ([(j, rule.name, rule.letter) for j, rule in Stepper(m, c).matches(reverse)]
+            assert ([(j, rule.name, rule.letter) for j, rule in matches(Stepper(m, c), reverse)]
                     == oracle_matches8(c, reverse))
     assert oracle_matches8(wrapped, False) == [(1, "2a", None)]
     # a second Stepper on a chain already filed does not file it again
@@ -336,7 +336,7 @@ def test_ham8_perturbed_configurations_match_the_oracle(ring):
 def test_ham8_condition_on_a_placeholder_raises_in_both():
     # a turn-around cursor whose d+ cell holds w1: rule 3a/3b's window
     # matches, so its condition reads the placeholder
-    c0 = e8.initial_config8(ws_circuit(2, 1))
+    c0 = e8.first_config(ws_circuit(2, 1))
     j = c0.datas.index("w1")  # the cell left of w1, 1-based
     cursors = list(c0.cursors)
     cursors[-1], cursors[j - 1] = e8.STAR, e8.TUR
@@ -350,7 +350,7 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
 def test_ham5_live_symbols_far_apart_are_both_found():
     # a rule-7b window at the far end of the chain, beyond every window of
     # the turn-around at site 1, makes the forward step ambiguous
-    c0 = f5.initial_config5(2, 3)
+    c0 = f5.first_config(Circuit(2, 3))
     syms = list(c0.symbols)
     syms[-3:] = [f5.MOV, f5.Q, f5.BUL]
     c = f5.Config5(c0.lattice, tuple(syms))

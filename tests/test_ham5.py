@@ -6,8 +6,9 @@ import pytest
 
 from hamchain import five_state as f5
 from hamchain import machine, walk
+from hamchain.circuit import Circuit
 
-from oracles import step_config
+from oracles import matches, step_config
 
 # Transition counts measured directly from the rule engine and frozen here.
 # They exceed the quoted closed form (R-1)(3n^2+n)+n+1 by R-2, so the two
@@ -23,16 +24,16 @@ ENGINE_T = {
 
 def test_initial_config_3_2_matches_golden_first_line(fixtures_dir):
     first = (fixtures_dir / "ham5_n3r2.txt").read_text().splitlines(keepends=True)[0]
-    assert f5.initial_config5(3, 2).dump(0) == first
+    assert f5.first_config(Circuit(3, 2)).dump(0) == first
 
 
 def test_initial_config_2_1_degenerate_layout():
-    c = f5.initial_config5(2, 1)
+    c = f5.first_config(Circuit(2, 1))
     assert c.symbols == (f5.TUR, f5.Q, f5.PLUS, f5.Q, f5.BUL)
 
 
 def test_initial_config_2_3_layout():
-    c = f5.initial_config5(2, 3)
+    c = f5.first_config(Circuit(2, 3))
     assert len(c.symbols) == 13
     assert c.symbols == (f5.TUR,
                          f5.Q, f5.PLUS, f5.Q, f5.BUL,
@@ -41,10 +42,11 @@ def test_initial_config_2_3_layout():
 
 
 def test_initial_config_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        f5.initial_config5(1, 1)
-    with pytest.raises(ValueError):
-        f5.initial_config5(2, 0)
+    # a first configuration is built from a circuit, which refuses these sizes
+    with pytest.raises(ValueError, match="at least 2 qubits"):
+        f5.first_config(Circuit(1, 1))
+    with pytest.raises(ValueError, match="at least 1 round"):
+        f5.first_config(Circuit(2, 0))
 
 
 def test_config_rejects_wrong_parity_symbol():
@@ -72,8 +74,8 @@ def test_uniqueness_reversibility_distinctness(n, R):
     configs = list(tr.configs())
     assert len(set(c.symbols for c in configs)) == len(configs)
     for t, c in enumerate(configs):
-        fwd = machine.Stepper(f5.MACHINE, c).matches(False)
-        bwd = machine.Stepper(f5.MACHINE, c).matches(True)
+        fwd = matches(machine.Stepper(f5.MACHINE, c), False)
+        bwd = matches(machine.Stepper(f5.MACHINE, c), True)
         assert len(fwd) == (0 if t == tr.T else 1)
         assert len(bwd) == (0 if t == 0 else 1)
     # the backward step from c_{t+1} undoes the forward step from c_t and
@@ -108,7 +110,7 @@ def test_rule_tally_derives_step_count(n, R):
     tr = f5.enumerate_history5(n, R)
     configs = list(tr.configs())
     tally = Counter(rule.name for c in configs[:-1]
-                    for _, rule in machine.Stepper(f5.MACHINE, c).matches(False))
+                    for _, rule in matches(machine.Stepper(f5.MACHINE, c), False))
     later = R - 1
     expected = {
         "1": R * (n - 1), "2": later, "3": n * later, "4": n * n * later,
@@ -168,7 +170,7 @@ def test_local_terms_boundary_placement():
     # Every boundary except the leftmost (which has no even site before it)
     # offers one such window, so R-1 in total.
     n, R = 3, 3
-    c0 = f5.initial_config5(n, R)
+    c0 = f5.first_config(Circuit(n, R))
     rule2 = [t for t in machine.local_terms(f5.MACHINE, c0) if t.rule.name == "2"]
     assert len(rule2) == c0.lattice.L - 2
     assert rule2[0].rule.conditions == ((1, 1, "+"),)
@@ -189,7 +191,7 @@ def test_gate_event_position_is_the_rank_of_the_g_placeholder(n, R):
             _, event = step_config(f5.MACHINE, c_from, reverse)
             if event is None:
                 continue
-            ((s, rule),) = machine.Stepper(f5.MACHINE, c_from).matches(reverse)
+            ((s, rule),) = matches(machine.Stepper(f5.MACHINE, c_from), reverse)
             # forward the window starts on g, backward on the q it became
             assert rule.name == "1" and c_from.symbols[s - 1] == (f5.Q if reverse else f5.G)
             head = c_from.symbols[:s]

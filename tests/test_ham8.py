@@ -18,7 +18,7 @@ def test_program_layout_reference_example(ws_circuit_3q2r):
     assert lay.program == ("I", "W", "S", "I", "I", "S", "W", "I")
     assert lay.data == ("0", "1", "0", "0", "0", "1", "w1", "w2", "w3",
                         "1", "0", "0", "0", "1", "0")
-    assert lay.L == 15
+    assert len(lay.data) == e8.cells(3, 2) == 15
 
 
 def test_program_layout_minimal(w_circuit_2q):
@@ -41,7 +41,7 @@ def test_layout_rejects_foreign_gates():
 
 
 def test_initial_config_has_single_left_cursor(ws_circuit_3q2r):
-    c = e8.initial_config8(ws_circuit_3q2r)
+    c = e8.first_config(ws_circuit_3q2r)
     assert c.cursors[-1] == e8.MOVL
     assert all(s == e8.STAR for s in c.cursors[:-1])
 
@@ -194,7 +194,7 @@ def test_ring_walks_back_from_t0_eight_steps_then_reads_a_placeholder(w_circuit_
     # through the stopper cell, so the cells its matches are filed under wrap
     # round the chain: eight steps back succeed, and the ninth meets a rule
     # condition that reads the placeholder w1
-    state = machine.Stepper(e8.MACHINE, e8.initial_config8(w_circuit_2q, ring=True))
+    state = machine.Stepper(e8.MACHINE, e8.first_config(w_circuit_2q, ring=True))
     for _ in range(8):
         assert state.step(reverse=True) is not None
     with pytest.raises(e8.RuleEngineError,
@@ -203,7 +203,7 @@ def test_ring_walks_back_from_t0_eight_steps_then_reads_a_placeholder(w_circuit_
 
 
 def test_rule_engine_flags_ambiguity(w_circuit_2q):
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     cursors = list(c0.cursors)
     cursors[1] = e8.MOVL  # second cursor alongside the real one
     with pytest.raises(e8.RuleEngineError):
@@ -212,9 +212,9 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
 
 
 def test_config_accepts_the_stopper_only_on_the_ring(w_circuit_2q):
-    ring = e8.initial_config8(w_circuit_2q, ring=True)
+    ring = e8.first_config(w_circuit_2q, ring=True)
     assert ring.cursors[-1] == e8.XSTOP
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     cursors = (e8.XSTOP,) + c0.cursors[1:]
     with pytest.raises(ValueError, match="cell 1: bad cursor symbol 'X'"):
         e8.Config8(c0.layout, False, cursors, c0.progs, c0.datas)
@@ -222,13 +222,13 @@ def test_config_accepts_the_stopper_only_on_the_ring(w_circuit_2q):
 
 
 def test_config_rejects_a_bad_program_symbol(w_circuit_2q):
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     with pytest.raises(ValueError, match="bad program symbol"):
         e8.Config8(c0.layout, False, c0.cursors, ("Z",) + c0.progs[1:], c0.datas)
 
 
 def test_config_rejects_registers_of_unequal_length(w_circuit_2q):
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     with pytest.raises(ValueError, match="register length mismatch"):
         e8.Config8(c0.layout, False, c0.cursors, c0.progs[:-1], c0.datas)
     # the ring needs its stopper cell in every register
@@ -237,7 +237,7 @@ def test_config_rejects_registers_of_unequal_length(w_circuit_2q):
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     terms = machine.local_terms(e8.MACHINE, c0)
     assert {t.rule.name for t in terms} == {name for name, _, _ in e8._RULES8}
     # interior cells carry all 11 templates, as 17 rules: "A" is I, S or W
@@ -248,7 +248,7 @@ def test_local_terms_tile_every_cell(w_circuit_2q):
         ends[t.position].add(t.rule.name)
     assert ends[1] == {"3a", "3b", "4a", "4b", "5a", "5b"}  # no "s-"
     assert ends[c0.ncells] == {"1a", "1b", "1c", "2a", "2b"}  # no "p+" or "d+"
-    ring = e8.initial_config8(w_circuit_2q, ring=True)
+    ring = e8.first_config(w_circuit_2q, ring=True)
     assert len(machine.local_terms(e8.MACHINE, ring)) == 17 * ring.ncells
 
 

@@ -12,7 +12,7 @@ from hamchain import gates, machine, subspace, walk
 from hamchain.circuit import Circuit
 from hamchain.gates import QubitState
 
-from oracles import step_config
+from oracles import matches, step_config
 
 
 def test_certify_ham5_reference_instance(ws_circuit_3q2r):
@@ -59,7 +59,7 @@ def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
 
 
 def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
-    c0 = e8.initial_config8(w_circuit_2q)
+    c0 = e8.first_config(w_circuit_2q)
     dead = e8.Config8(c0.layout, c0.ring, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
     filed = machine.file_terms(machine.local_terms(e8.MACHINE, c0), e8.MACHINE.live, c0)
@@ -266,7 +266,7 @@ def test_rogue_term_with_a_neighbours_changes_names_the_neighbour(ws_circuit_3q2
     rep = subspace.certify_subspace("ham5", ws_circuit_3q2r)
     configs = list(f5.enumerate_history5(3, 2).configs())
     fired = [t for t, c in enumerate(configs[:-1])
-             if [rule.name for _, rule in machine.Stepper(f5.MACHINE, c).matches(False)] == ["3"]]
+             if [rule.name for _, rule in matches(machine.Stepper(f5.MACHINE, c), False)] == ["3"]]
     assert fired
     for t in fired:
         assert f"register mismatch vs t'={t + 1}" in rep.lines[t]
@@ -278,8 +278,8 @@ def test_real_term_tiled_twice_fails_with_a_register_mismatch(ws_circuit_3q2r, m
     # the neighbour's edit, each with the neighbour's own register, which
     # sum to -2q; a shortcut that passed an image for being the neighbour's
     # array, without counting the images, would pass them
-    c0 = f5.initial_config5(3, 2)
-    ((s, rule),) = machine.Stepper(f5.MACHINE, c0).matches(False)
+    c0 = f5.first_config(Circuit(3, 2))
+    ((s, rule),) = matches(machine.Stepper(f5.MACHINE, c0), False)
     local_terms = machine.local_terms
     monkeypatch.setattr(subspace, "local_terms", lambda m, c0: local_terms(m, c0) + [
         t for t in local_terms(m, c0) if (t.position, t.rule) == (s, rule)])
@@ -314,7 +314,7 @@ def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r
     n, R = ws_circuit_3q2r.n, ws_circuit_3q2r.rounds
     T = f5.step_count_formula5(n, R)
     last = list(f5.enumerate_history5(n, R).configs())[T - 1]
-    ((s, rule),) = machine.Stepper(f5.MACHINE, last).matches(False)
+    ((s, rule),) = matches(machine.Stepper(f5.MACHINE, last), False)
     event = machine.Stepper(f5.MACHINE, last).step()[2]
     assert rule.name == "1" and (event.round, event.position) == (R, n - 1)
     terms = machine.local_terms(f5.MACHINE, last)

@@ -209,5 +209,30 @@ def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+# the modules that reach a machine only through walk.scheme_module and its
+# interface (first_config, closed_forms, cells, history), and the names of a
+# machine's own types and layout that they must not use
+SCHEME_BLIND = ("walk.py", "subspace.py", "runner.py", "cli.py")
+MACHINE_PRIVATE = {"Lattice5", "ProgramLayout", "program_layout", "initial_config5",
+                   "initial_config8"}
+
+
+@pytest.mark.parametrize("filename", SCHEME_BLIND)
+def test_module_holds_no_scheme_branch(filename):
+    # a scheme name may appear as data (cli's sweep and case tables), never
+    # in a comparison
+    tree = ast.parse((Path(hamchain.__file__).parent / filename).read_text())
+    compared, named = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            compared += [node.lineno for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+                         and sub.value in ("ham5", "ham8")]
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in MACHINE_PRIVATE:
+            named.append((node.lineno, name))
+    assert compared == []
+    assert named == []
+
+
 if __name__ == "__main__":
     print("\n".join(unreached(Path(sys.argv[1]))))

@@ -77,7 +77,7 @@ def parity_phase(T: int) -> np.ndarray:
 
 
 def batch_rows(T: int) -> int:
-    return max(1, walk.PROPAGATE_BYTES // (16 * (T + 2)))
+    return max(walk.PROPAGATE_MIN_ROWS, walk.PROPAGATE_BYTES // (16 * (T + 2)))
 
 
 @pytest.mark.parametrize("T", [1719, 2962, 220])  # T+2 prime, composite, composite
@@ -109,6 +109,7 @@ def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
     # worker's own buffer, so a buffer two workers shared would show
     T = 220
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 3 * 16 * (T + 2))
+    monkeypatch.setattr(walk, "PROPAGATE_MIN_ROWS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     assert batch_rows(T) == 3
     taus = np.random.default_rng(0).uniform(0.0, walk.default_tau0(T), 47)
@@ -142,6 +143,7 @@ def test_one_batch_starts_no_thread_and_matches_the_pool(monkeypatch):
     firsts = np.concatenate(list(walk.propagate(T, taus, lambda rows, s: rows[:, 0].copy())))
     assert started == []
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
+    monkeypatch.setattr(walk, "PROPAGATE_MIN_ROWS", 1)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert batch_rows(T) == 1
     pooled = oracles.propagator_rows(T, taus)
@@ -149,6 +151,20 @@ def test_one_batch_starts_no_thread_and_matches_the_pool(monkeypatch):
     assert len(alone) == len(pooled) == len(taus)
     assert np.array_equal(alone, pooled)
     assert np.array_equal(firsts, pooled[:, 0])
+
+
+def test_long_rows_share_a_batch_of_four(monkeypatch):
+    # numpy plans each FFT call anew, so a row that fills the byte budget
+    # alone still shares its call with three others; the benchmark's rows
+    # (T+2 <= 5285) fit the budget at least 24 times and keep their batch size
+    assert walk.PROPAGATE_BYTES // (16 * 5285) >= 24 > walk.PROPAGATE_MIN_ROWS
+    T = 220
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
+    taus = np.random.default_rng(2).uniform(0.0, walk.default_tau0(T), 9)
+    batches = list(walk.propagate(T, taus, lambda rows, start: (start, rows.copy())))
+    assert [(start, len(rows)) for start, rows in batches] == [(0, 4), (4, 4), (8, 1)]
+    assert np.array_equal(np.concatenate([rows for _, rows in batches]),
+                          np.concatenate([oracles.propagator_rows(T, [tau]) for tau in taus]))
 
 
 def test_propagate_keeps_few_batches_in_flight(monkeypatch):
@@ -582,7 +598,7 @@ def test_padding_plan_stops_at_the_cell_step_limit(monkeypatch):
     assert len(calls) < 10**4
     R = calls[-1][1]
     T = walk.closed_form_steps(2, R, 1, "ham5")[0]
-    assert T * f5.Lattice5(2, R).L > walk.MAX_CELL_STEPS
+    assert T * f5.cells(2, R) > walk.MAX_CELL_STEPS
     assert walk.history_length("ham5", Circuit(2, R - 1)) > 0
 
 
@@ -618,3 +634,28 @@ def test_history_length_limit_counts_every_cell(scheme, ring, cells, monkeypatch
     monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells - 1)
     with pytest.raises(ValueError, match="cell steps"):
         walk.history_length(scheme, circuit, ring)
+
+
+@pytest.mark.parametrize("scheme,ring", [("ham5", False), ("ham8", False), ("ham8", True)],
+                         ids=["ham5-open", "ham8-open", "ham8-periodic-x"])
+def test_scheme_module_answers_for_its_chain(scheme, ring):
+    # the four functions walk and subspace reach a machine through agree
+    # with the history the machine enumerates
+    m = walk.scheme_module(scheme)
+    for n, R in ((2, 1), (3, 2), (2, 3), (4, 2)):
+        circuit = Circuit(n, R)
+        first = m.first_config(circuit, ring)
+        assert [len(reg) for reg in first.registers] == [m.cells(n, R, ring)] * len(first.registers)
+        history = m.history(circuit, ring)
+        assert history.first == first
+        for r in range(1, R + 1):
+            assert m.closed_forms(n, R, r) == (history.T, history.last_real_step(r))
+
+
+def test_ham5_module_refuses_the_ring():
+    message = "ham5 has only the open chain, not boundary 'periodic-x'"
+    for call in (lambda: f5.cells(3, 2, True), lambda: f5.first_config(Circuit(3, 2), True),
+                 lambda: f5.history(Circuit(3, 2), True)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
