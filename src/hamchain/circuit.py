@@ -74,14 +74,10 @@ class Circuit:
         raise UnsupportedGateError(f"{g.label} is not a two-qubit slot gate")
 
     def applications(self) -> list[tuple[Gate, tuple[int, ...]]]:
-        """All non-identity gates in application order (first applied first)."""
-        out = []
-        for r in range(1, self.rounds + 1):
-            for i in range(1, self.n):
-                g = self.gate_at(r, i)
-                if g.label != "I":
-                    out.append((g, _slot_targets(g, i)))
-        return out
+        """All non-identity gates in application order (first applied first),
+        read from the stored gates, not from every slot."""
+        return [(g, _slot_targets(g, i)) for (_, i), g in sorted(self.gates.items())
+                if g.label != "I"]
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -134,11 +130,8 @@ def parse_circuit(text: str) -> Circuit:
 
 def serialize_circuit(c: Circuit) -> str:
     lines = [f"QUBITS {c.n}", f"ROUNDS {c.rounds}"]
-    for r in range(1, c.rounds + 1):
-        for i in range(1, c.n):
-            g = c.gate_at(r, i)
-            if g.label != "I":
-                lines.append(f"GATE {g.label} {r} {i}")
+    lines += [f"GATE {g.label} {r} {i}" for (r, i), g in sorted(c.gates.items())
+              if g.label != "I"]
     return "\n".join(lines) + "\n"
 
 

@@ -155,13 +155,13 @@ def _verify_formulas(lines: list[str]) -> bool:
     gate of rounds 1..r for every r <= R, which padding relies on."""
     ok = True
     for scheme, ns, rounds in FORMULA_SWEEPS:
+        closed_forms = walk.scheme_module(scheme).closed_forms
         for n in ns:
             for R in rounds:
                 history = walk.enumerate_history(scheme, Circuit(n, R))
-                rows = [(f"formula {scheme} n={n} R={R}", history.T,
-                         walk.closed_form_steps(n, R, R, scheme)[0])]
+                rows = [(f"formula {scheme} n={n} R={R}", history.T, closed_forms(n, R, R)[0])]
                 rows += [(f"last-gate {scheme} n={n} R={R} r={r}", history.last_real_step(r),
-                          walk.closed_form_steps(n, R, r, scheme)[1])
+                          closed_forms(n, R, r)[1])
                          for r in range(1, R + 1)]
                 for label, engine, closed in rows:
                     good = engine == closed

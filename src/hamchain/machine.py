@@ -5,10 +5,12 @@ A configuration stores registers of one symbol per cell: first those the
 rules rewrite, then fixed ones that only rule conditions read.  A Rule
 names its pre and post sides as (register, offset, symbol) triples over the
 rewritten registers and its conditions as (register, offset, value) triples
-over the fixed ones, offsets counted from the window cell j.  On a ring the
-cells wrap; on the open chain a window that leaves the chain does not match.
-A fixed register may hold qubit placeholders w1..wn, which no condition may
-read.  The local terms are the rules tiled over a chain, and one filing
+over the fixed ones, offsets counted from the window cell j.  Only
+local_terms decides where a chain ends, by the windows it tiles; the
+matcher, the editor and the filing read a window's cells modulo the chain's
+length, which wraps on a ring and never on the open chain.  A fixed
+register may hold qubit placeholders w1..wn, which no condition may read.
+The local terms are the rules tiled over a chain, and one filing
 (file_terms) and one match loop (Stepper.find) serve both stepping and
 certification: a term is filed under the cell and symbol of the first live
 symbol of register 0 on its source side, and only the terms filed under a
@@ -18,7 +20,7 @@ of register 0; a Machine files its own terms once per chain
 readable tables).
 
 A configuration class supplies `registers` (a tuple, rewritten registers
-first), `ring` (a bool: whether the cells wrap), `rebuild(registers)` and
+first), `ring` (a bool: whether the chain is a ring), `rebuild(registers)` and
 `dump(t)`; a Machine adds its rules, its live symbols and its gate event,
 and its module the rest of its scheme (walk.scheme_module).  A
 configuration checks its symbols where it is built: from outside (a
@@ -56,16 +58,12 @@ class Rule:
     letter: str | None = None
 
 
-def _holds(registers: tuple, ring: bool, j: int, entries) -> bool:
-    """Whether each (register, offset, symbol) entry holds at window cell j."""
+def _holds(registers: tuple, j: int, entries) -> bool:
+    """Whether each (register, offset, symbol) entry holds at window cell j,
+    cells read modulo the chain's length (local_terms tiles the windows)."""
     n = len(registers[0])
     for reg, off, want in entries:
-        i = j + off - 1
-        if ring:
-            i %= n
-        elif not 0 <= i < n:
-            return False
-        have = registers[reg][i]
+        have = registers[reg][(j + off - 1) % n]
         if have != want:
             if have[0] == "w":
                 raise RuleEngineError(f"rule condition reads qubit placeholder {have} at cell {j}")
@@ -97,29 +95,29 @@ class Stepper:
     every write, so matching costs no scan of the chain."""
 
     def __init__(self, machine: Machine, c):
-        self.machine, self.base, self.ring = machine, c, c.ring
+        self.machine, self.base = machine, c
         k = machine.rewritten
         self.registers = [list(reg) for reg in c.registers[:k]] + list(c.registers[k:])
         self.n = len(self.registers[0])
         self.live = {p for p, sym in enumerate(self.registers[0], 1) if sym in machine.live}
-        key = self.n, self.ring  # each chain's terms are filed once per machine
+        key = self.n, c.ring  # each chain's terms are filed once per machine
         if key not in machine.filed:
-            machine.filed[key] = file_terms(local_terms(machine, self), machine.live, self)
+            machine.filed[key] = file_terms(local_terms(machine, c), machine.live, c)
         self.filed = machine.filed[key]
 
     def find(self, filed: tuple, reverse: bool) -> list[tuple]:
         """The filed entries (file_terms) of the terms that rewrite the
         configuration, backward if `reverse`, in term order: only those filed
         under a live cell and its symbol, or under None, are tried."""
-        index, registers, ring = filed[reverse], self.registers, self.ring
+        index, registers = filed[reverse], self.registers
         first = registers[0]
         found = []
         for p in self.live:
             for hit in index.get((p, first[p - 1]), ()):
-                if _holds(registers, ring, hit[1], hit[3]):
+                if _holds(registers, hit[1], hit[3]):
                     found.append(hit)
         for hit in index.get(None, ()):
-            if _holds(registers, ring, hit[1], hit[3]):
+            if _holds(registers, hit[1], hit[3]):
                 found.append(hit)
         if len(found) > 1:
             found.sort(key=lambda hit: hit[0])
@@ -133,8 +131,7 @@ class Stepper:
         registers, n = self.registers, self.n
         writes = {}
         for reg, off, sym in rule.pre if reverse else rule.post:
-            i = j + off - 1
-            writes[reg, i % n if self.ring else i] = sym
+            writes[reg, (j + off - 1) % n] = sym
         return frozenset((reg, i, sym) for (reg, i), sym in writes.items()
                          if registers[reg][i] != sym)
 
@@ -177,7 +174,8 @@ class LocalTerm(NamedTuple):
 
 
 def local_terms(machine: Machine, c0) -> list[LocalTerm]:
-    """Each rule at each window cell where its window fits c0's chain (every cell on a ring)."""
+    """Each rule at each window cell where its window fits c0's chain, or at
+    every cell on a ring: the one place the chain's ends are decided."""
     n = len(c0.registers[0])
     spans = []  # (rule, first and last window cell where it fits the open chain)
     for rule in machine.rules:
@@ -191,16 +189,16 @@ def file_terms(terms: list[LocalTerm], live: frozenset, c) -> tuple[dict, dict]:
     """The terms for Stepper.find, forward then backward.  A term's source
     side (pre forward, post backward) matches only where its first live
     symbol of register 0 is, so it is filed under that cell of c's chain,
-    wrapped on a ring, and that symbol, as (term index, window cell, rule,
+    modulo its length, and that symbol, as (term index, window cell, rule,
     side + conditions).  A side without a live symbol is filed under None."""
-    n, ring = len(c.registers[0]), c.ring
+    n = len(c.registers[0])
     filed = ({}, {})
     for i, (j, rule) in enumerate(terms):
         for side, index in ((rule.pre, filed[0]), (rule.post, filed[1])):
             key = None
             for reg, off, sym in side:
                 if reg == 0 and sym in live:
-                    key = (j + off - 1) % n + 1 if ring else j + off, sym
+                    key = (j + off - 1) % n + 1, sym
                     break
             index.setdefault(key, []).append((i, j, rule, side + rule.conditions))
     return filed

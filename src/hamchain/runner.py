@@ -120,7 +120,7 @@ def padded_history(plan: RunPlan):
     padded = Circuit(n, r_total, dict(plan.circuit.gates))
     history = walk.enumerate_history(plan.scheme, padded)
     last_real = history.last_real_step(r_real)
-    expected = walk.closed_form_steps(n, r_total, r_real, plan.scheme)
+    expected = walk.scheme_module(plan.scheme).closed_forms(n, r_total, r_real)
     if (history.T, last_real) != expected:
         raise walk.PaddingError(
             f"engine gives T={history.T}, last real step {last_real}; "

@@ -284,11 +284,6 @@ def scheme_module(scheme: str):
     return sys.modules.get(name) or importlib.import_module(name)
 
 
-def closed_form_steps(n: int, R: int, r: int, scheme: str) -> tuple[int, int]:
-    """(T, step of the last gate of rounds 1..r) of the R-round history."""
-    return scheme_module(scheme).closed_forms(n, R, r)
-
-
 def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:
     """Why the n-qubit, R-round history of T steps is refused, or None: a T
     over MAX_T, or a T x cells over MAX_CELL_STEPS (a step touches only its
@@ -309,7 +304,7 @@ def history_length(scheme: str, circuit, ring: bool = False) -> int:
     stepping is refused here, in this order: a chain the scheme does not
     have, a history that _oversize refuses, and a first configuration the
     scheme cannot build."""
-    T = closed_form_steps(circuit.n, circuit.rounds, circuit.rounds, scheme)[0]
+    T = scheme_module(scheme).closed_forms(circuit.n, circuit.rounds, circuit.rounds)[0]
     why = _oversize(scheme, circuit.n, circuit.rounds, T, ring)
     if why is not None:
         raise ValueError(f"{scheme} history of {circuit.rounds} rounds has {why}")
@@ -339,8 +334,9 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
     """
     if n < 2 or r_real < 1 or q < 2:
         raise ValueError(f"need n >= 2, r_real >= 1 and q >= 2; got {n}, {r_real}, {q}")
+    closed_forms = scheme_module(scheme).closed_forms
     for r_total in range(r_real, q * r_real + 1):
-        T, last_real = closed_form_steps(n, r_total, r_real, scheme)
+        T, last_real = closed_forms(n, r_total, r_real)
         why = _oversize(scheme, n, r_total, T)
         if why is not None:
             raise PaddingError(f"{scheme} n={n} padded to {r_total} rounds has {why}")

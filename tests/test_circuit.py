@@ -59,13 +59,18 @@ def test_round_concatenation(ws_circuit_3q2r):
 
 
 def test_parse_and_serialize_basic():
-    text = "QUBITS 3\nROUNDS 2\n# comment\nGATE W 1 1\nGATE CX 2 2\nGATE I 1 2\n"
+    # lines out of slot order: the gates are serialized and applied by
+    # round, then by position, whatever the order of the file
+    text = "QUBITS 3\nROUNDS 2\n# comment\nGATE CX 2 2\nGATE W 1 1\nGATE S 2 1\nGATE I 1 2\n"
     c = parse_circuit(text)
     assert c.n == 3 and c.rounds == 2
     assert c.gate_at(1, 1).label == "W"
     assert c.gate_at(2, 2).label == "CX"
     assert c.gate_at(1, 2).label == "I"
     assert parse_circuit(serialize_circuit(c)).gates.keys() == c.gates.keys()
+    assert serialize_circuit(c) == "QUBITS 3\nROUNDS 2\nGATE W 1 1\nGATE S 2 1\nGATE CX 2 2\n"
+    assert [(g.label, targets) for g, targets in c.applications()] == [
+        ("W", (1, 2)), ("S", (1, 2)), ("CX", (2, 3))]
 
 
 # (circuit text, the line its refusal names, or None when it names none)

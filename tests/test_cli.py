@@ -25,6 +25,8 @@ ROUNDS 1
 GATE W 1 1
 """
 
+BIG_CIRCUIT = "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"
+
 
 @pytest.fixture
 def ws_file(tmp_path):
@@ -120,7 +122,7 @@ def _limit_address_space():
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
         "evolve-without-circuit-or-T", "repeated-header", "slot-out-of-range"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
-    files = {"W": W_CIRCUIT, "BIG": "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n",
+    files = {"W": W_CIRCUIT, "BIG": BIG_CIRCUIT,
              "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n",
              "RANGE": "QUBITS 2\nROUNDS 1\nGATE W 2 1\n"}
     for name, text in files.items():
@@ -133,6 +135,30 @@ def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     assert "out of memory" not in done.stderr
 
 
+# one stored gate in 10^9 declared slots: rewriting it costs what the file
+# stores, not 10^9 slot visits
+Z_WORD = "SWWWWSWWWWSWWWWS"
+
+
+@pytest.mark.parametrize("argv,text,want", [
+    (["rewrite"], BIG_CIRCUIT, "QUBITS 2\nROUNDS 1\nGATE W 1 1\n"),
+    (["rewrite"], "QUBITS 1000000000\nROUNDS 1\nGATE Z 1 1\n",
+     "QUBITS 1000000000\nROUNDS 16\n"
+     + "".join(f"GATE {g} {r} 1\n" for r, g in enumerate(Z_WORD, 1))),
+    (["sample", "--scheme", "ham5", "--seed", "0", "--rewrite"], BIG_CIRCUIT, None),
+], ids=["rewrite-many-rounds", "rewrite-many-qubits", "sample-rewrite-many-rounds"])
+def test_rewrite_costs_the_stored_gates_not_the_declared_slots(argv, text, want, tmp_path):
+    (tmp_path / "C").write_text(text)
+    if want is None:  # the report of the one-round circuit that C rewrites to
+        (tmp_path / "W").write_text(W_CIRCUIT)
+        out = tmp_path / "want"
+        assert cli.main([argv[0], str(tmp_path / "W"), *argv[1:], "--out", str(out)]) == 0
+        want = out.read_text()
+    done = _run_under_memory_limit([argv[0], "C", *argv[1:]], tmp_path, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert (done.stdout, done.stderr) == (want, "")
+
+
 def test_out_of_memory_exits_2_with_one_line(tmp_path):
     # not a refusal: T = MAX_T is accepted, but its FFT (T+2 = 2*3*2796203,
     # numpy's Bluestein path) needs more than the limit
@@ -142,11 +168,11 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path):
     assert done.stderr == "error: out of memory\n"
 
 
-def _run_under_memory_limit(argv, cwd):
+def _run_under_memory_limit(argv, cwd, timeout=60):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "hamchain.cli", *argv], cwd=cwd, env=env,
-        capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+        capture_output=True, text=True, timeout=timeout, preexec_fn=_limit_address_space)
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):

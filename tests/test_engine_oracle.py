@@ -228,6 +228,21 @@ def test_a_rule_side_without_a_live_symbol_is_refused():
         machine.Machine([idle], e8.MACHINE.live, e8.MACHINE.event)
 
 
+@pytest.mark.parametrize("module", [f5, e8], ids=["ham5", "ham8"])
+def test_open_chain_terms_fit_inside_the_chain(module):
+    # local_terms alone decides where the open chain ends: every cell a tiled
+    # term reads or writes lies in 1..L, so the matcher, the editor and the
+    # filing read cells modulo L without ever wrapping there
+    for n, R in SIZES:
+        c0 = module.first_config(ws_circuit(n, R))
+        L = len(c0.registers[0])
+        terms = machine.local_terms(module.MACHINE, c0)
+        assert terms
+        for j, rule in terms:
+            cells = [j + off for _, off, _ in rule.pre + rule.post + rule.conditions]
+            assert 1 <= min(cells) and max(cells) <= L, (n, R, j, rule.name)
+
+
 @pytest.mark.parametrize("n,R", SIZES)
 def test_ham5_matches_full_scan_oracle(n, R):
     tr = f5.enumerate_history5(n, R)

@@ -148,7 +148,7 @@ def _scan_images(terms, state, q, circuit):
     for term in terms:
         j, rule = term.position, term.rule
         for reverse in (False, True):
-            cells = [(reg, (j + off - 1) % n if state.ring else j + off - 1, sym)
+            cells = [(reg, (j + off - 1) % n if state.base.ring else j + off - 1, sym)
                      for reg, off, sym in (rule.post if reverse else rule.pre) + rule.conditions]
             if all(0 <= i < n and registers[reg][i] == sym for reg, i, sym in cells):
                 event = m.event(state.base, j, rule, not reverse)
@@ -229,6 +229,18 @@ def test_rogue_ham8_term_without_live_anchor_is_still_applied(w_circuit_2q, monk
            if c.cursors[0] == e8.STAR and c.progs[0] in (".", "I")}
     assert 0 < len(hit) < len(rep.lines)
     assert {t for t, line in enumerate(rep.lines) if "FAIL" in line} == hit
+
+
+def test_a_term_past_the_open_chain_wraps_onto_its_first_cell(w_circuit_2q, monkeypatch):
+    # only local_terms keeps a window inside the open chain; a term patched
+    # at window cell L with offsets 0 and 1 reads cell L and then cell 1,
+    # which hold (. T) at t=0 alone, and its image (. <) is no neighbour
+    L = f5.cells(2, 1)
+    _add_term(monkeypatch, machine.LocalTerm(L, machine.Rule(
+        "rogue", ((0, 0, f5.BUL), (0, 1, f5.TUR)), ((0, 0, f5.BUL), (0, 1, f5.MOVLE)))))
+    rep = subspace.certify_subspace("ham5", w_circuit_2q)
+    assert [t for t, line in enumerate(rep.lines) if "FAIL" in line] == [0]
+    assert rep.lines[0] == "t=0 FAIL: unexpected output pattern"
 
 
 def test_rogue_term_one_cell_past_a_neighbour_is_unexpected(ws_circuit_3q2r, monkeypatch):

@@ -234,5 +234,26 @@ def test_module_holds_no_scheme_branch(filename):
     assert named == []
 
 
+def test_only_local_terms_and_the_filing_key_read_the_ring():
+    # local_terms decides which windows the chain carries; the matcher, the
+    # editor and the filing read cells modulo the chain's length, with no
+    # branch on the ring
+    tree = ast.parse((Path(hamchain.__file__).parent / "machine.py").read_text())
+    readers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if ((isinstance(child, ast.Name) and child.id == "ring")
+                    or (isinstance(child, ast.Attribute) and child.attr == "ring")):
+                readers.add(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    assert readers == {"local_terms", "Stepper.__init__"}
+
+
 if __name__ == "__main__":
     print("\n".join(unreached(Path(sys.argv[1]))))

@@ -515,7 +515,7 @@ def test_padding_plan_within_bound():
                 for q in range(2, 9):
                     R = walk.padding_plan(n, r_real, q, scheme)
                     assert r_real <= R <= q * r_real
-                    T, last_real = walk.closed_form_steps(n, R, r_real, scheme)
+                    T, last_real = walk.scheme_module(scheme).closed_forms(n, R, r_real)
                     assert last_real <= T // q
 
 
@@ -531,7 +531,7 @@ def test_padding_plan_rejects_bad_arguments(args):
 
 
 def test_padding_plan_raises_past_its_bound(monkeypatch):
-    monkeypatch.setattr(walk, "closed_form_steps", lambda n, R, r, scheme: (0, 1))
+    monkeypatch.setattr(f5, "closed_forms", lambda n, R, r: (0, 1))
     with pytest.raises(walk.PaddingError):
         walk.padding_plan(2, 3, 6, "ham5")
 
@@ -577,9 +577,8 @@ def test_evolve_table_matches_the_complex_dst_oracle():
 
 def test_padding_plan_refuses_a_history_past_max_T(monkeypatch):
     calls = []
-    closed = walk.closed_form_steps
-    monkeypatch.setattr(walk, "closed_form_steps",
-                        lambda *a: calls.append(a) or closed(*a))
+    closed = e8.closed_forms
+    monkeypatch.setattr(e8, "closed_forms", lambda *a: calls.append(a) or closed(*a))
     with pytest.raises(walk.PaddingError, match="over the limit"):
         walk.padding_plan(2, 10**9, 6, "ham8")
     assert len(calls) == 1  # T grows with R, so the first candidate decides
@@ -590,14 +589,13 @@ def test_padding_plan_stops_at_the_cell_step_limit(monkeypatch):
     # MAX_T alone let the search try 1118482 round counts; the cell-step
     # limit ends it near R=8461
     calls = []
-    closed = walk.closed_form_steps
-    monkeypatch.setattr(walk, "closed_form_steps",
-                        lambda *a: calls.append(a) or closed(*a))
+    closed = f5.closed_forms
+    monkeypatch.setattr(f5, "closed_forms", lambda *a: calls.append(a) or closed(*a))
     with pytest.raises(walk.PaddingError, match="cell steps"):
         walk.padding_plan(2, 1, 10**9, "ham5")
     assert len(calls) < 10**4
     R = calls[-1][1]
-    T = walk.closed_form_steps(2, R, 1, "ham5")[0]
+    T = f5.closed_forms(2, R, 1)[0]
     assert T * f5.cells(2, R) > walk.MAX_CELL_STEPS
     assert walk.history_length("ham5", Circuit(2, R - 1)) > 0
 
@@ -628,7 +626,7 @@ def test_history_length_refuses_too_many_cell_steps():
 ], ids=["ham5-open-13", "ham8-open-15", "ham8-periodic-x-16"])
 def test_history_length_limit_counts_every_cell(scheme, ring, cells, monkeypatch):
     circuit = Circuit(3, 2)
-    T = walk.closed_form_steps(3, 2, 2, scheme)[0]
+    T = walk.scheme_module(scheme).closed_forms(3, 2, 2)[0]
     monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells)
     assert walk.history_length(scheme, circuit, ring) == T
     monkeypatch.setattr(walk, "MAX_CELL_STEPS", T * cells - 1)
