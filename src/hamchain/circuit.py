@@ -3,14 +3,13 @@
 A circuit is R rounds over n qubits.  Round r holds one gate per position
 i = 1..n-1 acting on qubits (i, i+1); unfilled slots are identity.  Gates
 apply round by round, left to right within a round.  One-qubit gates at slot
-i act on qubit i (promoted with an identity on qubit i+1); the Toffoli is
-allowed in the text format and acts on (i, i+1, i+2).
+i act on qubit i; the Toffoli acts on (i, i+1, i+2).  It parses and
+simulates, but no machine fires it: ham5 refuses it (five_state.first_config)
+and ham8 takes only {W, S, I}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import gates
 from .gates import Gate, QubitState
@@ -63,15 +62,6 @@ class Circuit:
 
     def gate_at(self, r: int, i: int) -> Gate:
         return self.gates.get((r, i), gates.I1)
-
-    def slot_matrix(self, r: int, i: int) -> np.ndarray:
-        """The 4x4 unitary of slot (r, i) on qubits (i, i+1)."""
-        g = self.gate_at(r, i)
-        if g.arity == 1:
-            return np.kron(g.matrix, np.eye(2))
-        if g.arity == 2:
-            return g.matrix
-        raise UnsupportedGateError(f"{g.label} is not a two-qubit slot gate")
 
     def applications(self) -> list[tuple[Gate, tuple[int, ...]]]:
         """All non-identity gates in application order (first applied first),

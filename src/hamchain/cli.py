@@ -24,7 +24,7 @@ import numpy as np
 from . import walk
 from .circuit import Circuit, parse_circuit, rewrite_to_ws, serialize_circuit
 from .machine import RuleEngineError
-from .runner import RunPlan, run
+from .runner import DEFAULT_Q, RunPlan, padded_circuit, run
 
 
 def _read_circuit(path: str) -> Circuit:
@@ -113,12 +113,6 @@ def _verify_identities(lines: list[str]) -> bool:
     return ok
 
 
-def _padded(scheme: str, circuit: Circuit) -> Circuit:
-    """The circuit with the identity rounds `sample` pads it with at q=6."""
-    R = walk.padding_plan(circuit.n, circuit.rounds, 6, scheme)
-    return Circuit(circuit.n, R, dict(circuit.gates))
-
-
 def _verify_subspace(lines: list[str]) -> bool:
     from . import gates, subspace
 
@@ -130,8 +124,8 @@ def _verify_subspace(lines: list[str]) -> bool:
         ("ham5", Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
                                 (2, 1): gates.CX, (2, 2): gates.W})),
         ("ham8", Circuit(2, 1, {(1, 1): gates.W})),
-        ("ham8", _padded("ham8", ws2)),
-        ("ham5", _padded("ham5", ws3)),
+        ("ham8", padded_circuit(ws2, DEFAULT_Q, "ham8")),
+        ("ham5", padded_circuit(ws3, DEFAULT_Q, "ham5")),
     ]
     for scheme, circ in cases:
         rep = subspace.certify_subspace(scheme, circ)
@@ -216,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     sa = sub.add_parser("sample", help="run the measurement protocol")
     sa.add_argument("circuit")
     sa.add_argument("--scheme", choices=walk.SCHEME_MODULES, required=True)
-    sa.add_argument("--q", type=int, default=6)
+    sa.add_argument("--q", type=int, default=DEFAULT_Q)
     sa.add_argument("--tau0", type=float)
     sa.add_argument("--shots", type=int, default=1000)
     sa.add_argument("--seed", type=int, required=True)

@@ -9,8 +9,10 @@ boundaries are static lattice metadata, not symbols: the rule table compiles
 at import into machine.Rule values whose boundary keys are conditions on a
 fixed register of boundary flags, and `machine.Stepper` steps it either
 way.  A history keeps each rule-1 event under its step; an identity slot
-fires nothing.  The scheme's interface (walk.scheme_module) is
-first_config, closed_forms, cells and history; ham5 has no ring.
+fires nothing.  A slot's gate term carries its gate on the slot's qubit
+pair, so first_config refuses a slot gate on three qubits (the Toffoli).
+The scheme's interface (walk.scheme_module) is first_config, closed_forms,
+cells and history; ham5 has no ring.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, UnsupportedGateError
 from .machine import History, Machine, Rule, RuleEngineError
 
 # odd-site symbols
@@ -106,12 +108,14 @@ class GateEvent:
         return (self.position, self.position + 1)
 
     def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
-        """The circuit's unitary for this slot on its logical pair, or its
-        inverse for a backward firing; None for an identity slot, which
-        fires nothing."""
-        if circuit.gate_at(self.round, self.position).label == "I":
+        """The 4x4 unitary of the circuit's gate at this slot on its logical
+        pair, a one-qubit gate acting on the pair's left qubit, or its
+        inverse for a backward firing; None for an identity slot, which fires
+        nothing.  first_config has refused a wider slot gate."""
+        g = circuit.gate_at(self.round, self.position)
+        if g.label == "I":
             return None
-        mat = circuit.slot_matrix(self.round, self.position)
+        mat = np.kron(g.matrix, np.eye(2)) if g.arity == 1 else g.matrix
         return (mat if self.forward else mat.conj().T), self.qubits
 
 
@@ -123,10 +127,14 @@ def cells(n: int, R: int, ring: bool = False) -> int:
 
 
 def first_config(circuit: Circuit, ring: bool = False) -> Config5:
-    """The turn-around, the qubit block, then R-1 empty blocks: ham5 reads
-    only n and the round count of `circuit`.  A ring is refused (cells)."""
+    """The turn-around, the qubit block, then R-1 empty blocks.  A ring is
+    refused (cells), and so is a slot gate that no gate term carries."""
     n, R = circuit.n, circuit.rounds
     cells(n, R, ring)
+    for (r, i), g in sorted(circuit.gates.items()):
+        if g.arity > 2:
+            raise UnsupportedGateError(f"gate {g.label} at ({r},{i}) acts on {g.arity} "
+                                       "qubits; a ham5 slot gate acts on at most two")
     syms = [TUR] + [Q, PLUS] * (n - 1) + [Q, BUL] + [BLANK, BUL] * (n * (R - 1))
     return Config5(Lattice5(n, R), tuple(syms))
 

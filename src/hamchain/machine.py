@@ -66,7 +66,8 @@ def _holds(registers: tuple, j: int, entries) -> bool:
         have = registers[reg][(j + off - 1) % n]
         if have != want:
             if have[0] == "w":
-                raise RuleEngineError(f"rule condition reads qubit placeholder {have} at cell {j}")
+                raise RuleEngineError(f"rule condition reads qubit placeholder {have} "
+                                      f"at cell {(j + off - 1) % n + 1}")
             return False
     return True
 

@@ -31,13 +31,14 @@ from .gates import QubitState, check_register_size
 GENERATOR_NAME = "numpy-default_rng-PCG64"
 
 MAX_SHOTS = 10**7  # most shots in one run, which keeps arrays and a report line per shot
+DEFAULT_Q = 6  # default q of RunPlan and `sample --q`: accepted indices lie past T/q
 
 
 @dataclass(frozen=True)
 class RunPlan:
     circuit: Circuit
     scheme: str
-    q: int = 6
+    q: int = DEFAULT_Q
     tau0: float | None = None  # None: 10 T log(T+2) after padding
     shots: int = 1000
     seed: int = 0
@@ -107,6 +108,13 @@ class RunReport:
         return out.getvalue()
 
 
+def padded_circuit(circuit: Circuit, q: int, scheme: str) -> Circuit:
+    """The instance `sample` runs: `circuit` with the identity rounds that
+    walk.padding_plan picks for q."""
+    R = walk.padding_plan(circuit.n, circuit.rounds, q, scheme)
+    return Circuit(circuit.n, R, dict(circuit.gates))
+
+
 def padded_history(plan: RunPlan):
     """(history, rounds_total, register after the last real gate, step of the
     last real gate) for the padded machine.
@@ -116,11 +124,10 @@ def padded_history(plan: RunPlan):
     last real gate.
     """
     n, r_real = plan.circuit.n, plan.circuit.rounds
-    r_total = walk.padding_plan(n, r_real, plan.q, plan.scheme)
-    padded = Circuit(n, r_total, dict(plan.circuit.gates))
+    padded = padded_circuit(plan.circuit, plan.q, plan.scheme)
     history = walk.enumerate_history(plan.scheme, padded)
     last_real = history.last_real_step(r_real)
-    expected = walk.scheme_module(plan.scheme).closed_forms(n, r_total, r_real)
+    expected = walk.scheme_module(plan.scheme).closed_forms(n, padded.rounds, r_real)
     if (history.T, last_real) != expected:
         raise walk.PaddingError(
             f"engine gives T={history.T}, last real step {last_real}; "
@@ -128,7 +135,7 @@ def padded_history(plan: RunPlan):
         )
     initial = QubitState.basis(plan.initial or "0" * n)
     register = next(islice(history.registers(padded, initial), last_real + 1, None))
-    return history, r_total, register, last_real
+    return history, padded.rounds, register, last_real
 
 
 def draw_steps(rows: np.ndarray, u: np.ndarray, T: int) -> np.ndarray:

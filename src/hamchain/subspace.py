@@ -55,7 +55,6 @@ def images(filed: tuple, state: machine.Stepper, q: QubitState,
 
 @dataclass
 class CertReport:
-    scheme: str
     lines: list[str] = field(default_factory=list)
     failures: int = 0
 
@@ -74,7 +73,7 @@ def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None =
     m, first = module.MACHINE, module.first_config(circuit)
     filed = machine.file_terms(local_terms(m, first), m.live, first)
     state, q = machine.Stepper(m, first), initial
-    report = CertReport(scheme)
+    report = CertReport()
     want: dict = {}  # the neighbours of state t: edit of c_t -> (index, register)
     for t in count():
         got: dict = {}

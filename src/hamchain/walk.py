@@ -30,7 +30,6 @@ from __future__ import annotations
 import importlib
 import math
 import os
-import sys
 import threading
 from collections import deque
 from io import StringIO
@@ -273,15 +272,14 @@ SCHEME_MODULES = {"ham5": f"{__package__}.five_state", "ham8": f"{__package__}.e
 def scheme_module(scheme: str):
     """The rewrite machine of `scheme`: five_state for ham5, eight_state for
     ham8.  It is imported here, on first use, so that a command loads only
-    the machine it runs, and `evolve --T` none.  sys.modules is read first:
-    padding_plan asks once per candidate round count.  A machine module
-    answers for its scheme with first_config(circuit, ring), closed_forms(n,
-    R, r), cells(n, R, ring) and history(circuit, ring), and each refuses a
-    chain or a circuit the scheme cannot build."""
+    the machine it runs, and `evolve --T` none.  A machine module answers
+    for its scheme with first_config(circuit, ring), closed_forms(n, R, r),
+    cells(n, R, ring) and history(circuit, ring), and each refuses a chain
+    or a circuit the scheme cannot build: first_config refuses the slot
+    gates that the scheme's gate terms cannot carry."""
     if scheme not in SCHEME_MODULES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    name = SCHEME_MODULES[scheme]
-    return sys.modules.get(name) or importlib.import_module(name)
+    return importlib.import_module(SCHEME_MODULES[scheme])
 
 
 def _oversize(scheme: str, n: int, R: int, T: int, ring: bool = False) -> str | None:

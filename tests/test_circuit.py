@@ -124,18 +124,6 @@ def test_parse_serialize_round_trip(n, rounds, entries):
     assert {k: g.label for k, g in c2.gates.items()} == {k: g.label for k, g in c.gates.items()}
 
 
-def test_slot_matrix_promotes_single_qubit_gates():
-    c = Circuit(2, 1, {(1, 1): gates.Z})
-    assert np.allclose(c.slot_matrix(1, 1), np.kron(gates.Z.matrix, np.eye(2)))
-    assert np.allclose(c.slot_matrix(1, 1) @ np.array([0, 0, 1, 0]), [0, 0, -1, 0])
-
-
-def test_slot_matrix_rejects_toffoli():
-    c = Circuit(4, 1, {(1, 1): gates.TOFFOLI})
-    with pytest.raises(UnsupportedGateError):
-        c.slot_matrix(1, 1)
-
-
 def test_rewrite_preserves_unitary_for_z_and_cx():
     c = Circuit(3, 1, {(1, 1): gates.Z, (1, 2): gates.CX})
     rw = rewrite_to_ws(c)

@@ -27,6 +27,9 @@ GATE W 1 1
 
 BIG_CIRCUIT = "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"
 
+# a Toffoli slot, which no ham5 gate term carries
+TOFFOLI_CIRCUIT = "QUBITS 3\nROUNDS 1\nGATE T 1 1\n"
+
 
 @pytest.fixture
 def ws_file(tmp_path):
@@ -115,16 +118,21 @@ def _limit_address_space():
     ["evolve", "--taus", "1"],
     ["trace", "TWICE", "--scheme", "ham5"],
     ["trace", "RANGE", "--scheme", "ham8"],
+    ["sample", "TOFFOLI", "--scheme", "ham5", "--seed", "0"],
+    ["trace", "TOFFOLI", "--scheme", "ham5"],
+    ["evolve", "TOFFOLI", "--scheme", "ham5", "--taus", "1"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
-        "evolve-without-circuit-or-T", "repeated-header", "slot-out-of-range"])
+        "evolve-without-circuit-or-T", "repeated-header", "slot-out-of-range",
+        "ham5-toffoli-sample", "ham5-toffoli-trace", "ham5-toffoli-evolve"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": BIG_CIRCUIT,
              "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n",
-             "RANGE": "QUBITS 2\nROUNDS 1\nGATE W 2 1\n"}
+             "RANGE": "QUBITS 2\nROUNDS 1\nGATE W 2 1\n",
+             "TOFFOLI": TOFFOLI_CIRCUIT}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     done = _run_under_memory_limit(argv, tmp_path)
@@ -133,6 +141,23 @@ def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     # a refusal that allocated past the limit would also exit 2, with this line
     assert "out of memory" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--scheme", "ham5", "--seed", "0"],
+    ["trace", "--scheme", "ham5"],
+    ["evolve", "--scheme", "ham5", "--taus", "1"],
+], ids=["sample", "trace", "evolve"])
+def test_ham5_refuses_a_toffoli_before_any_step(argv, tmp_path, monkeypatch, capsys):
+    def no_step(self, reverse=False):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(machine.Stepper, "step", no_step)
+    why = "gate T at (1,1) acts on 3 qubits; a ham5 slot gate acts on at most two"
+    path = tmp_path / "t.txt"
+    path.write_text(TOFFOLI_CIRCUIT)
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
 # one stored gate in 10^9 declared slots: rewriting it costs what the file
@@ -316,6 +341,23 @@ def test_verify_subspace_scope_passes(tmp_path):
     out = tmp_path / "v.txt"
     assert cli.main(["verify", "--scope", "subspace", "--out", str(out)]) == 0
     assert out.read_text().rstrip().endswith("verify subspace: PASS")
+
+
+@pytest.mark.parametrize("scheme,text", [
+    ("ham8", "QUBITS 2\nROUNDS 2\nGATE W 1 1\nGATE S 2 1\n"),
+    ("ham5", WS_CIRCUIT),
+], ids=["ham8", "ham5"])
+def test_verify_subspace_certifies_the_padded_instance_sample_runs(scheme, text, tmp_path):
+    # verify's padded cases are the instances `sample` runs at its default q
+    circuit, report, out = tmp_path / "c.txt", tmp_path / "r.txt", tmp_path / "v.txt"
+    circuit.write_text(text)
+    assert cli.main(["sample", str(circuit), "--scheme", scheme, "--seed", "0",
+                     "--shots", "1", "--out", str(report)]) == 0
+    fields = dict(line.split(" ", 1) for line in report.read_text().splitlines()[:12])
+    assert int(fields["rounds_total"]) > int(fields["rounds_real"])
+    assert cli.main(["verify", "--scope", "subspace", "--out", str(out)]) == 0
+    assert (f"subspace {scheme} n={fields['qubits']} R={fields['rounds_total']}: PASS"
+            in out.read_text().splitlines())
 
 
 def test_verify_formulas_reports_known_discrepancy(tmp_path, monkeypatch):

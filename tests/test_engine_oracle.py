@@ -358,7 +358,7 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
     progs = ["."] * c0.ncells
     c = e8.Config8(c0.layout, c0.ring, tuple(cursors), tuple(progs), c0.datas)
     assert outcome(engine_step8, c, False) == outcome(oracle_step8, c, False) == "placeholder"
-    with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j}"):
+    with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j + 1}$"):
         Stepper(e8.MACHINE, c).step()
 
 

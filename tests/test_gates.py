@@ -12,9 +12,9 @@ from hamchain.gates import (
     InvalidTargetError,
     QubitState,
     apply_gate,
+    apply_unitary,
     check_identity,
     controlled,
-    full_matrix,
     sequence_matrix,
 )
 
@@ -67,12 +67,32 @@ def test_apply_gate_rejects_bad_targets():
         apply_gate(s, gates.X, (3,))  # out of range
 
 
-def test_full_matrix_places_gate_on_targets():
+@pytest.mark.parametrize("gate,targets,n", [
+    (gates.H, (1,), 1), (gates.X, (2,), 2), (gates.Y, (3,), 4),
+    (gates.W, (1, 2), 2), (gates.W, (2, 3), 4), (gates.CX, (1, 3), 3),
+    (gates.W, (4, 1), 4), (gates.SWAP, (2, 1), 2),
+    (gates.TOFFOLI, (1, 2, 3), 3), (gates.CCY, (2, 3, 4), 4),
+    (gates.TOFFOLI, (1, 3, 4), 4), (gates.CCY, (3, 1, 2), 3),
+], ids=["1q-alone", "1q-right", "1q-inner", "2q-adjacent", "2q-inner",
+        "2q-apart", "2q-reversed-apart", "2q-reversed", "3q-adjacent", "3q-inner",
+        "3q-apart", "3q-reversed"])
+def test_apply_unitary_on_the_identity_places_gate_on_targets(gate, targets, n):
+    # each column of the identity is a basis state, placed as apply_unitary
+    # places a vector
+    cols = [apply_unitary(np.eye(2**n, dtype=complex)[:, j].copy(), gate.matrix, targets, n)
+            for j in range(2**n)]
+    m = apply_unitary(np.eye(2**n), gate.matrix, targets, n)
+    assert m.shape == (2**n, 2**n)
+    assert np.array_equal(m, np.array(cols).T)
+
+
+def test_apply_unitary_on_the_identity_is_the_kronecker_product():
     # X on qubit 2 of 2: I (x) X
-    m = full_matrix(gates.X.matrix, (2,), 2)
-    assert np.allclose(m, np.kron(np.eye(2), gates.X.matrix))
+    m = apply_unitary(np.eye(4), gates.X.matrix, (2,), 2)
+    assert np.array_equal(m, np.kron(np.eye(2), gates.X.matrix))
     # SWAP on (2, 1) equals SWAP on (1, 2)
-    assert np.allclose(full_matrix(gates.SWAP.matrix, (2, 1), 2), gates.SWAP.matrix)
+    assert np.array_equal(apply_unitary(np.eye(4), gates.SWAP.matrix, (2, 1), 2),
+                          gates.SWAP.matrix)
 
 
 def test_controlled_puts_gate_in_lower_block():
@@ -131,7 +151,7 @@ def test_empty_sequence_is_exact_identity():
 
 
 def test_check_identity_rejects_dimension_mismatch():
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(InvalidTargetError, match=r"^bad targets \(1, 2\) for n=1$"):
         check_identity([(gates.SWAP, (1, 2))], gates.Z)
 
 

@@ -2,11 +2,12 @@
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from hamchain import five_state as f5
-from hamchain import machine, walk
-from hamchain.circuit import Circuit
+from hamchain import gates, machine, walk
+from hamchain.circuit import Circuit, UnsupportedGateError
 
 from oracles import matches, step_config
 
@@ -47,6 +48,28 @@ def test_initial_config_rejects_bad_sizes():
         f5.first_config(Circuit(1, 1))
     with pytest.raises(ValueError, match="at least 1 round"):
         f5.first_config(Circuit(2, 0))
+
+
+@pytest.mark.parametrize("g", [gates.Z, gates.Y, gates.H], ids=["Z", "Y", "H"])
+def test_gate_event_promotes_a_one_qubit_slot_gate(g):
+    # a one-qubit slot gate acts on the pair's left qubit; the backward
+    # firing carries the conjugate transpose
+    c = Circuit(3, 2, {(2, 2): g})
+    fwd = f5.GateEvent(round=2, position=2, forward=True).gate(c)
+    back = f5.GateEvent(round=2, position=2, forward=False).gate(c)
+    assert fwd[1] == back[1] == (2, 3)
+    assert np.array_equal(fwd[0], np.kron(g.matrix, np.eye(2)))
+    assert np.array_equal(back[0], np.kron(g.matrix, np.eye(2)).conj().T)
+    assert np.allclose(fwd[0] @ back[0], np.eye(4))
+    assert f5.GateEvent(round=1, position=2, forward=True).gate(c) is None
+
+
+def test_first_config_refuses_a_slot_gate_on_three_qubits():
+    c = Circuit(4, 2, {(1, 1): gates.W, (2, 2): gates.TOFFOLI})
+    with pytest.raises(UnsupportedGateError,
+                       match=r"^gate T at \(2,2\) acts on 3 qubits; a ham5 slot gate "
+                             r"acts on at most two$"):
+        f5.first_config(c)
 
 
 def test_config_rejects_wrong_parity_symbol():

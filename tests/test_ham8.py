@@ -110,8 +110,7 @@ def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     ]
     u = np.eye(8, dtype=complex)
     for _, ev in logical:
-        from hamchain.gates import full_matrix
-        u = full_matrix(ev.unitary(), ev.logical_qubits(), 3) @ u
+        u = gates.apply_unitary(np.eye(8), ev.unitary(), ev.logical_qubits(), 3) @ u
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
 
 
@@ -198,7 +197,7 @@ def test_ring_walks_back_from_t0_eight_steps_then_reads_a_placeholder(w_circuit_
     for _ in range(8):
         assert state.step(reverse=True) is not None
     with pytest.raises(e8.RuleEngineError,
-                       match="^rule condition reads qubit placeholder w1 at cell 2$"):
+                       match="^rule condition reads qubit placeholder w1 at cell 3$"):
         state.step(reverse=True)
 
 
