@@ -58,6 +58,8 @@ def cmd_evolve(args) -> int:
         T = args.T
         if args.circuit is not None:
             raise ValueError("evolve takes a circuit or --T, not both")
+        if args.scheme is not None:
+            raise ValueError("evolve --T takes no --scheme, which only a circuit needs")
         if not 1 <= T <= walk.MAX_T:
             raise ValueError(f"--T must lie in 1..{walk.MAX_T}, got {T}")
     elif args.scheme is None:
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)")
     ev.add_argument("circuit", nargs="?")
     ev.add_argument("--T", type=int, help="history length directly (skip the circuit)")
-    ev.add_argument("--scheme", choices=walk.SCHEME_MODULES, help="needed with a circuit")
+    ev.add_argument("--scheme", choices=walk.SCHEME_MODULES,
+                    help="needed with a circuit, refused with --T")
     ev.add_argument("--taus", required=True, help="comma-separated times")
     ev.add_argument("--out")
     ev.set_defaults(fn=cmd_evolve)

@@ -3,12 +3,12 @@ sample a history index, accept late indices, and read out the register.
 
 Sampling uses the factored representation: the history index distribution
 |c_t(tau)|^2 = D_t(tau)^2 comes from the real rows D of `walk.propagate`,
-one real DST per shot, which it computes in batches on worker threads.
-There each batch's rows become CDFs in place and each shot's history index
-is drawn (`draw_steps`); the main thread only joins the batches' steps and
-draws the readouts with one vectorised `searchsorted`.  The readout of an
-accepted index t comes from the register at t.  This is exact because
-distinct configurations are orthogonal basis patterns.
+one real DST per shot, which it computes in batches split over worker
+threads.  There each batch's rows become CDFs in place and each shot's
+history index is drawn (`draw_steps`); the main thread only joins the
+batches' steps and draws the readouts with one vectorised `searchsorted`.
+The readout of an accepted index t comes from the register at t.  This is
+exact because distinct configurations are orthogonal basis patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
 the acceptance threshold past that gate, and no event after it fires: each
@@ -172,7 +172,7 @@ def run(plan: RunPlan) -> RunReport:
     def finish(rows, start):
         return draw_steps(rows, u_step[start:start + len(rows)], T)
 
-    steps = np.concatenate(list(walk.propagate(T, taus, finish)))
+    steps = np.concatenate(walk.propagate(T, taus, finish))
     accepted = steps >= threshold
     pq = np.abs(register.amps) ** 2
     read_cdf = np.cumsum(pq / pq.sum())

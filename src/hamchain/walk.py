@@ -13,11 +13,12 @@ dimensionless.
 
 The module has one spectral path, and it never builds the eigenvectors.
 The eigenbasis is a discrete sine basis, so `propagate` evaluates the
-propagator for a batch of times as type-I DSTs on every core: one real DST
-per time, since the line is bipartite and c_t = i^(t mod 2) D_t with D
-real, each taken from one numpy real FFT of length T+2 into buffers each
-worker reuses.  Each batch goes to a `finish` on its worker, which draws
-the sampler's steps or formats the `evolve` table.  It needs numpy alone.
+propagator for batches of times as type-I DSTs, its batches split over the
+cores: one real DST per time, since the line is bipartite and
+c_t = i^(t mod 2) D_t with D real, each taken from one numpy real FFT of
+length T+2 into buffers each worker reuses.  Each batch goes to a `finish`
+on its worker, which draws the sampler's steps or formats the `evolve`
+table, and `propagate` returns what they give.  It needs numpy alone.
 `tail_prob` sums the time-averaged tail in closed form from one O(T)
 table, in O(T^2) time and O(T) memory, and `tail_prob_limit` is its
 tau0 -> infinity limit.  The dense hopping matrix, eigenvectors and time
@@ -30,10 +31,8 @@ from __future__ import annotations
 import importlib
 import math
 import os
-import threading
-from collections import deque
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -64,13 +63,13 @@ MAX_T = 2**24  # longest history line: near it one row's FFT or table needs over
 MAX_CELL_STEPS = 2**32  # most T x cells of a history: trace and configs() snapshot every cell
 
 
-def propagate(T: int, taus, finish):
+def propagate(T: int, taus, finish) -> list:
     """Real rows D(tau) of the propagator from history index 0, with
-    c_t(tau) = i^(t mod 2) D_t(tau), one row of length T+1 per tau: yields
-    finish(rows, start) for each batch in the order of `taus`, where rows
-    holds the batch's rows and start the index of its first tau.  The rows
-    sit in the worker's buffer, which its next batch overwrites, so finish
-    may change them, as `probabilities` does, but must not keep them.
+    c_t(tau) = i^(t mod 2) D_t(tau), one row of length T+1 per tau: returns
+    the list of finish(rows, start), one per batch in the order of `taus`,
+    where rows holds the batch's rows and start the index of its first tau.
+    The rows sit in the worker's buffer, which its next batch overwrites, so
+    finish may change them, as `probabilities` does, but must not keep them.
 
     c_t(tau) = sum_k v_k(t) e^{-i lambda_k tau} v_k(0) is, up to 1/(T+2), a
     type-I DST of e^{-i lambda_k tau} sin theta_k.  The line is bipartite:
@@ -97,14 +96,13 @@ def propagate(T: int, taus, finish):
 
     A batch holds PROPAGATE_BYTES // (16 (T+2)) rows of y and of its
     spectrum, at least PROPAGATE_MIN_ROWS, as numpy's FFT plans each call
-    anew; D is written over y.  Each worker allocates these two buffers
-    once per call, on its first batch, and reuses them, so a batch touches
-    no fresh memory: at most max(PROPAGATE_BYTES, 64 (T+2)) bytes, 1 GiB at
-    MAX_T, and no more rows than taus.  Batches are computed, `finish`
-    included, on os.cpu_count() threads, at most that many in flight
-    besides the one being read, so memory stays O(workers * batch) however
-    many taus are given.  When the taus fit in one batch, it is computed on
-    the calling thread and no thread is started.
+    anew; D is written over y.  The batches are dealt round-robin to
+    w = min(os.cpu_count(), batches) worker threads.  Each worker allocates
+    these two buffers once and runs its share in order, `finish` included,
+    so a batch touches no fresh memory and w workers' buffers are all the
+    memory the rows take: max(PROPAGATE_BYTES, 64 (T+2)) bytes each, 1 GiB
+    at MAX_T, and no more rows than taus.  With one worker the batches run
+    on the calling thread and no thread is started.
     """
     M = T + 2
     theta = _angles(T)
@@ -120,50 +118,43 @@ def propagate(T: int, taus, finish):
     taus = np.asarray(taus, dtype=float)
     rows = max(PROPAGATE_MIN_ROWS, PROPAGATE_BYTES // (16 * M))
     odd, even = (T + 1) // 2, (T + 2) // 2  # how many t in 0..T are odd, even
-    buffers = threading.local()
-
-    def batch(start):
-        tau = taus[start:start + rows, None]
-        if not hasattr(buffers, "y"):
-            size = min(rows, len(taus))
-            buffers.y = np.empty((size, M))
-            buffers.spectrum = np.empty((size, M // 2 + 1), dtype=complex)
-        y, spectrum = buffers.y[:len(tau)], buffers.spectrum[:len(tau)]
-        y[:, 0] = 0.0
-        x = y[:, 1:]
-        # a huge tau overflows to NaN rows, which `probabilities` refuses;
-        # numpy's error state is per thread, so it is set here
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(tau, lam, out=x)
-            x += phase
-            np.cos(x, out=x)
-        x *= amp
-        np.fft.rfft(y, axis=-1, out=spectrum)
-        d = y[:, :T + 1]
-        np.negative(spectrum.imag[:, 1:odd + 1], out=d[:, 1::2])
-        re = spectrum.real[:, :even]
-        re[:, 0] *= 0.5
-        np.cumsum(re, axis=1, out=d[:, 0::2])
-        return finish(d, start)
-
-    def threaded(starts):
-        # imported here: concurrent.futures imports logging, about 8 ms that
-        # commands which never propagate more than one batch should not pay
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = os.cpu_count() or 1
-        with ThreadPoolExecutor(workers) as pool:
-            pending = deque(pool.submit(batch, s) for s in islice(starts, workers))
-            while pending:
-                done = pending.popleft().result()
-                start = next(starts, None)
-                if start is not None:
-                    pending.append(pool.submit(batch, start))
-                yield done
-
     starts = range(0, len(taus), rows)
-    # a single batch is computed on the calling thread: a pool would only wait for it
-    yield from map(batch, starts) if len(starts) <= 1 else threaded(iter(starts))
+
+    def share(mine):
+        size = min(rows, len(taus))
+        ys, spectra = np.empty((size, M)), np.empty((size, M // 2 + 1), dtype=complex)
+        out = []
+        for start in mine:
+            tau = taus[start:start + rows, None]
+            y, spectrum = ys[:len(tau)], spectra[:len(tau)]
+            y[:, 0] = 0.0
+            x = y[:, 1:]
+            # a huge tau overflows to NaN rows, which `probabilities` refuses;
+            # numpy's error state is per thread, so it is set here
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(tau, lam, out=x)
+                x += phase
+                np.cos(x, out=x)
+            x *= amp
+            np.fft.rfft(y, axis=-1, out=spectrum)
+            d = y[:, :T + 1]
+            np.negative(spectrum.imag[:, 1:odd + 1], out=d[:, 1::2])
+            re = spectrum.real[:, :even]
+            re[:, 0] *= 0.5
+            np.cumsum(re, axis=1, out=d[:, 0::2])
+            out.append(finish(d, start))
+        return out
+
+    workers = min(os.cpu_count() or 1, len(starts))
+    if workers <= 1:  # a pool would only wait for the one worker
+        return share(starts)
+    # imported here: concurrent.futures imports logging, about 8 ms that
+    # commands which never propagate more than one batch should not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        shares = list(pool.map(share, (starts[i::workers] for i in range(workers))))
+    return [shares[b % workers][b // workers] for b in range(len(starts))]
 
 
 def tail_threshold(T: int, q: int) -> int:
@@ -172,6 +163,17 @@ def tail_threshold(T: int, q: int) -> int:
 
 
 TAIL_BLOCK_BYTES = 2**19  # bytes of each row block of the tail's pair matrix
+
+
+def _dirichlet(T: int, q: int) -> np.ndarray:
+    """The tail's table C(s) = sum_{j=a}^{b} cos(j s pi/(T+2)) for
+    s = 0..2T+2, over j = m+1 in [a, b] = [m0+1, T+1] (see tail_prob)."""
+    a, b = tail_threshold(T, q) + 1, T + 1
+    angle = np.arange(1, 2 * T + 3) * np.pi / (T + 2)  # s phi for s = 1..2T+2
+    table = np.empty(2 * T + 3)
+    table[0] = b - a + 1
+    table[1:] = (np.sin((b + 0.5) * angle) - np.sin((a - 0.5) * angle)) / (2 * np.sin(angle / 2))
+    return table
 
 
 def tail_prob(T: int, q: int, tau0: float) -> float:
@@ -194,7 +196,8 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
       C(s) = [sin((b+1/2) s phi) - sin((a-1/2) s phi)] / (2 sin(s phi/2)),
 
     with sin(s phi/2) > 0 for s = 1..2T+2.  So one table of C over
-    s = 0..2T+2 gives every S_kl.  The k = l terms sum to tail_prob_limit.
+    s = 0..2T+2, _dirichlet's, gives every S_kl.  The k = l terms sum to
+    tail_prob_limit.
     For k != l, sin(d tau0) with d = lam_k - lam_l is s_k c_l - c_k s_l,
     where s_k = sin(lam_k tau0) and c_k = cos(lam_k tau0); as M_kl =
     S_kl / (lam_k - lam_l) is antisymmetric, both halves add up to
@@ -209,14 +212,8 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
     """
     if not (T >= 1 and q >= 2 and 0 < tau0 < math.inf):  # a NaN tau0 fails too
         raise ValueError(f"need T >= 1, q >= 2 and a finite tau0 > 0; got {T}, {q}, {tau0}")
-    a, b = tail_threshold(T, q) + 1, T + 1
     n = T + 1
-    phi = np.pi / (T + 2)
-    angle = np.arange(1, 2 * n + 1) * phi  # s phi for s = 1..2T+2
-    dirichlet = np.empty(2 * n + 1)  # C(s) for s = 0..2T+2
-    dirichlet[0] = b - a + 1
-    dirichlet[1:] = ((np.sin((b + 0.5) * angle) - np.sin((a - 0.5) * angle))
-                     / (2 * np.sin(angle / 2)))
+    dirichlet = _dirichlet(T, q)
     # toeplitz[T - i, j] = C(|i - j|) and hankel[i, j] = C(i + j + 2), for
     # rows i = k-1 and columns j = l-1
     toeplitz = sliding_window_view(np.concatenate([dirichlet[n - 1:0:-1], dirichlet[:n]]), n)
@@ -239,19 +236,12 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
 
 def tail_prob_limit(T: int, q: int) -> float:
     """tau0 -> infinity limit of tail_prob: sum_k v_k(0)^2 sum_{m >= m0}
-    v_k(m)^2, in O(T) time and memory.  With j = m+1 over [a, b] = [m0+1, T+1]
-    and N = b - a + 1,
-
-      sum_{j=a}^{b} sin^2(j theta)
-          = N/2 - [sin((2b+1) theta) - sin((2a-1) theta)] / (4 sin theta),
-
-    from sin^2 = (1 - cos 2j theta)/2 and a telescoping sum of cosines;
-    sin theta_k > 0 for every k."""
-    theta = _angles(T)
-    a, b = tail_threshold(T, q) + 1, T + 1
-    sin_theta = np.sin(theta)
-    tail = (b - a + 1) / 2 - (np.sin((2 * b + 1) * theta)
-                              - np.sin((2 * a - 1) * theta)) / (4 * sin_theta)
+    v_k(m)^2, in O(T) time and memory.  As sin^2 x = (1 - cos 2x)/2, the
+    inner sum over j = m+1 is sum_j sin^2(j theta_k) = (C(0) - C(2k))/2,
+    read from tail_prob's table of C."""
+    dirichlet = _dirichlet(T, q)
+    sin_theta = np.sin(_angles(T))
+    tail = (dirichlet[0] - dirichlet[2::2]) / 2
     return float((2.0 / (T + 2)) ** 2 * np.sum(sin_theta**2 * tail))
 
 
@@ -357,4 +347,4 @@ def probability_table_csv(T: int, taus) -> str:
             out.write(f"{tau:.12g},%d,%.12g\n" * (T + 1) % tuple(cells))
         return out.getvalue()
 
-    return "".join(chain(["tau,m,p\n"], propagate(T, taus, finish)))
+    return "tau,m,p\n" + "".join(propagate(T, taus, finish))

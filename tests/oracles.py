@@ -66,7 +66,7 @@ def odd_extension_rows(T: int, taus) -> np.ndarray:
 
 def propagator_rows(T: int, taus) -> np.ndarray:
     """`walk.propagate`'s real rows D, one per tau, copied out of its buffers."""
-    return np.concatenate(list(walk.propagate(T, taus, lambda rows, start: rows.copy())))
+    return np.concatenate(walk.propagate(T, taus, lambda rows, start: rows.copy()))
 
 
 def amplitudes(T: int, tau: float) -> np.ndarray:

@@ -121,13 +121,15 @@ def _limit_address_space():
     ["sample", "TOFFOLI", "--scheme", "ham5", "--seed", "0"],
     ["trace", "TOFFOLI", "--scheme", "ham5"],
     ["evolve", "TOFFOLI", "--scheme", "ham5", "--taus", "1"],
+    ["evolve", "--T", "5", "--taus", "1", "--scheme", "ham5"],
 ], ids=["tau0-inf", "taus-non-finite", "rounds-past-max-T", "trace-past-max-T",
         "T-past-max-T", "T-negative", "shots-past-max", "evolve-past-max-T",
         "sample-past-max-cell-steps", "evolve-circuit-without-scheme",
         "tau0-overflows", "taus-overflow", "out-is-a-directory", "circuit-is-a-directory",
         "T-zero", "taus-empty-entry", "evolve-circuit-and-T", "missing-seed",
         "evolve-without-circuit-or-T", "repeated-header", "slot-out-of-range",
-        "ham5-toffoli-sample", "ham5-toffoli-trace", "ham5-toffoli-evolve"])
+        "ham5-toffoli-sample", "ham5-toffoli-trace", "ham5-toffoli-evolve",
+        "evolve-T-and-scheme"])
 def test_refused_input_exits_2_with_one_line(argv, tmp_path):
     files = {"W": W_CIRCUIT, "BIG": BIG_CIRCUIT,
              "TWICE": "QUBITS 2\nROUNDS 1\nQUBITS 3\n",

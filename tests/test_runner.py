@@ -215,7 +215,7 @@ def test_draw_steps_equal_searchsorted_on_per_row_cdfs(T):
     def finish(batch, start):
         return runner.draw_steps(batch, u[start:start + len(batch)], T)
 
-    steps = np.concatenate(list(walk.propagate(T, taus, finish)))
+    steps = np.concatenate(walk.propagate(T, taus, finish))
     want = [min(np.searchsorted(cdf, x, side="right"), T) for cdf, x in zip(cdfs, u)]
     assert steps.tolist() == want
 

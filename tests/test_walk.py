@@ -2,7 +2,6 @@
 import os
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -117,7 +116,7 @@ def test_propagate_rows_in_order_on_any_worker_count(workers, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         rows = oracles.propagator_rows(T, taus)
-        batches = list(walk.propagate(T, taus, lambda batch, start: (start, batch.copy())))
+        batches = walk.propagate(T, taus, lambda batch, start: (start, batch.copy()))
     finally:
         sys.setswitchinterval(interval)
     assert len(rows) == len(taus)
@@ -140,7 +139,7 @@ def test_one_batch_starts_no_thread_and_matches_the_pool(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start",
                         lambda self: started.append(self) or start(self))
     alone = oracles.propagator_rows(T, taus)
-    firsts = np.concatenate(list(walk.propagate(T, taus, lambda rows, s: rows[:, 0].copy())))
+    firsts = np.concatenate(walk.propagate(T, taus, lambda rows, s: rows[:, 0].copy()))
     assert started == []
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
     monkeypatch.setattr(walk, "PROPAGATE_MIN_ROWS", 1)
@@ -161,34 +160,57 @@ def test_long_rows_share_a_batch_of_four(monkeypatch):
     T = 220
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
     taus = np.random.default_rng(2).uniform(0.0, walk.default_tau0(T), 9)
-    batches = list(walk.propagate(T, taus, lambda rows, start: (start, rows.copy())))
+    batches = walk.propagate(T, taus, lambda rows, start: (start, rows.copy()))
     assert [(start, len(rows)) for start, rows in batches] == [(0, 4), (4, 4), (8, 1)]
     assert np.array_equal(np.concatenate([rows for _, rows in batches]),
                           np.concatenate([oracles.propagator_rows(T, [tau]) for tau in taus]))
 
 
-def test_propagate_keeps_few_batches_in_flight(monkeypatch):
-    # 50 batches of 4 rows on 2 threads, copied out by `finish` and read by
-    # a consumer that stalls after its first batch; threads that ran ahead
-    # through every batch would hold 50 batches, the bound allows about a
-    # third of that
+def test_propagate_holds_one_batch_buffer_per_worker(monkeypatch):
+    # 50 batches of 4 rows on 2 workers, each batch kept by `finish` only
+    # as its first column: the workers' buffers are the only rows alive, so
+    # the traced peak stays near 2 batches, where buffers allocated afresh
+    # and kept for every batch would reach 50
     T, per_batch, batches, workers = 2962, 4, 50, 2
     batch_bytes = per_batch * 16 * (T + 2)
     monkeypatch.setattr(walk, "PROPAGATE_BYTES", batch_bytes)
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     taus = np.linspace(0.0, walk.default_tau0(T), per_batch * batches)
-    oracles.propagator_rows(T, [1.0])  # lazy set-up stays outside the measurement
+
+    def finish(rows, start):
+        return rows[:, 0].copy()
+
+    walk.propagate(T, taus[:2 * per_batch], finish)  # the pool's imports stay outside
     tracemalloc.start()
     try:
-        copies = walk.propagate(T, taus, lambda rows, start: rows.copy())
-        count = len(next(copies))
-        time.sleep(0.5)
-        count += sum(len(copy) for copy in copies)
+        firsts = walk.propagate(T, taus, finish)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == per_batch * batches
-    assert peak < 6 * (workers + 1) * batch_bytes
+    assert len(firsts) == batches
+    assert np.array_equal(np.concatenate(firsts), oracles.propagator_rows(T, taus)[:, 0])
+    assert peak < 3 * workers * batch_bytes
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_a_late_batch_raises_its_finish_error_from_the_pool(workers, monkeypatch):
+    # one-row batches on a pool; `finish` raises on the last one, and that
+    # same exception, not a wrapper or a later one, leaves propagate
+    T = 220
+    monkeypatch.setattr(walk, "PROPAGATE_BYTES", 16 * (T + 2))
+    monkeypatch.setattr(walk, "PROPAGATE_MIN_ROWS", 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    taus = np.random.default_rng(3).uniform(0.0, walk.default_tau0(T), 12)
+    error = ValueError("late batch")
+
+    def finish(rows, start):
+        if start == len(taus) - 1:
+            raise error
+        return start
+
+    with pytest.raises(ValueError) as raised:
+        walk.propagate(T, taus, finish)
+    assert raised.value is error
 
 
 @pytest.mark.parametrize("T", [1, 2, 3, 220, 1719, 2962])  # T+2: odd, even, prime, composite
@@ -244,7 +266,7 @@ def test_propagate_allocates_no_large_buffer_after_a_workers_first_batch(monkeyp
         traced[0] = 0
         tracemalloc.start()
         try:
-            firsts = np.concatenate(list(walk.propagate(T, taus, finish)))
+            firsts = np.concatenate(walk.propagate(T, taus, finish))
         finally:
             tracemalloc.stop()
         assert np.array_equal(firsts, oracles.propagator_rows(T, taus)[:, 0])
