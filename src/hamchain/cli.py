@@ -5,6 +5,9 @@ A command loads only the modules it runs: walk imports a scheme's machine
 when first given that scheme (walk.scheme_module), and `verify` imports
 subspace itself, so `evolve --T` loads no machine and `sample` no subspace.
 
+`verify` runs the rows of one table, VERIFY_SCOPES; only cmd_verify writes
+a row's PASS or FAIL and sets the exit code.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or input error (a
 ValueError, or a file that cannot be read or written), a run the engines
 or the padding plan refuse (RuleEngineError, PaddingError), or a run out
@@ -18,8 +21,6 @@ import argparse
 import math
 import os
 import sys
-
-import numpy as np
 
 from . import walk
 from .circuit import Circuit, parse_circuit, rewrite_to_ws, serialize_circuit
@@ -98,27 +99,17 @@ def cmd_rewrite(args) -> int:
     return 0
 
 
-def _verify_identities(lines: list[str]) -> bool:
+def _verify_identities():
     from . import gates
 
-    ok = True
     for name, (seq, target) in gates.IDENTITIES.items():
         dev = gates.check_identity(seq, target)
-        good = dev <= gates.IDENTITY_TOL
-        ok &= good
-        lines.append(f"identity {name}: dev={dev:.3e} {'PASS' if good else 'FAIL'}")
-    w8 = np.linalg.matrix_power(gates.W.matrix, 8)
-    dev = float(np.max(np.abs(w8 - np.eye(4))))
-    good = dev <= gates.IDENTITY_TOL
-    ok &= good
-    lines.append(f"identity W^8: dev={dev:.3e} {'PASS' if good else 'FAIL'}")
-    return ok
+        yield f"identity {name}: dev={dev:.3e}", dev <= gates.IDENTITY_TOL, []
 
 
-def _verify_subspace(lines: list[str]) -> bool:
+def _verify_subspace():
     from . import gates, subspace
 
-    ok = True
     ws2 = Circuit(2, 2, {(1, 1): gates.W, (2, 1): gates.SWAP})
     ws3 = Circuit(3, 2, {(1, 1): gates.W, (1, 2): gates.SWAP,
                          (2, 1): gates.SWAP, (2, 2): gates.W})
@@ -131,12 +122,8 @@ def _verify_subspace(lines: list[str]) -> bool:
     ]
     for scheme, circ in cases:
         rep = subspace.certify_subspace(scheme, circ)
-        ok &= rep.passed
-        lines.append(f"subspace {scheme} n={circ.n} R={circ.rounds}: "
-                     f"{'PASS' if rep.passed else 'FAIL'}")
-        if not rep.passed:
-            lines.extend("  " + ln for ln in rep.lines if "FAIL" in ln)
-    return ok
+        yield (f"subspace {scheme} n={circ.n} R={circ.rounds}:", rep.passed,
+               [ln for ln in rep.lines if "FAIL" in ln])
 
 
 # (scheme, qubit counts, round counts) swept by `verify --scope formulas`
@@ -146,10 +133,9 @@ FORMULA_SWEEPS = (
 )
 
 
-def _verify_formulas(lines: list[str]) -> bool:
+def _verify_formulas():
     """Engine against closed forms: T per (n, R), and the step of the last
     gate of rounds 1..r for every r <= R, which padding relies on."""
-    ok = True
     for scheme, ns, rounds in FORMULA_SWEEPS:
         closed_forms = walk.scheme_module(scheme).closed_forms
         for n in ns:
@@ -160,22 +146,27 @@ def _verify_formulas(lines: list[str]) -> bool:
                           closed_forms(n, R, r)[1])
                          for r in range(1, R + 1)]
                 for label, engine, closed in rows:
-                    good = engine == closed
-                    ok &= good
-                    lines.append(f"{label}: engine={engine} closed-form={closed} "
-                                 f"{'PASS' if good else 'FAIL'}")
-    return ok
+                    yield f"{label}: engine={engine} closed-form={closed}", engine == closed, []
+
+
+# scope -> its rows in order, each (line, passed, detail lines printed under
+# the row when it fails); `verify --scope all` runs every scope
+VERIFY_SCOPES = {
+    "identities": _verify_identities,
+    "subspace": _verify_subspace,
+    "formulas": _verify_formulas,
+}
 
 
 def cmd_verify(args) -> int:
     lines: list[str] = []
     ok = True
-    if args.scope in ("identities", "all"):
-        ok &= _verify_identities(lines)
-    if args.scope in ("subspace", "all"):
-        ok &= _verify_subspace(lines)
-    if args.scope in ("formulas", "all"):
-        ok &= _verify_formulas(lines)
+    for scope in VERIFY_SCOPES if args.scope == "all" else [args.scope]:
+        for line, passed, details in VERIFY_SCOPES[scope]():
+            ok &= passed
+            lines.append(f"{line} {'PASS' if passed else 'FAIL'}")
+            if not passed:
+                lines.extend("  " + d for d in details)
     lines.append(f"verify {args.scope}: {'PASS' if ok else 'FAIL'}")
     _write(args.out, ["\n".join(lines) + "\n"])
     return 0 if ok else 1
@@ -229,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     rw.set_defaults(fn=cmd_rewrite)
 
     ve = sub.add_parser("verify", help="run built-in consistency checks")
-    ve.add_argument("--scope", choices=["identities", "subspace", "formulas", "all"],
-                    default="all")
+    ve.add_argument("--scope", choices=[*VERIFY_SCOPES, "all"], default="all")
     ve.add_argument("--out")
     ve.set_defaults(fn=cmd_verify)
     return p

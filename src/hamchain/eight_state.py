@@ -151,36 +151,30 @@ class GateEvent8:
         return None
 
     def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
-        """(unitary, logical pair) of a logical firing, else None.  The
-        unitary comes from the fired letter, not from `circuit`, so a letter
-        that would disturb the scaffold raises GateOnScaffoldError."""
-        mat, pair = self.unitary(), self.logical_qubits()
-        return None if mat is None or pair is None else (mat, pair)
-
-    def unitary(self) -> np.ndarray | None:
-        """4x4 matrix on the logical pair, or None for a trivial firing: the
-        letter I, which fires nothing, or a scaffold pair.
+        """(4x4 unitary, logical pair) of a firing on two placeholders, else
+        None: the letter I fires nothing, and neither does a scaffold pair
+        the letter fixes.  The unitary comes from the fired letter, not from
+        `circuit`.
 
         Raises GateOnScaffoldError when the firing would disturb scaffold
         bits: a non-identity letter on a mixed placeholder/scaffold pair, or
-        a scaffold pair the letter does not fix.
+        a scaffold pair the letter moves.
         """
         if self.letter == "I":
             return None
-        a, b = self.pair
-        wa, wb = a.startswith("w"), b.startswith("w")
         mat = {"S": gates.SWAP.matrix, "W": gates.W.matrix}[self.letter]
         if not self.forward:
             mat = mat.conj().T
-        if wa and wb:
-            return mat
-        if wa or wb:
+        pair = self.logical_qubits()
+        if pair is not None:
+            return mat, pair
+        a, b = self.pair
+        if a.startswith("w") or b.startswith("w"):
             raise GateOnScaffoldError(
                 f"{self.letter} fired on mixed pair {self.pair} at cell {self.cell}"
             )
         idx = int(a) * 2 + int(b)
-        col = mat[:, idx]
-        if abs(col[idx] - 1.0) > 1e-12:
+        if abs(mat[idx, idx] - 1.0) > 1e-12:
             raise GateOnScaffoldError(
                 f"{self.letter} does not fix scaffold pair {self.pair} at cell {self.cell}"
             )

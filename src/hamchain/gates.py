@@ -190,6 +190,7 @@ IDENTITIES: dict[str, tuple[GateSequence, Gate]] = {
               + ((CX, (1, 2)),)
               + _rep(W, (2, 3), 3)
               + ((X, (2,)), (X, (1,))), CCY),
+    "W^8": (_rep(W, (1, 2), 8), _gate("II", np.eye(4))),
 }
 
 

@@ -89,10 +89,7 @@ def certify_subspace(scheme: str, circuit: Circuit, initial: QubitState | None =
             if edit not in want:
                 errs.append("unexpected output pattern")
             elif len(regs) > 1 or regs[0] is not want[edit][1]:
-                vec = np.zeros_like(regs[0])
-                for r in regs:
-                    vec = vec + -1.0 * r
-                if np.max(np.abs(vec - -1.0 * want[edit][1])) > QUBIT_TOL:
+                if np.max(np.abs(sum(regs) - want[edit][1])) > QUBIT_TOL:
                     errs.append(f"register mismatch vs t'={want[edit][0]}")
         errs += ["missing neighbor pattern" for edit in want if edit not in got]
         if errs:

@@ -1,4 +1,5 @@
 """Command-line front end: subcommands, exit codes, byte-stable outputs."""
+import argparse
 import os
 import resource
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hamchain import cli
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates, machine, walk
+from hamchain import gates, machine, subspace, walk
 
 WS_CIRCUIT = """QUBITS 3
 ROUNDS 2
@@ -343,6 +344,42 @@ def test_verify_subspace_scope_passes(tmp_path):
     out = tmp_path / "v.txt"
     assert cli.main(["verify", "--scope", "subspace", "--out", str(out)]) == 0
     assert out.read_text().rstrip().endswith("verify subspace: PASS")
+
+
+def test_verify_subspace_prints_a_failing_rows_certificate_lines_under_it(tmp_path, monkeypatch):
+    # without ham8's rule 1b both ham8 certificates miss a neighbour; each
+    # failing row carries its certificate's failing lines, the ham5 rows pass
+    monkeypatch.setattr(subspace, "local_terms", lambda m, c0: [
+        t for t in machine.local_terms(m, c0) if (m, t.rule.name) != (e8.MACHINE, "1b")])
+    out = tmp_path / "v.txt"
+    assert cli.main(["verify", "--scope", "subspace", "--out", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "verify subspace: FAIL"
+    rows = [i for i, line in enumerate(lines) if line.startswith("subspace ")]
+    assert [lines[i].split()[1] + " " + lines[i].split()[-1] for i in rows] == [
+        "ham5 PASS", "ham8 FAIL", "ham8 FAIL", "ham5 PASS"]
+    for i, end in zip(rows, rows[1:] + [len(lines) - 1]):
+        details = lines[i + 1:end]
+        if lines[i].endswith("FAIL"):
+            assert details
+            assert all(d.startswith("  t=") and " FAIL: " in d for d in details)
+        else:
+            assert details == []
+
+
+def test_verify_all_runs_every_scope_of_the_table_in_order(tmp_path):
+    outputs = []
+    for scope in cli.VERIFY_SCOPES:
+        out = tmp_path / f"{scope}.txt"
+        assert cli.main(["verify", "--scope", scope, "--out", str(out)]) == 0
+        outputs += out.read_text().splitlines()[:-1]
+    out = tmp_path / "all.txt"
+    assert cli.main(["verify", "--scope", "all", "--out", str(out)]) == 0
+    assert out.read_text().splitlines() == outputs + ["verify all: PASS"]
+    verify = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+    scope = next(a for a in verify._actions if a.dest == "scope")
+    assert list(scope.choices) == [*cli.VERIFY_SCOPES, "all"]
 
 
 @pytest.mark.parametrize("scheme,text", [

@@ -110,7 +110,7 @@ def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     ]
     u = np.eye(8, dtype=complex)
     for _, ev in logical:
-        u = gates.apply_unitary(np.eye(8), ev.unitary(), ev.logical_qubits(), 3) @ u
+        u = gates.apply_unitary(np.eye(8), *ev.gate(None), 3) @ u
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
 
 
@@ -140,18 +140,18 @@ def test_scaffold_firings_are_silent(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
     for ev in tr.events.values():
         if ev.logical_qubits() is None:
-            assert ev.unitary() is None
+            assert ev.gate(None) is None
 
 
 def test_gate_on_scaffold_detection():
     ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("0", "w1"), forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
-        ev.unitary()
+        ev.gate(None)
     ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("1", "0"), forward=True)
     with pytest.raises(e8.GateOnScaffoldError):
-        ev.unitary()  # W maps |10> off itself
+        ev.gate(None)  # W maps |10> off itself
     ev = e8.GateEvent8(round=0, cell=1, letter="S", pair=("0", "0"), forward=True)
-    assert ev.unitary() is None  # swap fixes |00>
+    assert ev.gate(None) is None  # swap fixes |00>
 
 
 def test_rule_conditions_never_read_qubit_placeholders(w_circuit_2q):
