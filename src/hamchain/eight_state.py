@@ -48,20 +48,14 @@ class GateOnScaffoldError(RuleEngineError):
     """A non-trivial gate fired on data it must leave untouched."""
 
 
-@dataclass(frozen=True)
-class ProgramLayout:
-    """Program word and data scaffold for an n-qubit, R-round circuit."""
-
-    program: tuple[str, ...]  # length R(n+1): I, round 1, I, I, round 2, ..., I
-    data: tuple[str, ...]  # one per cell of the open chain: scaffold bits and w1..wn
-
-
 def cells(n: int, R: int, ring: bool = False) -> int:
     """Cells of the chain of an n-qubit, R-round circuit, stopper included."""
     return n + 4 + 2 * (R - 1) * (n + 1) + ring
 
 
-def program_layout(circuit: Circuit) -> ProgramLayout:
+def program_layout(circuit: Circuit) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(word: I, round 1, I, I, round 2, ..., I; data: per open-chain cell a
+    scaffold bit or w1..wn); a letter outside {W,S,I} is refused."""
     n, R = circuit.n, circuit.rounds
     word = ["I"]
     for r in range(1, R + 1):
@@ -76,20 +70,21 @@ def program_layout(circuit: Circuit) -> ProgramLayout:
     data = (["0"] + spacer * (R - 1) + ["1"] + [f"w{i}" for i in range(1, n + 1)]
             + spacer * (R - 1) + ["1", "0"])
     assert len(word) == R * (n + 1) and len(data) == cells(n, R)
-    return ProgramLayout(tuple(word), tuple(data))
+    return tuple(word), tuple(data)
 
 
 @dataclass(frozen=True)
 class Config8:
-    layout: ProgramLayout
+    """Registers of one entry per cell: cursors (a ring's X stopper among
+    them), program symbols, and the fixed data row."""
+
     ring: bool
     cursors: tuple[str, ...]
     progs: tuple[str, ...]
     datas: tuple[str, ...]
 
     def __post_init__(self):
-        ncells = len(self.layout.data) + self.ring
-        if not (len(self.cursors) == len(self.progs) == len(self.datas) == ncells):
+        if not len(self.cursors) == len(self.progs) == len(self.datas):
             raise ValueError("register length mismatch")
         ok = CURSOR_SYMBOLS | ({XSTOP} if self.ring else set())
         if not ok.issuperset(self.cursors):
@@ -109,7 +104,7 @@ class Config8:
         return self.cursors, self.progs, self.datas
 
     def rebuild(self, registers) -> Config8:
-        return Config8(self.layout, self.ring, registers[0], registers[1], self.datas)
+        return Config8(self.ring, registers[0], registers[1], self.datas)
 
     def dump(self, step: int) -> str:
         return ("\n" if step else "") + self.dump_block(step)
@@ -126,11 +121,11 @@ class Config8:
 def first_config(circuit: Circuit, ring: bool = False) -> Config8:
     """The left cursor ending the open chain over the program word's end, then
     any ring stopper; program_layout refuses a letter outside {W,S,I}."""
-    lay = program_layout(circuit)
-    L = len(lay.data)
+    word, data = program_layout(circuit)
+    L = len(data)
     cursors = (STAR,) * (L - 1) + (MOVL,) + (XSTOP,) * ring
-    progs = (".",) * (L - len(lay.program) - 1) + lay.program + (".",) * (1 + ring)
-    return Config8(lay, ring, cursors, progs, lay.data + ("0",) * ring)
+    progs = (".",) * (L - len(word) - 1) + word + (".",) * (1 + ring)
+    return Config8(ring, cursors, progs, data + ("0",) * ring)
 
 
 @dataclass(frozen=True)

@@ -5,19 +5,18 @@ gate per adjacent pair as it sweeps.
 
 Logical qubit values are never stored in a configuration; placeholders keep
 their left-to-right order, so placeholder rank = logical qubit index.  Block
-boundaries are static lattice metadata, not symbols: the rule table compiles
-at import into machine.Rule values whose boundary keys are conditions on a
-fixed register of boundary flags, and `machine.Stepper` steps it either
-way.  A history keeps each rule-1 event under its step; an identity slot
-fires nothing.  A slot's gate term carries its gate on the slot's qubit
-pair, so first_config refuses a slot gate on three qubits (the Toffoli).
-The scheme's interface (walk.scheme_module) is first_config, closed_forms,
-cells and history; ham5 has no ring.
+boundaries are not symbols but a fixed register of flags, built once by
+first_config: the rule table compiles at import into machine.Rule values
+whose boundary keys are conditions on that register, and `machine.Stepper`
+steps it either way.  A history keeps each rule-1 event under its step; an
+identity slot fires nothing.  A slot's gate term carries its gate on the
+slot's qubit pair, so first_config refuses a slot gate on three qubits (the
+Toffoli).  The scheme's interface (walk.scheme_module) is first_config,
+closed_forms, cells and history; ham5 has no ring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,36 +39,19 @@ EVEN_SYMBOLS = frozenset({Q, G, BLANK})
 
 
 @dataclass(frozen=True)
-class Lattice5:
-    """Chain of 1 + 2nR sites: a 1-site block, then R blocks of 2n sites."""
+class Config5:
+    """Per site its symbol and its fixed flag, "+" if a block boundary
+    follows the site, else "-"; n sets a gate event's block width 2n."""
 
     n: int
-    R: int
-
-    @property
-    def L(self) -> int:
-        return cells(self.n, self.R)
-
-    def boundary_after(self, i: int) -> bool:
-        """True if a block boundary sits between sites i and i+1."""
-        return 1 <= i < self.L and (i - 1) % (2 * self.n) == 0
-
-    @cached_property
-    def flags(self) -> tuple[str, ...]:
-        """Per site, "+" if a block boundary follows it, else "-"."""
-        return tuple("+" if self.boundary_after(i) else "-" for i in range(1, self.L + 1))
-
-
-@dataclass(frozen=True)
-class Config5:
-    lattice: Lattice5
+    flags: tuple[str, ...]
     symbols: tuple[str, ...]
 
     ring = False
 
     def __post_init__(self):
-        if len(self.symbols) != self.lattice.L:
-            raise ValueError(f"expected {self.lattice.L} symbols, got {len(self.symbols)}")
+        if len(self.symbols) != len(self.flags):
+            raise ValueError(f"expected {len(self.flags)} symbols, got {len(self.symbols)}")
         syms = self.symbols
         if ODD_SYMBOLS.issuperset(syms[0::2]) and EVEN_SYMBOLS.issuperset(syms[1::2]):
             return
@@ -80,19 +62,19 @@ class Config5:
 
     def dump(self, step: int) -> str:
         toks = []
-        for i, sym in enumerate(self.symbols, 1):
+        for sym, flag in zip(self.symbols, self.flags):
             toks.append(sym)
-            if self.lattice.boundary_after(i) and i < self.lattice.L:
+            if flag == "+":
                 toks.append("|")
         return f"{step}\t" + " ".join(toks) + "\n"
 
     @property
     def registers(self) -> tuple:
         """The rewritten symbols, then the fixed boundary flags."""
-        return self.symbols, self.lattice.flags
+        return self.symbols, self.flags
 
     def rebuild(self, registers) -> Config5:
-        return Config5(self.lattice, registers[0])
+        return Config5(self.n, self.flags, registers[0])
 
 
 @dataclass(frozen=True)
@@ -136,13 +118,14 @@ def first_config(circuit: Circuit, ring: bool = False) -> Config5:
             raise UnsupportedGateError(f"gate {g.label} at ({r},{i}) acts on {g.arity} "
                                        "qubits; a ham5 slot gate acts on at most two")
     syms = [TUR] + [Q, PLUS] * (n - 1) + [Q, BUL] + [BLANK, BUL] * (n * (R - 1))
-    return Config5(Lattice5(n, R), tuple(syms))
+    flags = (("+",) + ("-",) * (2 * n - 1)) * R + ("-",)
+    return Config5(n, flags, tuple(syms))
 
 
 # Rewrite rules over windows of three consecutive sites (s, s+1, s+2).
 # Each entry: (name, lhs, rhs, boundary key).  The key states which window
 # offset must (+) or must not (-) sit just before a block boundary; None
-# means the rule never consults boundary metadata.  Rule "1" fires a gate.
+# means the rule never consults the flags.  Rule "1" fires a gate.
 _RULES = (
     ("1", (G, PLUS, Q), (Q, PLUS, G), None),
     ("2", (G, BUL, BLANK), (Q, TUR, BLANK), ("+", 1)),
@@ -165,8 +148,8 @@ def _event(c: Config5, s: int, rule: Rule, forward: bool) -> GateEvent | None:
     site s: its block's round and its pair within the block."""
     if rule.name != "1":
         return None
-    r = (s - 2) // (2 * c.lattice.n) + 1
-    i = (s - 2 - 2 * c.lattice.n * (r - 1)) // 2 + 1
+    r = (s - 2) // (2 * c.n) + 1
+    i = (s - 2 - 2 * c.n * (r - 1)) // 2 + 1
     return GateEvent(round=r, position=i, forward=forward)
 
 

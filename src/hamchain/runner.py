@@ -49,6 +49,8 @@ class RunPlan:
             raise ValueError(f"scheme must be one of {tuple(walk.SCHEME_MODULES)}")
         if not 1 <= self.shots <= MAX_SHOTS or self.q < 2:
             raise ValueError(f"need 1 <= shots <= {MAX_SHOTS} and q >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.tau0 is not None and not 0 < self.tau0 < math.inf:
             raise ValueError("need a finite tau0 > 0")
         if self.initial is not None and (

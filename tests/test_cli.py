@@ -163,6 +163,12 @@ def test_ham5_refuses_a_toffoli_before_any_step(argv, tmp_path, monkeypatch, cap
     assert capsys.readouterr() == ("", f"error: {why}\n")
 
 
+def test_sample_refuses_a_negative_seed_by_name(ws_file, capsys):
+    # the refusal names the seed, not the generator's own complaint
+    assert cli.main(["sample", ws_file, "--scheme", "ham5", "--seed", "-1"]) == 2
+    assert capsys.readouterr() == ("", "error: seed must be a non-negative integer, got -1\n")
+
+
 # one stored gate in 10^9 declared slots: rewriting it costs what the file
 # stores, not 10^9 slot visits
 Z_WORD = "SWWWWSWWWWSWWWWS"

@@ -68,15 +68,17 @@ class ReadsPlaceholder(RuntimeError):
 
 
 def oracle_matches5(c, reverse):
-    lat, syms, out = c.lattice, c.symbols, []
-    for s in range(1, lat.L - 1):
+    syms, out = c.symbols, []
+    L = len(syms)
+    for s in range(1, L - 1):
         window = syms[s - 1 : s + 2]
         for name, lhs, rhs, bkey in _RULES:
             if window != (rhs if reverse else lhs):
                 continue
             if bkey is not None:
                 sign, off = bkey
-                if (sign == "+") != lat.boundary_after(s + off):
+                i = s + off
+                if (sign == "+") != (i < L and (i - 1) % (2 * c.n) == 0):
                     continue
             out.append((s, name))
     return out
@@ -96,9 +98,9 @@ def oracle_step5(c, reverse):
     if name == "1":
         # the gate's pair is the rank of the g placeholder the window starts on
         rank = sum(sym in "qg" for sym in c.symbols[:s])
-        event = f5.GateEvent(round=(s - 2) // (2 * c.lattice.n) + 1, position=rank,
+        event = f5.GateEvent(round=(s - 2) // (2 * c.n) + 1, position=rank,
                              forward=not reverse)
-    return f5.Config5(c.lattice, tuple(syms)), event
+    return f5.Config5(c.n, c.flags, tuple(syms)), event
 
 
 def _cell8(c, key, j):
@@ -165,7 +167,7 @@ def oracle_step8(c, reverse):
     if name == "4a":
         pair = (_read8(c, "d", j), _read8(c, "d+", j))
         event = e8.GateEvent8(round=0, cell=j, letter=letter, pair=pair, forward=not reverse)
-    return e8.Config8(c.layout, c.ring, tuple(cursors), tuple(progs), c.datas), event
+    return e8.Config8(c.ring, tuple(cursors), tuple(progs), c.datas), event
 
 
 def outcome(step, c, reverse):
@@ -305,8 +307,8 @@ def test_filed_terms_are_kept_per_cell_count_and_ring(monkeypatch):
     assert steps[0] > 0 and steps[1] > 0
     # no step of either history wraps; a cursor D in the stopper's cell makes
     # rule 2a's window wrap, on the ring alone, with its live symbol in cell 7
-    wrapped = e8.Config8(ring.layout, True, (e8.STAR,) * 6 + (e8.DBLR,), ring.progs, ring.datas)
-    for c in (wrapped, e8.Config8(chain.layout, False, wrapped.cursors, chain.progs, chain.datas)):
+    wrapped = e8.Config8(True, (e8.STAR,) * 6 + (e8.DBLR,), ring.progs, ring.datas)
+    for c in (wrapped, e8.Config8(False, wrapped.cursors, chain.progs, chain.datas)):
         for reverse in (False, True):
             assert ([(j, rule.name, rule.letter) for j, rule in matches(Stepper(m, c), reverse)]
                     == oracle_matches8(c, reverse))
@@ -321,11 +323,11 @@ def test_ham5_perturbed_configurations_match_the_oracle():
     # odd-site symbol, which gives ambiguous and empty matches too; the
     # matches must come in the oracle's order
     for c0 in f5.enumerate_history5(3, 2).configs():
-        for k in range(0, c0.lattice.L, 2):
+        for k in range(0, len(c0.symbols), 2):
             for sym in sorted(f5.ODD_SYMBOLS):
                 syms = list(c0.symbols)
                 syms[k] = sym
-                c = f5.Config5(c0.lattice, tuple(syms))
+                c = f5.Config5(c0.n, c0.flags, tuple(syms))
                 for reverse in (False, True):
                     assert engine_matches5(c, reverse) == oracle_matches5(c, reverse)
                     assert outcome(engine_step5, c, reverse) == outcome(oracle_step5, c, reverse)
@@ -341,7 +343,7 @@ def test_ham8_perturbed_configurations_match_the_oracle(ring):
             for sym in ("L", "l", "t", "R", "r", "D", "d"):
                 cursors = list(c0.cursors)
                 cursors[k] = sym
-                c = e8.Config8(c0.layout, c0.ring, tuple(cursors), c0.progs, c0.datas)
+                c = e8.Config8(c0.ring, tuple(cursors), c0.progs, c0.datas)
                 for reverse in (False, True):
                     assert (outcome(engine_matches8, c, reverse)
                             == outcome(oracle_matches8, c, reverse))
@@ -356,7 +358,7 @@ def test_ham8_condition_on_a_placeholder_raises_in_both():
     cursors = list(c0.cursors)
     cursors[-1], cursors[j - 1] = e8.STAR, e8.TUR
     progs = ["."] * c0.ncells
-    c = e8.Config8(c0.layout, c0.ring, tuple(cursors), tuple(progs), c0.datas)
+    c = e8.Config8(c0.ring, tuple(cursors), tuple(progs), c0.datas)
     assert outcome(engine_step8, c, False) == outcome(oracle_step8, c, False) == "placeholder"
     with pytest.raises(e8.RuleEngineError, match=f"reads qubit placeholder w1 at cell {j + 1}$"):
         Stepper(e8.MACHINE, c).step()
@@ -368,8 +370,8 @@ def test_ham5_live_symbols_far_apart_are_both_found():
     c0 = f5.first_config(Circuit(2, 3))
     syms = list(c0.symbols)
     syms[-3:] = [f5.MOV, f5.Q, f5.BUL]
-    c = f5.Config5(c0.lattice, tuple(syms))
-    L = c0.lattice.L
+    c = f5.Config5(c0.n, c0.flags, tuple(syms))
+    L = len(c0.symbols)
     assert sorted(Stepper(f5.MACHINE, c).live) == [1, L - 2]
     assert engine_matches5(c, False) == oracle_matches5(c, False) == [(1, "6a"), (L - 2, "7b")]
     message = f"2 rule instances match forward: [(1, '6a'), ({L - 2}, '7b')]"

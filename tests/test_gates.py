@@ -130,6 +130,11 @@ def test_every_registered_identity_holds():
 
 
 def test_w_to_the_eighth_is_identity():
+    # the table's row is eight W on (1, 2) against the 2-qubit identity, and
+    # W^8 = I holds by an independent matrix power too
+    seq, target = IDENTITIES["W^8"]
+    assert seq == ((gates.W, (1, 2)),) * 8
+    assert np.array_equal(target.matrix, np.eye(4))
     w8 = np.linalg.matrix_power(gates.W.matrix, 8)
     assert np.max(np.abs(w8 - np.eye(4))) <= IDENTITY_TOL
 

@@ -73,9 +73,15 @@ def test_first_config_refuses_a_slot_gate_on_three_qubits():
 
 
 def test_config_rejects_wrong_parity_symbol():
-    lat = f5.Lattice5(2, 1)
+    flags = f5.first_config(Circuit(2, 1)).flags
     with pytest.raises(ValueError):
-        f5.Config5(lat, (f5.Q, f5.Q, f5.PLUS, f5.Q, f5.BUL))
+        f5.Config5(2, flags, (f5.Q, f5.Q, f5.PLUS, f5.Q, f5.BUL))
+
+
+def test_config_rejects_symbols_and_flags_of_unequal_length():
+    c0 = f5.first_config(Circuit(2, 1))
+    with pytest.raises(ValueError, match="^expected 5 symbols, got 3$"):
+        f5.Config5(2, c0.flags, c0.symbols[:3])
 
 
 def test_golden_trace_3_2_bit_exact(fixtures_dir):
@@ -158,10 +164,10 @@ def test_gate_events_cover_schedule_in_order(n, R):
 
 def test_rule_engine_flags_ambiguity():
     # Two right-movers at once is not a history configuration.
-    lat = f5.Lattice5(2, 2)
+    flags = f5.first_config(Circuit(2, 2)).flags
     syms = [f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.MOV, f5.Q, f5.PLUS, f5.Q, f5.BUL]
     with pytest.raises(f5.RuleEngineError):
-        machine.Stepper(f5.MACHINE, f5.Config5(lat, tuple(syms))).step()
+        machine.Stepper(f5.MACHINE, f5.Config5(2, flags, tuple(syms))).step()
 
 
 def test_local_terms_have_one_gate_term_per_slot():
@@ -171,7 +177,7 @@ def test_local_terms_have_one_gate_term_per_slot():
     n, R = 3, 2
     history = f5.enumerate_history5(n, R)
     terms = machine.local_terms(f5.MACHINE, history.first)
-    L = history.first.lattice.L
+    L = len(history.first.symbols)
     assert [(t.position, t.rule) for t in terms] == [
         (s, rule) for s in range(1, L - 1) for rule in f5.MACHINE.rules]
     filed = machine.file_terms(terms, f5.MACHINE.live, history.first)
@@ -195,12 +201,24 @@ def test_local_terms_boundary_placement():
     n, R = 3, 3
     c0 = f5.first_config(Circuit(n, R))
     rule2 = [t for t in machine.local_terms(f5.MACHINE, c0) if t.rule.name == "2"]
-    assert len(rule2) == c0.lattice.L - 2
+    assert len(rule2) == len(c0.symbols) - 2
     assert rule2[0].rule.conditions == ((1, 1, "+"),)
     flags = c0.registers[1]
     placed = [t.position for t in rule2 if flags[t.position] == "+"]
     assert len(placed) == R - 1
-    assert all(c0.lattice.boundary_after(s + 1) for s in placed)
+    assert placed == [2 * n * k for k in range(1, R)]
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+@pytest.mark.parametrize("R", range(1, 4))
+def test_boundary_flags_mark_the_last_site_of_each_block_but_the_last(n, R):
+    # the 1-site block, then R blocks of 2n sites: a boundary follows sites
+    # 1, 1 + 2n, ..., 1 + 2n(R-1), and none follows the chain's last site
+    flags = f5.first_config(Circuit(n, R)).flags
+    assert len(flags) == f5.cells(n, R)
+    assert [i for i, flag in enumerate(flags, 1) if flag == "+"] == [
+        1 + 2 * n * k for k in range(R)]
+    assert set(flags) <= {"+", "-"}
 
 
 @pytest.mark.parametrize("n,R", [(2, 1), (3, 2), (2, 3), (4, 3)])

@@ -14,25 +14,25 @@ from oracles import circuit_matrix
 
 
 def test_program_layout_reference_example(ws_circuit_3q2r):
-    lay = e8.program_layout(ws_circuit_3q2r)
-    assert lay.program == ("I", "W", "S", "I", "I", "S", "W", "I")
-    assert lay.data == ("0", "1", "0", "0", "0", "1", "w1", "w2", "w3",
-                        "1", "0", "0", "0", "1", "0")
-    assert len(lay.data) == e8.cells(3, 2) == 15
+    word, data = e8.program_layout(ws_circuit_3q2r)
+    assert word == ("I", "W", "S", "I", "I", "S", "W", "I")
+    assert data == ("0", "1", "0", "0", "0", "1", "w1", "w2", "w3",
+                    "1", "0", "0", "0", "1", "0")
+    assert len(data) == e8.cells(3, 2) == 15
 
 
 def test_program_layout_minimal(w_circuit_2q):
-    lay = e8.program_layout(w_circuit_2q)
-    assert lay.program == ("I", "W", "I")
-    assert lay.data == ("0", "1", "w1", "w2", "1", "0")
+    word, data = e8.program_layout(w_circuit_2q)
+    assert word == ("I", "W", "I")
+    assert data == ("0", "1", "w1", "w2", "1", "0")
 
 
 def test_program_layout_spacer_width():
-    lay = e8.program_layout(Circuit(3, 3))
-    assert lay.program == tuple("I I I I I I I I I I I I".split())
+    word, data = e8.program_layout(Circuit(3, 3))
+    assert word == tuple("I I I I I I I I I I I I".split())
     # spacer blocks 1 0 0 0 on each side of the qubit block, width n+1
-    assert lay.data[1:5] == ("1", "0", "0", "0")
-    assert lay.data[5:10] == ("1", "0", "0", "0", "1")
+    assert data[1:5] == ("1", "0", "0", "0")
+    assert data[5:10] == ("1", "0", "0", "0", "1")
 
 
 def test_layout_rejects_foreign_gates():
@@ -66,7 +66,7 @@ def test_final_configuration_shape(ws_circuit_3q2r):
     assert last.cursors[0] == e8.MOVLE
     assert all(s == e8.STAR for s in last.cursors[1:])
     # program word shifted fully left, data pattern unchanged
-    assert last.progs[:9] == (".",) + configs[0].layout.program
+    assert last.progs[:9] == (".",) + e8.program_layout(ws_circuit_3q2r)[0]
     assert last.datas == configs[0].datas
     assert machine.Stepper(e8.MACHINE, last).step() is None
 
@@ -206,7 +206,7 @@ def test_rule_engine_flags_ambiguity(w_circuit_2q):
     cursors = list(c0.cursors)
     cursors[1] = e8.MOVL  # second cursor alongside the real one
     with pytest.raises(e8.RuleEngineError):
-        machine.Stepper(e8.MACHINE, e8.Config8(c0.layout, c0.ring, tuple(cursors),
+        machine.Stepper(e8.MACHINE, e8.Config8(c0.ring, tuple(cursors),
                                                c0.progs, c0.datas)).step()
 
 
@@ -216,23 +216,32 @@ def test_config_accepts_the_stopper_only_on_the_ring(w_circuit_2q):
     c0 = e8.first_config(w_circuit_2q)
     cursors = (e8.XSTOP,) + c0.cursors[1:]
     with pytest.raises(ValueError, match="cell 1: bad cursor symbol 'X'"):
-        e8.Config8(c0.layout, False, cursors, c0.progs, c0.datas)
-    assert e8.Config8(c0.layout, True, cursors + (e8.STAR,), ring.progs, ring.datas).ring
+        e8.Config8(False, cursors, c0.progs, c0.datas)
+    assert e8.Config8(True, cursors + (e8.STAR,), ring.progs, ring.datas).ring
 
 
 def test_config_rejects_a_bad_program_symbol(w_circuit_2q):
     c0 = e8.first_config(w_circuit_2q)
     with pytest.raises(ValueError, match="bad program symbol"):
-        e8.Config8(c0.layout, False, c0.cursors, ("Z",) + c0.progs[1:], c0.datas)
+        e8.Config8(False, c0.cursors, ("Z",) + c0.progs[1:], c0.datas)
 
 
 def test_config_rejects_registers_of_unequal_length(w_circuit_2q):
     c0 = e8.first_config(w_circuit_2q)
     with pytest.raises(ValueError, match="register length mismatch"):
-        e8.Config8(c0.layout, False, c0.cursors, c0.progs[:-1], c0.datas)
-    # the ring needs its stopper cell in every register
-    with pytest.raises(ValueError, match="register length mismatch"):
-        e8.Config8(c0.layout, True, c0.cursors, c0.progs, c0.datas)
+        e8.Config8(False, c0.cursors, c0.progs[:-1], c0.datas)
+
+
+@pytest.mark.parametrize("circuit", ["w_circuit_2q", "ws_circuit_3q2r"])
+def test_ring_first_config_adds_one_stopper_cell(circuit, request):
+    # only first_config builds a ring chain: each register is one cell
+    # longer than the open chain's, and the extra cell holds X, . and 0
+    c = request.getfixturevalue(circuit)
+    chain, ring = e8.first_config(c), e8.first_config(c, ring=True)
+    assert ring.ring and not chain.ring
+    assert ring.registers == tuple(reg + (extra,) for reg, extra
+                                   in zip(chain.registers, (e8.XSTOP, ".", "0")))
+    assert ring.ncells == chain.ncells + 1 == e8.cells(c.n, c.rounds, ring=True)
 
 
 def test_local_terms_tile_every_cell(w_circuit_2q):

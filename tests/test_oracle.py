@@ -60,7 +60,7 @@ def test_apply_h5_interior_has_two_neighbors(w_circuit_2q):
 
 def test_apply_h8_annihilates_cursorless_pattern(w_circuit_2q):
     c0 = e8.first_config(w_circuit_2q)
-    dead = e8.Config8(c0.layout, c0.ring, (e8.STAR,) * c0.ncells,
+    dead = e8.Config8(c0.ring, (e8.STAR,) * c0.ncells,
                       c0.progs, c0.datas)
     filed = machine.file_terms(machine.local_terms(e8.MACHINE, c0), e8.MACHINE.live, c0)
     state = machine.Stepper(e8.MACHINE, dead)
