@@ -11,7 +11,7 @@ from pathlib import Path
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import gates
+from hamchain import gates, walk
 from hamchain.circuit import Circuit
 
 
@@ -22,12 +22,20 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=2)
     args = ap.parse_args(argv)
 
+    # the circuit and both histories' sizes are checked before any file is
+    # written, so bad input ends at once in one error line and an empty stdout
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    circuit = Circuit(args.n, args.rounds, {
-        (1, 1): gates.W, (1, 2): gates.SWAP,
-        (2, 1): gates.SWAP, (2, 2): gates.W,
-    } if (args.n, args.rounds) == (3, 2) else {})
+    try:
+        circuit = Circuit(args.n, args.rounds, {
+            (1, 1): gates.W, (1, 2): gates.SWAP,
+            (2, 1): gates.SWAP, (2, 2): gates.W,
+        } if (args.n, args.rounds) == (3, 2) else {})
+        for scheme in ("ham5", "ham8"):
+            walk.history_length(scheme, circuit)
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     tr5 = f5.enumerate_history5(args.n, args.rounds)
     with open(out / "ham5_trace.txt", "w") as fh:
@@ -40,13 +48,10 @@ def main(argv=None) -> int:
     tr8 = e8.enumerate_history8(circuit)
     with open(out / "ham8_trace.txt", "w") as fh:
         fh.writelines(tr8.dump())
-    # m: the rank of a logical firing, counted from 1; 0 for a scaffold firing
-    lines, m = [], 0
-    for t, e in sorted(tr8.events.items()):
-        logical = e.logical_qubits() is not None
-        m += logical
-        lines.append(f"t={t} cell={e.cell} letter={e.letter} pair={e.pair} m={m if logical else 0}")
-    ev8 = "\n".join(lines)
+    # m: the rank of a slot firing in the history, counted from 1
+    ev8 = "\n".join(f"t={t} letter={e.letter} qubits=({e.qubits[0]},{e.qubits[1]}) "
+                     f"round={e.round} m={m}"
+                     for m, (t, e) in enumerate(sorted(tr8.events.items()), 1))
     (out / "ham8_events.txt").write_text(ev8 + "\n")
 
     print(f"ham5: T={tr5.T}; ham8: T={tr8.T}; files in {out}")

@@ -26,12 +26,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     circuit = Circuit(2, 1, {(1, 1): gates.W})
+    # both runs finish before anything is printed, and RunPlan checks the
+    # arguments first, so bad input ends in one error line and an empty stdout
+    try:
+        plans = [RunPlan(circuit, scheme, q=args.q, shots=args.shots,
+                         seed=args.seed, initial=args.initial) for scheme in ("ham5", "ham8")]
+        reports = [run(plan) for plan in plans]
+    except (ValueError, walk.PaddingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ideal = np.abs(simulate_circuit(circuit, QubitState.basis(args.initial)).amps) ** 2
 
-    for scheme in ("ham5", "ham8"):
-        plan = RunPlan(circuit, scheme, q=args.q, shots=args.shots,
-                       seed=args.seed, initial=args.initial)
-        report = run(plan)
+    for plan, report in zip(plans, reports):
         predicted = walk.tail_prob(report.T, plan.q, report.tau0)
         hist = report.histogram()
         total = sum(hist.values())
@@ -39,7 +45,7 @@ def main(argv=None) -> int:
         for key, cnt in hist.items():
             emp[int(key, 2)] = cnt / total
         tv = 0.5 * float(np.sum(np.abs(emp - ideal)))
-        print(f"{scheme}: T={report.T} rounds_total={report.rounds_total} "
+        print(f"{plan.scheme}: T={report.T} rounds_total={report.rounds_total} "
               f"threshold={report.threshold}")
         print(f"  acceptance {report.acceptance_rate:.4f} "
               f"(predicted {predicted:.4f})")

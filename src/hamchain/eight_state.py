@@ -14,10 +14,11 @@ whose cursor is the X stopper, closes the chain into a ring.
 
 The rule table is compiled at import into machine.Rule values, one per gate
 letter where a rule binds one; its data keys become conditions on the fixed
-data register, and `machine.Stepper` steps it either way.  A history keeps
-each rule-4a event under its step and sets the round of each logical firing
-from its rank; the letter I fires nothing.  The scheme's interface
-(walk.scheme_module) is first_config, closed_forms, cells and history.
+data register, and `machine.Stepper` steps it either way.  A rule-4a
+crossing of two placeholders is a slot firing, the one event a history
+keeps, with its round set from its rank; a crossing of scaffold bits fires
+nothing, and its step raises if the letter would move them.  The scheme's
+interface (walk.scheme_module) is first_config, closed_forms, cells and history.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ XSTOP = "X"  # periodic-variant stopper; no rule mentions it
 
 CURSOR_SYMBOLS = frozenset({GAT, MOV, MOVL, MOVLE, DBLR, ARR, TUR, STAR})
 PROG_SYMBOLS = frozenset(NATIVE | {"."})
+LETTERS = {"S": gates.SWAP.matrix, "W": gates.W.matrix}  # the letter I fires nothing
 
 
 class GateOnScaffoldError(RuleEngineError):
@@ -130,50 +132,20 @@ def first_config(circuit: Circuit, ring: bool = False) -> Config8:
 
 @dataclass(frozen=True)
 class GateEvent8:
-    """A solid-right-cursor crossing: program letter applied to a data pair."""
+    """A rule-4a crossing of placeholders w_i, w_i+1: a slot firing on (i, i+1)."""
 
-    round: int  # circuit round of a logical firing, from its rank; 0 for scaffold
-    cell: int  # window cell j: letter read from p_{j+1}, applied at (d_j, d_{j+1})
+    round: int  # circuit round, which enumerate_history8 sets from the rank
+    qubits: tuple[int, int]
     letter: str  # I, S, or W
-    pair: tuple[str, str]  # data tokens under the gate
     forward: bool
 
-    def logical_qubits(self) -> tuple[int, int] | None:
-        """(i, i+1) if both data tokens are qubit placeholders, else None."""
-        a, b = self.pair
-        if a.startswith("w") and b.startswith("w"):
-            return int(a[1:]), int(b[1:])
-        return None
-
     def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
-        """(4x4 unitary, logical pair) of a firing on two placeholders, else
-        None: the letter I fires nothing, and neither does a scaffold pair
-        the letter fixes.  The unitary comes from the fired letter, not from
-        `circuit`.
-
-        Raises GateOnScaffoldError when the firing would disturb scaffold
-        bits: a non-identity letter on a mixed placeholder/scaffold pair, or
-        a scaffold pair the letter moves.
-        """
+        """(the letter's 4x4 unitary, its inverse backward, logical pair), or
+        None for the letter I; the unitary comes from the letter, not `circuit`."""
         if self.letter == "I":
             return None
-        mat = {"S": gates.SWAP.matrix, "W": gates.W.matrix}[self.letter]
-        if not self.forward:
-            mat = mat.conj().T
-        pair = self.logical_qubits()
-        if pair is not None:
-            return mat, pair
-        a, b = self.pair
-        if a.startswith("w") or b.startswith("w"):
-            raise GateOnScaffoldError(
-                f"{self.letter} fired on mixed pair {self.pair} at cell {self.cell}"
-            )
-        idx = int(a) * 2 + int(b)
-        if abs(mat[idx, idx] - 1.0) > 1e-12:
-            raise GateOnScaffoldError(
-                f"{self.letter} does not fix scaffold pair {self.pair} at cell {self.cell}"
-            )
-        return None
+        mat = LETTERS[self.letter]
+        return (mat if self.forward else mat.conj().T), self.qubits
 
 
 # Rule table.  Window keys: "s-" cursor left of cell j, "s" cursor of cell j,
@@ -211,11 +183,24 @@ def _compile(name: str, pre: dict, post: dict):
 
 
 def _event(c: Config8, j: int, rule: Rule, forward: bool) -> GateEvent8 | None:
+    """Rule 4a's crossing of data cells j, j+1: a GateEvent8 over two
+    placeholders, None over scaffold bits the letter fixes (I fixes any), and
+    GateOnScaffoldError if a letter but I meets a placeholder and a scaffold
+    bit, or would move scaffold bits."""
     if rule.name != "4a":
         return None
     # cell j+1 wraps to cell 1 on the ring; on the open chain j < ncells
-    pair = (c.datas[j - 1], c.datas[j % c.ncells])
-    return GateEvent8(round=0, cell=j, letter=rule.letter, pair=pair, forward=forward)
+    pair = a, b = c.datas[j - 1], c.datas[j % c.ncells]
+    if a[0] == "w" and b[0] == "w":
+        return GateEvent8(0, (int(a[1:]), int(b[1:])), rule.letter, forward)
+    if rule.letter == "I":
+        return None
+    if a[0] == "w" or b[0] == "w":
+        raise GateOnScaffoldError(f"{rule.letter} fired on mixed pair {pair} at cell {j}")
+    idx = int(a + b, 2)  # the letter's inverse fixes the same basis pairs
+    if abs(LETTERS[rule.letter][idx, idx] - 1.0) > 1e-12:
+        raise GateOnScaffoldError(f"{rule.letter} does not fix scaffold pair {pair} at cell {j}")
+    return None
 
 
 MACHINE = Machine((rule for entry in _RULES8 for rule in _compile(*entry)),
@@ -228,12 +213,11 @@ def history(circuit: Circuit, ring: bool = False) -> History:
 
 
 def enumerate_history8(circuit: Circuit, ring: bool = False) -> History:
-    """The history, with the round of each logical firing set from its rank:
-    a round fires n-1 logical gates."""
+    """The history, with the round of each slot firing set from its rank:
+    a round fires n-1 of them."""
     history = History.record(first_config(circuit, ring), MACHINE)
-    logical = [t for t, event in history.events.items() if event.logical_qubits() is not None]
-    for rank, t in enumerate(logical):
-        history.events[t] = replace(history.events[t], round=rank // (circuit.n - 1) + 1)
+    for rank, (t, event) in enumerate(history.events.items()):
+        history.events[t] = replace(event, round=rank // (circuit.n - 1) + 1)
     return history
 
 

@@ -215,10 +215,10 @@ class History:
     machine again from `first`, in place, and takes one snapshot per index,
     so a history costs O(L + events) memory rather than O(T L).
 
-    An event's transition index is its key; it stores no copy of it.  Every
-    event has a `round`, 0 for a ham8 scaffold firing, and answers
-    `gate(circuit)` with (4x4 unitary, logical pair), or None when it fires
-    nothing: an identity slot or a scaffold firing.
+    An event is a slot firing, and its transition index is its key; it
+    stores no copy of it.  Every event has its circuit `round`, at least 1,
+    and answers `gate(circuit)` with (4x4 unitary, logical pair), or None
+    for an identity slot, which fires nothing.
     """
 
     first: object
@@ -248,7 +248,7 @@ class History:
 
     def last_real_step(self, r: int) -> int:
         """Step of the last gate of rounds 1..r, read from the events."""
-        return max((t for t, ev in self.events.items() if 0 < ev.round <= r), default=-1)
+        return max((t for t, ev in self.events.items() if ev.round <= r), default=-1)
 
     def registers(self, circuit, initial: gates.QubitState):
         """Register state at t = 0..T: `initial` with the gates of the events

@@ -67,6 +67,15 @@ class ReadsPlaceholder(RuntimeError):
     pass
 
 
+class ScaffoldMoved(RuntimeError):
+    pass
+
+
+# the scaffold pairs |ab> each gate letter moves: W rotates |1x>, S swaps
+# |01> and |10>; I moves none
+SCAFFOLD_MOVED = {"W": {"10", "11"}, "S": {"01", "10"}}
+
+
 def oracle_matches5(c, reverse):
     syms, out = c.symbols, []
     L = len(syms)
@@ -165,8 +174,13 @@ def oracle_step8(c, reverse):
             reg[_cell8(c, key, j) - 1] = letter if val == "A" else val
     event = None
     if name == "4a":
-        pair = (_read8(c, "d", j), _read8(c, "d+", j))
-        event = e8.GateEvent8(round=0, cell=j, letter=letter, pair=pair, forward=not reverse)
+        a, b = _read8(c, "d", j), _read8(c, "d+", j)
+        if a.startswith("w") and b.startswith("w"):
+            event = e8.GateEvent8(round=0, qubits=(int(a[1:]), int(b[1:])), letter=letter,
+                                  forward=not reverse)
+        elif letter != "I" and (a.startswith("w") or b.startswith("w")
+                                or a + b in SCAFFOLD_MOVED[letter]):
+            raise ScaffoldMoved(letter, a, b)
     return e8.Config8(c.ring, tuple(cursors), tuple(progs), c.datas), event
 
 
@@ -175,7 +189,9 @@ def outcome(step, c, reverse):
     the oracles their own classes, told apart by the message."""
     try:
         return step(c, reverse)
-    except (Ambiguous, ReadsPlaceholder, f5.RuleEngineError) as exc:
+    except (Ambiguous, ReadsPlaceholder, ScaffoldMoved, f5.RuleEngineError) as exc:
+        if isinstance(exc, (ScaffoldMoved, e8.GateOnScaffoldError)):
+            return "scaffold"
         if isinstance(exc, ReadsPlaceholder) or "placeholder" in str(exc):
             return "placeholder"
         return "ambiguous"

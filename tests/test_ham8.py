@@ -1,6 +1,7 @@
 """Eight-state translation-invariant machine: layout, rules, histories."""
 import dataclasses
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -104,7 +105,7 @@ def assert_steps_back(state):
 
 def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    logical = [(t, ev) for t, ev in sorted(tr.events.items()) if ev.logical_qubits()]
+    logical = sorted(tr.events.items())
     assert [(t, ev.letter) for t, ev in logical] == [
         (14, "W"), (16, "S"), (138, "S"), (140, "W"),
     ]
@@ -131,27 +132,61 @@ def test_full_dump_digest(ws_circuit_3q2r, ring):
 def test_events_carry_their_round(ws_circuit_3q2r):
     tr = e8.enumerate_history8(ws_circuit_3q2r)
     events = [ev for _, ev in sorted(tr.events.items())]
-    assert [ev.round for ev in events if ev.logical_qubits()] == [1, 1, 2, 2]
-    assert all(ev.round == 0 for ev in events if ev.logical_qubits() is None)
+    # each recorded event is a slot firing, so none is left at round 0
+    assert [ev.round for ev in events] == [1, 1, 2, 2]
     assert tr.last_real_step(1) == 16 and tr.last_real_step(2) == 140
 
 
 def test_scaffold_firings_are_silent(ws_circuit_3q2r):
+    # step the whole history: every rule-4a crossing but the four over two
+    # placeholders crosses a scaffold bit and fires no event
     tr = e8.enumerate_history8(ws_circuit_3q2r)
-    for ev in tr.events.values():
-        if ev.logical_qubits() is None:
-            assert ev.gate(None) is None
+    c0 = tr.first
+    state, fired, silent = machine.Stepper(e8.MACHINE, c0), {}, 0
+    for t in range(tr.T):
+        [(_, j, rule, _)] = state.find(state.filed, False)
+        event = state.step()[2]
+        if rule.name != "4a":
+            assert event is None
+            continue
+        pair = c0.datas[j - 1], c0.datas[j]
+        if all(d.startswith("w") for d in pair):
+            assert event.qubits == (int(pair[0][1:]), int(pair[1][1:]))
+            fired[t] = event
+        else:
+            assert event is None
+            silent += 1
+    assert state.step() is None
+    assert silent > 4
+    assert {t: ev.qubits for t, ev in fired.items()} == {
+        t: ev.qubits for t, ev in tr.events.items()} == {
+        14: (1, 2), 16: (2, 3), 138: (1, 2), 140: (2, 3)}
 
 
-def test_gate_on_scaffold_detection():
-    ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("0", "w1"), forward=True)
-    with pytest.raises(e8.GateOnScaffoldError):
-        ev.gate(None)
-    ev = e8.GateEvent8(round=0, cell=1, letter="W", pair=("1", "0"), forward=True)
-    with pytest.raises(e8.GateOnScaffoldError):
-        ev.gate(None)  # W maps |10> off itself
-    ev = e8.GateEvent8(round=0, cell=1, letter="S", pair=("0", "0"), forward=True)
-    assert ev.gate(None) is None  # swap fixes |00>
+@pytest.mark.parametrize("letter,pair,reverse,error", [
+    ("W", ("0", "w1"), False, "W fired on mixed pair ('0', 'w1') at cell 2"),
+    ("W", ("1", "0"), False, "W does not fix scaffold pair ('1', '0') at cell 2"),
+    ("S", ("0", "1"), True, "S does not fix scaffold pair ('0', '1') at cell 2"),
+    ("S", ("0", "0"), False, None),  # swap fixes |00>
+    ("W", ("0", "1"), True, None),  # W^dagger fixes |01>
+    ("I", ("1", "w1"), False, None),  # I fixes any pair
+], ids=["mixed", "W-moves-10", "S-back-moves-01", "S-fixes-00", "W-back-fixes-01",
+        "I-on-mixed"])
+def test_gate_on_scaffold_detection(letter, pair, reverse, error):
+    # a 4-cell chain whose one match is a rule-4a crossing at window cell 2
+    # over data cells 2 and 3: the solid cursor before it, or the double
+    # arrow after it when stepped backward
+    cursors = ("*", "D" if reverse else "R", "*", "*")
+    progs = (".", letter, ".", ".") if reverse else (".", ".", letter, ".")
+    c = e8.Config8(False, cursors, progs, ("0",) + pair + ("0",))
+    state = machine.Stepper(e8.MACHINE, c)
+    [(_, j, rule, _)] = state.find(state.filed, reverse)
+    assert (j, rule.name, rule.letter) == (2, "4a", letter)
+    if error is None:
+        assert state.step(reverse)[2] is None
+    else:
+        with pytest.raises(e8.GateOnScaffoldError, match=f"^{re.escape(error)}$"):
+            state.step(reverse)
 
 
 def test_rule_conditions_never_read_qubit_placeholders(w_circuit_2q):

@@ -211,10 +211,18 @@ def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
 
 # the modules that reach a machine only through walk.scheme_module and its
 # interface (first_config, closed_forms, cells, history), and the names of a
-# machine's own types and layout that they must not use
+# machine's own types, layout and gate table that they must not use
 SCHEME_BLIND = ("walk.py", "subspace.py", "runner.py", "cli.py")
-MACHINE_PRIVATE = {"Lattice5", "ProgramLayout", "program_layout", "initial_config5",
-                   "initial_config8"}
+MACHINE_PRIVATE = {"Config5", "Config8", "GateEvent", "GateEvent8", "program_layout",
+                   "LETTERS"}
+
+
+def test_every_machine_private_name_is_a_machines_own():
+    # a stale entry guards nothing, so each must be defined by a machine
+    from hamchain import eight_state, five_state
+
+    assert {name for name in MACHINE_PRIVATE
+            if name not in vars(five_state) and name not in vars(eight_state)} == set()
 
 
 @pytest.mark.parametrize("filename", SCHEME_BLIND)

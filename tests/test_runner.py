@@ -117,9 +117,9 @@ def test_sampled_step_distribution_chi_square():
 
 @pytest.mark.parametrize("scheme", ["ham5", "ham8"])
 def test_only_the_real_gates_fire(scheme):
-    # identity slots, those of padding rounds too, and ham8 scaffold
-    # firings fire nothing, so the register after the last real gate is
-    # every later register
+    # identity slots, those of padding rounds too, fire nothing, and a ham8
+    # scaffold crossing is no event, so the register after the last real
+    # gate is every later register
     circuit = Circuit(3, 4, {(1, 1): gates.W, (2, 2): gates.SWAP})
     history = walk.enumerate_history(scheme, circuit)
     fired = [ev for _, ev in sorted(history.events.items()) if ev.gate(circuit) is not None]

@@ -7,11 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
-from hamchain import walk
+from hamchain import gates, walk
 from hamchain.circuit import Circuit
 
 import oracles
@@ -479,9 +481,25 @@ def events_last_real(scheme: str, trace, n: int, r: int) -> int:
     """Step of the last gate of rounds 1..r, read off the trace's events."""
     if scheme == "ham5":
         return max(t for t, ev in trace.events.items() if ev.round <= r)
-    # ham8: the r(n-1)-th logical firing, counted from the events' pairs
-    logical = [t for t, ev in sorted(trace.events.items()) if ev.logical_qubits()]
-    return logical[r * (n - 1) - 1]
+    # ham8: the r(n-1)-th recorded slot firing, counted by rank
+    return sorted(trace.events)[r * (n - 1) - 1]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_both_machines_record_the_same_slot_firings(data):
+    # an event is a slot firing: n-1 per round, in step order, each round's
+    # on pairs (1,2) .. (n-1,n), whatever the letters are
+    n = data.draw(st.integers(2, 4), label="n")
+    R = data.draw(st.integers(1, 3), label="R")
+    letters = st.sampled_from([gates.W, gates.SWAP, gates.I1])
+    circuit = Circuit(n, R, {(r, i): data.draw(letters)
+                             for r in range(1, R + 1) for i in range(1, n)})
+    slots = [(r, (i, i + 1)) for r in range(1, R + 1) for i in range(1, n)]
+    for scheme in ("ham5", "ham8"):
+        history = walk.enumerate_history(scheme, circuit)
+        events = [ev for _, ev in sorted(history.events.items())]
+        assert [(ev.round, ev.qubits) for ev in events] == slots, scheme
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
