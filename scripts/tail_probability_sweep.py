@@ -20,18 +20,24 @@ def main(argv=None) -> int:
                     default=[1, 3, 10, 30, 100, 300, 1000],
                     help="averaging horizons as multiples of T")
     args = ap.parse_args(argv)
-    # the arguments are checked before the first O(T^2) tail, and every tail
-    # is computed before anything is printed, so bad input ends at once in one
+    # the arguments are checked before the first tail, and every tail is
+    # computed before anything is printed, so bad input ends at once in one
     # error line and an empty stdout
     horizons = [f * args.T for f in args.factors]
-    if not (args.T >= 1 and args.q >= 2 and all(0 < h < math.inf for h in horizons)):
+    if not (1 <= args.T <= walk.MAX_T and args.q >= 2
+            and all(0 < h < math.inf for h in horizons)):
         # a NaN factor fails too, and so does one whose horizon overflows
-        print(f"error: need T >= 1, q >= 2 and factors whose horizons factor*T are "
-              f"finite and > 0; got {args.T}, {args.q}, {args.factors}", file=sys.stderr)
+        print(f"error: need 1 <= T <= {walk.MAX_T}, q >= 2 and factors whose horizons "
+              f"factor*T are finite and > 0; got {args.T}, {args.q}, {args.factors}",
+              file=sys.stderr)
         return 2
-    tails = [walk.tail_prob(args.T, args.q, h) for h in horizons]
+    try:
+        tails = [walk.tail_prob(args.T, args.q, h) for h in horizons]
+        limit = walk.tail_prob_limit(args.T, args.q)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
-    limit = walk.tail_prob_limit(args.T, args.q)
     print(f"# T={args.T} q={args.q} threshold={walk.tail_threshold(args.T, args.q)} "
           f"limit={limit:.12g} target=(q-1)/q={1 - 1 / args.q:.12g}")
     print("tau0_over_T,tail_prob,residual,residual_times_tau0_over_T")

@@ -20,11 +20,11 @@ length T+2 into buffers each worker reuses.  Each batch goes to a `finish`
 on its worker, which draws the sampler's steps or formats the `evolve`
 table, and `propagate` returns what they give.  It needs numpy alone.
 `tail_prob` sums the time-averaged tail in closed form from one O(T)
-table, in O(T^2) time and O(T) memory, and `tail_prob_limit` is its
-tau0 -> infinity limit.  The dense hopping matrix, eigenvectors and time
-average that the tests check these against live in tests/oracles.py.  T,
-its limits and the padding come from each machine's own closed forms, which
-scheme_module alone reaches.
+table and one batch of real FFTs, in O(T log T) time and O(T) memory, and
+`tail_prob_limit` is its tau0 -> infinity limit.  The dense hopping
+matrix, eigenvectors and time average that the tests check these against
+live in tests/oracles.py.  T, its limits and the padding come from each
+machine's own closed forms, which scheme_module alone reaches.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from io import StringIO
 from itertools import chain
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 NORM_TOL = 1e-9  # most |sum_t |c_t|^2 - 1| of a propagator row that is used
@@ -162,9 +161,6 @@ def tail_threshold(T: int, q: int) -> int:
     return T // q + 1
 
 
-TAIL_BLOCK_BYTES = 2**19  # bytes of each row block of the tail's pair matrix
-
-
 def _dirichlet(T: int, q: int) -> np.ndarray:
     """The tail's table C(s) = sum_{j=a}^{b} cos(j s pi/(T+2)) for
     s = 0..2T+2, over j = m+1 in [a, b] = [m0+1, T+1] (see tail_prob)."""
@@ -177,8 +173,8 @@ def _dirichlet(T: int, q: int) -> np.ndarray:
 
 
 def tail_prob(T: int, q: int, tau0: float) -> float:
-    """Time-averaged probability of landing at m > T/q, in O(T^2) time and
-    O(T) memory, without the eigenvectors.
+    """Time-averaged probability of landing at m > T/q, in O(T log T) time
+    and O(T) memory, without the eigenvectors.
 
     Summing the dense time average of |c_m|^2 (tests/oracles.py
     avg_prob_all) over the tail m >= m0 gives
@@ -199,39 +195,50 @@ def tail_prob(T: int, q: int, tau0: float) -> float:
     s = 0..2T+2, _dirichlet's, gives every S_kl.  The k = l terms sum to
     tail_prob_limit.
     For k != l, sin(d tau0) with d = lam_k - lam_l is s_k c_l - c_k s_l,
-    where s_k = sin(lam_k tau0) and c_k = cos(lam_k tau0); as M_kl =
-    S_kl / (lam_k - lam_l) is antisymmetric, both halves add up to
+    where s_k = sin(lam_k tau0) and c_k = cos(lam_k tau0), and S_kl / d is
+    antisymmetric.  With A = (k-l) phi/2 and B = (k+l) phi/2, d = 4 sin A
+    sin B and 1/d = (cot A - cot B) / (4 sin(l phi)), whose 1/sin(l phi)
+    cancels the sin(l phi) in v_l(0).  So both halves add up to
 
-      tail = tail_prob_limit + (2/tau0) (s o v0)^T M (c o v0),
+      tail = tail_prob_limit + sum_{k != l} x_k c_l K_kl / (tau0 (T+2)^2),
+      K_kl = C(k-l) cot A + C(k+l) cot B - [C(k-l) cot B + C(k+l) cot A],
 
-    with M_kl = 0 on the diagonal.  Taking sqrt(2/(T+2)) out of each v0 and
-    1/(T+2) out of S leaves the factor 4 / (tau0 (T+2)^2).  No transcendental
-    is evaluated per pair.  M is built in blocks of rows of at most
-    TAIL_BLOCK_BYTES (one row at least): its Toeplitz part C(|k-l|) and
-    Hankel part C(k+l) are windows onto the table.
+    with x_k = sin(k phi) s_k and C(-s) = C(s).  The first two terms are a
+    Toeplitz kernel in k-l and a Hankel kernel in k+l.  With C's closed
+    form, the bracket expands to (cot A - cot B) / (2 sin(l phi)) times
+    four rank-1 rows sin(k g phi) cos(l g' phi): (g, g') = (b+1, b) and
+    (b, b+1) added, (a, a-1) and (a-1, a) subtracted, that is g phi and
+    g' phi = gamma +- phi/2 for gamma = (b+1/2) phi and (a-1/2) phi.  So
+    the sum is five bilinear forms u^T K v, each a correlation (Toeplitz)
+    or a convolution (Hankel) of its rows u and v from one batched real FFT
+    of a power-of-two length over 2T+1.  As cot B = -tan((k+l-T-2) phi/2),
+    both kernels live on one grid -T..T.  The Toeplitz kernels are 0 at
+    k = l, and the Hankel convolutions lose their k = l terms u_k v_k in
+    O(T).  No transcendental is evaluated per pair.
     """
-    if not (T >= 1 and q >= 2 and 0 < tau0 < math.inf):  # a NaN tau0 fails too
-        raise ValueError(f"need T >= 1, q >= 2 and a finite tau0 > 0; got {T}, {q}, {tau0}")
-    n = T + 1
-    dirichlet = _dirichlet(T, q)
-    # toeplitz[T - i, j] = C(|i - j|) and hankel[i, j] = C(i + j + 2), for
-    # rows i = k-1 and columns j = l-1
-    toeplitz = sliding_window_view(np.concatenate([dirichlet[n - 1:0:-1], dirichlet[:n]]), n)
-    hankel = sliding_window_view(dirichlet[2:], n)
+    if not (1 <= T <= MAX_T and q >= 2 and 0 < tau0 < math.inf):  # a NaN tau0 fails too
+        raise ValueError(f"need 1 <= T <= {MAX_T}, q >= 2, finite tau0 > 0; got {T}, {q}, {tau0}")
+    size, a, b = 1 << (2 * T + 1).bit_length(), tail_threshold(T, q) + 1, T + 1
     theta = _angles(T)
     lam = -2.0 * np.cos(theta)
-    x = np.sin(theta) * np.sin(lam * tau0)  # (s o v0) and (c o v0), each
-    y = np.sin(theta) * np.cos(lam * tau0)  # without its factor sqrt(2/(T+2))
-    rows = max(1, TAIL_BLOCK_BYTES // (8 * n))
-    total = 0.0
-    for k0 in range(0, n, rows):
-        k1 = min(k0 + rows, n)
-        block = toeplitz[T + 1 - k1:T + 1 - k0][::-1] - hankel[k0:k1]
-        d = lam[k0:k1, None] - lam
-        np.fill_diagonal(d[:, k0:], np.inf)  # M_kk = 0
-        block /= d
-        total += float(x[k0:k1] @ (block @ y))
-    return tail_prob_limit(T, q) + 4.0 * total / (tau0 * (T + 2) ** 2)
+    x, w = np.sin(theta) * np.sin(lam * tau0), np.cos(lam * tau0)
+    # row 0 takes the C cot kernels; the rank-1 rows [g, g', sign] take cot
+    # alone and carry the bracket's minus sign
+    g = np.array([[b + 1, b, -1], [b, b + 1, -1], [a, a - 1, 1], [a - 1, a, 1]])[:, :, None]
+    u = np.vstack([x, g[:, 2] * x * np.sin(g[:, 0] * theta)])
+    v = np.vstack([w, w * np.cos(g[:, 1] * theta) / (2 * np.sin(theta))])
+    U, V = np.fft.rfft(u, size), np.fft.rfft(v, size)
+    # row 0's and the rank-1 rows' summed forms over k-l = -T..T and k+l = 2..2T+2
+    corr, conv = (np.fft.irfft(np.stack([f[0], f[1:].sum(0)]), size) for f in (U * V.conj(), U * V))
+    corr, conv = np.roll(corr, T, axis=1)[:, :2 * T + 1], conv[:, :2 * T + 1]
+    conv[:, ::2] -= np.stack([u[0] * v[0], (u[1:] * v[1:]).sum(0)])  # the Hankel k = l terms
+    offset = np.arange(-T, T + 1)  # k-l, and k+l-T-2 in the Hankel forms
+    tan = np.tan(offset * (np.pi / (2 * T + 4)))
+    cot = np.divide(1.0, tan, out=np.zeros(2 * T + 1), where=offset != 0)
+    dirichlet = _dirichlet(T, q)
+    total = (corr[0] @ (dirichlet[abs(offset)] * cot) + corr[1] @ cot
+             + (conv[1] - conv[0] * dirichlet[2:]) @ tan)
+    return float(tail_prob_limit(T, q) + total / (tau0 * (T + 2) ** 2))
 
 
 def tail_prob_limit(T: int, q: int) -> float:

@@ -3,13 +3,15 @@
 None of these runs in a command: `walk.propagate` and the closed-form tails
 replace the dense eigensystem, and `circuit.simulate_circuit` replaces the
 circuit's dense unitary.  They build O(T^2) or 4^n matrices on purpose,
-except `odd_extension_rows`, the propagator kernel `walk.propagate` used
-before its half-length transform; `propagator_rows` and `amplitudes`, which
-copy `walk.propagate`'s rows out of its buffers; `matches`, which lists a
-Stepper's matches; and `step_config`, which steps an immutable
-configuration with a Stepper and its snapshot.
+except `tail_prob_pairs`, the O(T^2)-time pair sum `walk.tail_prob` used
+before its FFT form; `odd_extension_rows`, the propagator kernel
+`walk.propagate` used before its half-length transform; `propagator_rows`
+and `amplitudes`, which copy `walk.propagate`'s rows out of its buffers;
+`matches`, which lists a Stepper's matches; and `step_config`, which steps
+an immutable configuration with a Stepper and its snapshot.
 """
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hamchain import gates, walk
 from hamchain.circuit import Circuit
@@ -48,6 +50,38 @@ def avg_prob_all(T: int, tau0: float) -> np.ndarray:
     avg = np.sinc(d * tau0 / np.pi)  # np.sinc(x) = sin(pi x)/(pi x); 1 at d=0
     w = v * v[0, :]  # w[m, k] = v_k(m) v_k(0)
     return ((w @ avg) * w).sum(1)
+
+
+def tail_prob_pairs(T: int, q: int, tau0: float) -> float:
+    """`walk.tail_prob` as its O(T^2) pair sum, in O(T) memory:
+
+      tail_prob_limit + 4 / (tau0 (T+2)^2) x^T M y,
+      M_kl = [C(|k-l|) - C(k+l)] / (lam_k - lam_l),   M_kk = 0,
+
+    with x = sin(theta) o sin(lam tau0), y = sin(theta) o cos(lam tau0)
+    and C from `walk._dirichlet`'s table (see `walk.tail_prob`).  M is
+    built in blocks of rows of at most 512 kB: its Toeplitz part C(|k-l|)
+    and Hankel part C(k+l) are windows onto the table."""
+    n = T + 1
+    dirichlet = walk._dirichlet(T, q)
+    # toeplitz[T - i, j] = C(|i - j|) and hankel[i, j] = C(i + j + 2), for
+    # rows i = k-1 and columns j = l-1
+    toeplitz = sliding_window_view(np.concatenate([dirichlet[n - 1:0:-1], dirichlet[:n]]), n)
+    hankel = sliding_window_view(dirichlet[2:], n)
+    theta = _angles(T)
+    lam = -2.0 * np.cos(theta)
+    x = np.sin(theta) * np.sin(lam * tau0)
+    y = np.sin(theta) * np.cos(lam * tau0)
+    rows = max(1, 2**16 // n)
+    total = 0.0
+    for k0 in range(0, n, rows):
+        k1 = min(k0 + rows, n)
+        block = toeplitz[T + 1 - k1:T + 1 - k0][::-1] - hankel[k0:k1]
+        d = lam[k0:k1, None] - lam
+        np.fill_diagonal(d[:, k0:], np.inf)  # M_kk = 0
+        block /= d
+        total += float(x[k0:k1] @ (block @ y))
+    return walk.tail_prob_limit(T, q) + 4.0 * total / (tau0 * (T + 2) ** 2)
 
 
 def odd_extension_rows(T: int, taus) -> np.ndarray:

@@ -49,7 +49,9 @@ def test_script_runs(script, args, first):
     ["--factors", "inf"],
     ["--factors", "1", "nan"],
     ["--factors", "1", "1e308"],
-], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan", "horizon-overflows"])
+    ["--T", "16777217"],
+], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan", "horizon-overflows",
+        "T-over-MAX_T"])
 def test_tail_sweep_refuses_bad_input_with_one_line(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
@@ -81,7 +83,7 @@ def test_example_scripts_refuse_bad_input_with_one_line(script, args, tmp_path):
 
 
 def test_tail_sweep_checks_every_factor_before_the_first_tail(monkeypatch, capsys):
-    # a bad last factor is refused at once, not after the O(T^2) tails of the
+    # a bad last factor is refused at once, not after the tails of the
     # factors before it
     spec = importlib.util.spec_from_file_location(
         "tail_probability_sweep", ROOT / "scripts" / "tail_probability_sweep.py")

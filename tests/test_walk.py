@@ -384,13 +384,13 @@ def test_tail_prob_matches_dense_time_average_at_prime_length():
         assert abs(walk.tail_prob(T, 6, tau0) - dense_tail(T, 6, tau0)) <= 1e-12
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, 34])
-def test_tail_prob_does_not_depend_on_its_row_blocks(block_rows, monkeypatch):
-    # of the T+1 = 35 rows, 3-row blocks leave 2 over and 34-row blocks 1
-    T, q, tau0 = 34, 3, 340.0
-    want = dense_tail(T, q, tau0)
-    monkeypatch.setattr(walk, "TAIL_BLOCK_BYTES", 8 * (T + 1) * block_rows)
-    assert abs(walk.tail_prob(T, q, tau0) - want) <= 1e-12
+@pytest.mark.parametrize("T", [647, 1719, 2962, 5283])  # the benchmark's sampled T
+@pytest.mark.parametrize("q", [2, 6])
+def test_tail_prob_matches_the_pair_sum(T, q):
+    for tau0 in (1e-3, T, 10.0 * T, walk.default_tau0(T)):
+        tail = walk.tail_prob(T, q, tau0)
+        assert type(tail) is float  # for default_tau0's numpy float too
+        assert abs(tail - oracles.tail_prob_pairs(T, q, tau0)) <= 1e-12
 
 
 def test_tail_prob_builds_no_dense_matrix():
@@ -420,7 +420,7 @@ def test_tail_limit_matches_dense_form(T, q):
     assert abs(walk.tail_prob_limit(T, q) - dense) <= 1e-12
 
 
-@pytest.mark.parametrize("T", [18, 34, 154])
+@pytest.mark.parametrize("T", [18, 34, 154, 5283, 228519])
 def test_residual_envelope_constant(T):
     limit = walk.tail_prob_limit(T, 6)
     for factor in (10.0, 100.0):
