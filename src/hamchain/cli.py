@@ -11,9 +11,9 @@ a row's PASS or FAIL and sets the exit code.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error (a
 ValueError, or a file that cannot be read or written), a run the engines
 or the padding plan refuse (RuleEngineError, PaddingError), or a run out
-of memory.  Errors end in one `error: ...` line on stderr, not a traceback.
-A reader that closes stdout early (`... | head`) ends the output quietly;
-the command keeps its code.
+of memory: one `error: ...` line on stderr, not a traceback.  A reader that
+closes stdout early (`... | head`) ends the output quietly, with the code
+kept.  `main` and the scripts share one handler (exit_code), Parser and write.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def _read_circuit(path: str) -> Circuit:
         return parse_circuit(fh.read())
 
 
-def _write(out_path: str | None, chunks) -> None:
+def write(out_path: str | os.PathLike | None, chunks) -> None:
     """Write the strings of `chunks` as they come, to stdout or a file."""
     if out_path is None or out_path == "-":
         try:
@@ -50,7 +50,7 @@ def _write(out_path: str | None, chunks) -> None:
 
 def cmd_trace(args) -> int:
     circuit = _read_circuit(args.circuit)
-    _write(args.out, walk.enumerate_history(args.scheme, circuit, args.periodic_x).dump())
+    write(args.out, walk.enumerate_history(args.scheme, circuit, args.periodic_x).dump())
     return 0
 
 
@@ -76,7 +76,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"bad tau grid: {exc}")
     if not all(math.isfinite(tau) for tau in taus):
         raise ValueError("bad tau grid: times must be finite")
-    _write(args.out, [walk.probability_table_csv(T, taus)])
+    write(args.out, [walk.probability_table_csv(T, taus)])
     return 0
 
 
@@ -89,13 +89,13 @@ def cmd_sample(args) -> int:
         shots=args.shots, seed=args.seed, initial=args.initial,
     )
     report = run(plan)
-    _write(args.out, [report.serialize()])
+    write(args.out, [report.serialize()])
     return 0
 
 
 def cmd_rewrite(args) -> int:
     circuit = _read_circuit(args.circuit)
-    _write(args.out, [serialize_circuit(rewrite_to_ws(circuit))])
+    write(args.out, [serialize_circuit(rewrite_to_ws(circuit))])
     return 0
 
 
@@ -168,11 +168,11 @@ def cmd_verify(args) -> int:
             if not passed:
                 lines.extend("  " + d for d in details)
     lines.append(f"verify {args.scope}: {'PASS' if ok else 'FAIL'}")
-    _write(args.out, ["\n".join(lines) + "\n"])
+    write(args.out, ["\n".join(lines) + "\n"])
     return 0 if ok else 1
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """Usage errors end in one `error: ...` line and exit code 2, without
     the usage block that `--help` prints; subcommand parsers inherit it."""
 
@@ -180,8 +180,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def exit_code(fn, args) -> int:
+    """Return fn(args), or 2 after one `error: ...` line for an input or
+    file error, a refused run, or a run out of memory."""
+    try:
+        return fn(args)
+    except (OSError, ValueError, walk.PaddingError, RuleEngineError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="hamchain")
+    p = Parser(prog="hamchain")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("trace", help="dump the full rewrite history of a circuit")
@@ -231,14 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "evolve" and args.T is None and args.circuit is None:
         parser.error("evolve needs either a circuit file or --T")
-    try:
-        return args.fn(args)
-    except (OSError, ValueError, walk.PaddingError, RuleEngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 2
+    return exit_code(args.fn, args)
 
 
 if __name__ == "__main__":

@@ -315,7 +315,7 @@ def enumerate_history(scheme: str, circuit, ring: bool = False):
 
 def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
     """Smallest round count R >= r_real such that the last gate of the first
-    r_real rounds fires no later than step floor(T/q) of the padded history.
+    r_real rounds fires before step tail_threshold(T, q) of the padded history.
 
     Pure arithmetic on the closed forms for T and for the last real gate's
     step, both checked against the engine in the tests and by `verify`.
@@ -335,7 +335,7 @@ def padding_plan(n: int, r_real: int, q: int, scheme: str) -> int:
         why = _oversize(scheme, n, r_total, T)
         if why is not None:
             raise PaddingError(f"{scheme} n={n} padded to {r_total} rounds has {why}")
-        if last_real <= T // q:
+        if last_real < tail_threshold(T, q):
             return r_total
     raise PaddingError(f"no round count up to {q * r_real} pads {scheme} n={n} r={r_real} q={q}")
 

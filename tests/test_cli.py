@@ -26,6 +26,8 @@ ROUNDS 1
 GATE W 1 1
 """
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
 BIG_CIRCUIT = "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"
 
 # a Toffoli slot, which no ham5 gate term carries
@@ -209,15 +211,35 @@ def _run_under_memory_limit(argv, cwd, timeout=60):
         capture_output=True, text=True, timeout=timeout, preexec_fn=_limit_address_space)
 
 
-def test_closed_stdout_pipe_ends_quietly(tmp_path):
+def test_tail_sweep_out_of_memory_exits_2_with_one_line(tmp_path):
+    # the sweep maps MemoryError through the handler `cli.main` uses:
+    # `tail_prob` needs about 590 bytes per T, past the limit at MAX_T
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "tail_probability_sweep.py"), "--T", "16777216"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["-m", "hamchain.cli", "trace", "C", "--scheme", "ham8"], b"[0]\n"),
+    ([str(SCRIPTS / "protocol_demo.py"), "--shots", "200"], None),
+    ([str(SCRIPTS / "export_traces.py"), "--out", "traces"], None),
+    ([str(SCRIPTS / "tail_probability_sweep.py")], None),
+], ids=["trace", "protocol_demo", "export_traces", "tail_sweep"])
+def test_closed_stdout_pipe_ends_quietly(argv, first, tmp_path):
     # `trace ... | head -1`: the dump is far larger than a pipe's buffer, so
-    # the trace is still writing when the reader closes its end
+    # the trace is still writing when the reader closes its end.  A script's
+    # output fits the buffer, so the reader closes before the script writes
     (tmp_path / "C").write_text("QUBITS 3\nROUNDS 8\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "hamchain.cli", "trace", "C", "--scheme", "ham8"],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"[0]\n"
+    proc = subprocess.Popen([sys.executable, *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if first is not None:
+        assert proc.stdout.readline() == first
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""

@@ -50,8 +50,9 @@ def test_script_runs(script, args, first):
     ["--factors", "1", "nan"],
     ["--factors", "1", "1e308"],
     ["--T", "16777217"],
+    ["--T", "x"],
 ], ids=["factor-0", "T-0", "q-1", "factor-inf", "factor-nan", "horizon-overflows",
-        "T-over-MAX_T"])
+        "T-over-MAX_T", "T-not-an-int"])
 def test_tail_sweep_refuses_bad_input_with_one_line(args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
@@ -62,24 +63,49 @@ def test_tail_sweep_refuses_bad_input_with_one_line(args):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("script,args", [
-    ("protocol_demo.py", ["--initial", "1"]),
-    ("protocol_demo.py", ["--initial", "2x"]),
-    ("protocol_demo.py", ["--shots", "0"]),
-    ("protocol_demo.py", ["--q", "1"]),
-    ("export_traces.py", ["--n", "1"]),
-    ("export_traces.py", ["--rounds", "0"]),
+@pytest.mark.parametrize("script,args,blocked", [
+    ("protocol_demo.py", ["--initial", "1"], None),
+    ("protocol_demo.py", ["--initial", "2x"], None),
+    ("protocol_demo.py", ["--shots", "0"], None),
+    ("protocol_demo.py", ["--q", "1"], None),
+    ("export_traces.py", ["--n", "1", "--out", "OUT"], None),
+    ("export_traces.py", ["--rounds", "0", "--out", "OUT"], None),
+    ("protocol_demo.py", ["--shots", "abc"], None),
+    ("export_traces.py", [], None),
+    ("export_traces.py", ["--out", "OUT"], "ham5_trace.txt"),
+    ("export_traces.py", ["--out", "OUT"], "ham8_events.txt"),
 ], ids=["demo-initial-short", "demo-initial-not-bits", "demo-shots-0", "demo-q-1",
-        "export-n-1", "export-rounds-0"])
-def test_example_scripts_refuse_bad_input_with_one_line(script, args, tmp_path):
+        "export-n-1", "export-rounds-0", "demo-shots-not-an-int", "export-without-out",
+        "export-ham5-trace-is-a-directory", "export-ham8-events-is-a-directory"])
+def test_example_scripts_refuse_bad_input_with_one_line(script, args, blocked, tmp_path):
+    # `blocked`: a directory made where the script would write that file
+    out = tmp_path / "out"
+    if blocked is not None:
+        (out / blocked).mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = ["--out", str(tmp_path / "out")] if script == "export_traces.py" else []
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args, *out],
+    argv = [str(out) if a == "OUT" else a for a in args]
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-    assert not (tmp_path / "out").exists()
+    if blocked is None:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["-m", "hamchain.cli"],
+    [str(ROOT / "scripts" / "protocol_demo.py")],
+    [str(ROOT / "scripts" / "export_traces.py")],
+    [str(ROOT / "scripts" / "tail_probability_sweep.py")],
+], ids=["hamchain", "protocol_demo", "export_traces", "tail_sweep"])
+def test_help_exits_0_with_the_usage_on_stdout(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, *argv, "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: ")
+    assert done.stderr == ""
 
 
 def test_tail_sweep_checks_every_factor_before_the_first_tail(monkeypatch, capsys):
