@@ -9,8 +9,6 @@ import sys
 from pathlib import Path
 
 from hamchain import cli, gates, walk
-from hamchain import eight_state as e8
-from hamchain import five_state as f5
 from hamchain.circuit import Circuit
 
 
@@ -26,14 +24,14 @@ def export(args) -> int:
         walk.history_length(scheme, circuit)
     out.mkdir(parents=True, exist_ok=True)
 
-    tr5 = f5.enumerate_history5(args.n, args.rounds)
+    tr5 = walk.enumerate_history("ham5", circuit)
     cli.write(out / "ham5_trace.txt", tr5.dump())
     # m: the rank of a gate event in the history, counted from 1
     ev5 = "\n".join(f"t={t} gate=({e.round},{e.position}) m={m}"
                     for m, (t, e) in enumerate(sorted(tr5.events.items()), 1))
     cli.write(out / "ham5_events.txt", [ev5 + "\n"])
 
-    tr8 = e8.enumerate_history8(circuit)
+    tr8 = walk.enumerate_history("ham8", circuit)
     cli.write(out / "ham8_trace.txt", tr8.dump())
     # m: the rank of a slot firing in the history, counted from 1
     ev8 = "\n".join(f"t={t} letter={e.letter} qubits=({e.qubits[0]},{e.qubits[1]}) "

@@ -13,7 +13,7 @@ import numpy as np
 from hamchain import cli, gates, walk
 from hamchain.circuit import Circuit, simulate_circuit
 from hamchain.gates import QubitState
-from hamchain.runner import RunPlan, run
+from hamchain.runner import DEFAULT_Q, RunPlan, run
 
 
 def demo(args) -> int:
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     ap = cli.Parser(description=__doc__)
     ap.add_argument("--shots", type=int, default=5000)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--q", type=int, default=6)
+    ap.add_argument("--q", type=int, default=DEFAULT_Q)
     ap.add_argument("--initial", default="10")
     return cli.exit_code(demo, ap.parse_args(argv))
 

@@ -9,25 +9,25 @@ import math
 import sys
 
 from hamchain import cli, walk
+from hamchain.runner import DEFAULT_Q
 
 
-def sweep(args) -> int:
-    # the arguments are checked before the first tail, and every tail is
-    # computed before anything is written, so bad input ends at once in one
-    # error line and an empty stdout
-    horizons = [f * args.T for f in args.factors]
-    if not (1 <= args.T <= walk.MAX_T and args.q >= 2
-            and all(0 < h < math.inf for h in horizons)):
+def sweep(T: int, q: int, factors: list[float]) -> int:
+    # the horizons are checked here and T and q by tail_prob before its
+    # first tail, and every tail is computed before anything is written, so
+    # bad input ends at once in one error line and an empty stdout
+    horizons = [f * T for f in factors]
+    if not all(0 < h < math.inf for h in horizons):
         # a NaN factor fails too, and so does one whose horizon overflows
-        raise ValueError(f"need 1 <= T <= {walk.MAX_T}, q >= 2 and factors whose horizons "
-                         f"factor*T are finite and > 0; got {args.T}, {args.q}, {args.factors}")
-    tails = [walk.tail_prob(args.T, args.q, h) for h in horizons]
-    limit = walk.tail_prob_limit(args.T, args.q)
+        raise ValueError(f"need factors whose horizons factor*T are finite and > 0; "
+                         f"got T={T} and factors {factors}")
+    tails = [walk.tail_prob(T, q, h) for h in horizons]
+    limit = walk.tail_prob_limit(T, q)
 
-    lines = [f"# T={args.T} q={args.q} threshold={walk.tail_threshold(args.T, args.q)} "
-             f"limit={limit:.12g} target=(q-1)/q={1 - 1 / args.q:.12g}\n",
+    lines = [f"# T={T} q={q} threshold={walk.tail_threshold(T, q)} "
+             f"limit={limit:.12g} target=(q-1)/q={1 - 1 / q:.12g}\n",
              "tau0_over_T,tail_prob,residual,residual_times_tau0_over_T\n"]
-    for f, tail in zip(args.factors, tails):
+    for f, tail in zip(factors, tails):
         resid = abs(tail - limit)
         lines.append(f"{f:g},{tail:.12g},{resid:.6g},{resid * f:.6g}\n")
     cli.write(None, lines)
@@ -37,11 +37,11 @@ def sweep(args) -> int:
 def main(argv=None) -> int:
     ap = cli.Parser(description=__doc__)
     ap.add_argument("--T", type=int, default=154, help="history length (transitions)")
-    ap.add_argument("--q", type=int, default=6, help="tail divisor")
+    ap.add_argument("--q", type=int, default=DEFAULT_Q, help="tail divisor")
     ap.add_argument("--factors", type=float, nargs="+",
                     default=[1, 3, 10, 30, 100, 300, 1000],
                     help="averaging horizons as multiples of T")
-    return cli.exit_code(sweep, ap.parse_args(argv))
+    return cli.exit_code(lambda args: sweep(**vars(args)), ap.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ ValueError, or a file that cannot be read or written), a run the engines
 or the padding plan refuse (RuleEngineError, PaddingError), or a run out
 of memory: one `error: ...` line on stderr, not a traceback.  A reader that
 closes stdout early (`... | head`) ends the output quietly, with the code
-kept.  `main` and the scripts share one handler (exit_code), Parser and write.
+kept.  Like the scripts' `main`s, `main` only parses (Parser, which refuses
+`evolve` with both or neither of a circuit and --T) and calls exit_code.
 """
 from __future__ import annotations
 
@@ -57,8 +58,6 @@ def cmd_trace(args) -> int:
 def cmd_evolve(args) -> int:
     if args.T is not None:
         T = args.T
-        if args.circuit is not None:
-            raise ValueError("evolve takes a circuit or --T, not both")
         if args.scheme is not None:
             raise ValueError("evolve --T takes no --scheme, which only a circuit needs")
         if not 1 <= T <= walk.MAX_T:
@@ -206,8 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_trace)
 
     ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)")
-    ev.add_argument("circuit", nargs="?")
-    ev.add_argument("--T", type=int, help="history length directly (skip the circuit)")
+    source = ev.add_mutually_exclusive_group(required=True)
+    source.add_argument("circuit", nargs="?")
+    source.add_argument("--T", type=int, help="history length directly (skip the circuit)")
     ev.add_argument("--scheme", choices=walk.SCHEME_MODULES,
                     help="needed with a circuit, refused with --T")
     ev.add_argument("--taus", required=True, help="comma-separated times")
@@ -240,10 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "evolve" and args.T is None and args.circuit is None:
-        parser.error("evolve needs either a circuit file or --T")
+    args = build_parser().parse_args(argv)
     return exit_code(args.fn, args)
 
 

@@ -121,20 +121,22 @@ def padded_history(plan: RunPlan):
     """(history, rounds_total, register after the last real gate, step of the
     last real gate) for the padded machine.
 
-    The single enumeration is checked against the closed forms the padding
-    plan relied on; a mismatch raises PaddingError.  The replay stops at the
-    last real gate.
+    The padded instance is checked once, here: the engine's T and last real
+    step must equal the closed forms, and that step must precede the
+    threshold, or PaddingError is raised.  The replay stops at that step.
     """
     n, r_real = plan.circuit.n, plan.circuit.rounds
     padded = padded_circuit(plan.circuit, plan.q, plan.scheme)
     history = walk.enumerate_history(plan.scheme, padded)
     last_real = history.last_real_step(r_real)
     expected = walk.scheme_module(plan.scheme).closed_forms(n, padded.rounds, r_real)
-    if (history.T, last_real) != expected:
-        raise walk.PaddingError(
-            f"engine gives T={history.T}, last real step {last_real}; "
-            f"closed forms give {expected[0]}, {expected[1]}"
-        )
+    threshold = walk.tail_threshold(history.T, plan.q)
+    # an accepted index t >= threshold must lie after the last real gate,
+    # so that the register returned is the register state at t
+    if (history.T, last_real) != expected or threshold <= last_real:
+        raise walk.PaddingError(f"engine gives T={history.T}, last real step {last_real}; "
+                                f"closed forms give {expected[0]}, {expected[1]}; "
+                                f"threshold {threshold} must exceed the last real step")
     initial = QubitState.basis(plan.initial or "0" * n)
     register = next(islice(history.registers(padded, initial), last_real + 1, None))
     return history, padded.rounds, register, last_real
@@ -154,17 +156,11 @@ def draw_steps(rows: np.ndarray, u: np.ndarray, T: int) -> np.ndarray:
 
 
 def run(plan: RunPlan) -> RunReport:
-    history, r_total, register, last_real = padded_history(plan)
+    history, r_total, register, _ = padded_history(plan)
     T = history.T
     tau0 = plan.tau0 if plan.tau0 is not None else walk.default_tau0(T)
     threshold = walk.tail_threshold(T, plan.q)
     n = plan.circuit.n
-    if threshold <= last_real:
-        # an accepted index t >= threshold must lie after the last real gate,
-        # so that `register` is the register state at t
-        raise walk.PaddingError(
-            f"threshold {threshold} does not exceed last real step {last_real}"
-        )
 
     rng = np.random.default_rng(plan.seed)
     taus = rng.uniform(0.0, tau0, plan.shots)

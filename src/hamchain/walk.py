@@ -260,7 +260,8 @@ def default_tau0(T: int) -> float:
 class PaddingError(RuntimeError):
     """Padding leaves the acceptance threshold at or before the last real
     gate, the padded history would be refused for its size (_oversize), or
-    the closed forms it relied on disagree with the engine."""
+    the closed forms it relied on disagree with the engine; the padded
+    instance is checked once, in runner.padded_history."""
 
 
 SCHEME_MODULES = {"ham5": f"{__package__}.five_state", "ham8": f"{__package__}.eight_state"}

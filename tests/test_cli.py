@@ -293,16 +293,19 @@ def test_evolve_of_a_circuit_needs_a_scheme(w_file, capsys):
     assert captured.err == "error: evolve of a circuit needs --scheme ham5 or ham8\n"
 
 
-def test_evolve_requires_circuit_or_T(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["evolve", "--taus", "1"])
-    assert exc.value.code == 2
+def test_evolve_requires_circuit_or_T(w_file, capsys):
+    # one argparse group takes exactly one of them: neither, then both
+    for argv in (["--taus", "1"], [w_file, "--scheme", "ham5", "--T", "3", "--taus", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", *argv])
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--T" in err, err
 
 
 def test_evolve_bad_grid_exits_2(w_file, capsys):
     cases = [
-        (["W", "--scheme", "ham5", "--T", "3", "--taus", "1"],
-         "evolve takes a circuit or --T, not both"),
         (["--T", "0", "--taus", "1"], f"--T must lie in 1..{walk.MAX_T}, got 0"),
         (["W", "--taus", "1"], "evolve of a circuit needs --scheme ham5 or ham8"),
         (["--T", "3", "--taus", "1,,2"], "bad tau grid: empty entry in '1,,2'"),

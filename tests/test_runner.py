@@ -141,8 +141,12 @@ def test_every_accepted_shot_has_all_real_gates_fired(w_circuit_2q):
 def test_unpadded_plan_raises_padding_error(scheme, w_circuit_2q, monkeypatch):
     # without padding the single round's last gate lies past T/6
     monkeypatch.setattr(walk, "padding_plan", lambda n, r_real, q, s: r_real)
+    plan = RunPlan(w_circuit_2q, scheme, q=6, shots=10, seed=1)
+    # padded_history owns the check, so it refuses before run samples
     with pytest.raises(walk.PaddingError):
-        run(RunPlan(w_circuit_2q, scheme, q=6, shots=10, seed=1))
+        runner.padded_history(plan)
+    with pytest.raises(walk.PaddingError):
+        run(plan)
 
 
 def test_engine_disagreeing_with_closed_form_raises_padding_error(w_circuit_2q, monkeypatch):
