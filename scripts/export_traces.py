@@ -13,8 +13,9 @@ from hamchain.circuit import Circuit
 
 
 def export(args) -> int:
-    # the circuit and both histories' sizes are checked before any file is
-    # written, so bad input ends at once in one error line and an empty stdout
+    # the circuit and both histories' sizes are checked before any step, and
+    # every target before any write, so bad input ends in one error line, an
+    # empty stdout and no file
     out = Path(args.out)
     circuit = Circuit(args.n, args.rounds, {
         (1, 1): gates.W, (1, 2): gates.SWAP,
@@ -22,22 +23,24 @@ def export(args) -> int:
     } if (args.n, args.rounds) == (3, 2) else {})
     for scheme in ("ham5", "ham8"):
         walk.history_length(scheme, circuit)
-    out.mkdir(parents=True, exist_ok=True)
 
     tr5 = walk.enumerate_history("ham5", circuit)
-    cli.write(out / "ham5_trace.txt", tr5.dump())
     # m: the rank of a gate event in the history, counted from 1
     ev5 = "\n".join(f"t={t} gate=({e.round},{e.position}) m={m}"
                     for m, (t, e) in enumerate(sorted(tr5.events.items()), 1))
-    cli.write(out / "ham5_events.txt", [ev5 + "\n"])
-
     tr8 = walk.enumerate_history("ham8", circuit)
-    cli.write(out / "ham8_trace.txt", tr8.dump())
     # m: the rank of a slot firing in the history, counted from 1
     ev8 = "\n".join(f"t={t} letter={e.letter} qubits=({e.qubits[0]},{e.qubits[1]}) "
                      f"round={e.round} m={m}"
                      for m, (t, e) in enumerate(sorted(tr8.events.items()), 1))
-    cli.write(out / "ham8_events.txt", [ev8 + "\n"])
+    files = {"ham5_trace.txt": tr5.dump(), "ham5_events.txt": [ev5 + "\n"],
+             "ham8_trace.txt": tr8.dump(), "ham8_events.txt": [ev8 + "\n"]}
+    for name in files:
+        if (out / name).exists() and not (out / name).is_file():
+            raise ValueError(f"{out / name} exists and is not a regular file")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, chunks in files.items():
+        cli.write(out / name, chunks)
 
     cli.write(None, [f"ham5: T={tr5.T}; ham8: T={tr8.T}; files in {out}\n"])
     return 0

@@ -3,9 +3,9 @@
 A circuit is R rounds over n qubits.  Round r holds one gate per position
 i = 1..n-1 acting on qubits (i, i+1); unfilled slots are identity.  Gates
 apply round by round, left to right within a round.  One-qubit gates at slot
-i act on qubit i; the Toffoli acts on (i, i+1, i+2).  It parses and
-simulates, but no machine fires it: ham5 refuses it (five_state.first_config)
-and ham8 takes only {W, S, I}.
+i act on qubit i.  Circuit alone decides what a slot may hold: a gate on at
+most two qubits, so every slot gate fits on its pair and ham5's gate term
+carries it; ham8 takes only {W, S, I}.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ GATE_NAMES: dict[str, Gate] = {
     "Z": gates.Z,
     "Y": gates.Y,
     "CX": gates.CX,
-    "T": gates.TOFFOLI,
 }
 
 
@@ -32,11 +31,7 @@ class CircuitParseError(ValueError):
 
 
 class UnsupportedGateError(ValueError):
-    """Gate outside the set a machine or rewrite pass accepts."""
-
-
-def _slot_targets(gate: Gate, i: int) -> tuple[int, ...]:
-    return tuple(range(i, i + gate.arity))
+    """Gate outside the set a slot, a machine or a rewrite pass accepts."""
 
 
 @dataclass
@@ -57,8 +52,9 @@ class Circuit:
                 raise ValueError(f"round {r} outside 1..{self.rounds}")
             if not (1 <= i <= self.n - 1):
                 raise ValueError(f"position {i} outside 1..{self.n - 1}")
-            if i + g.arity - 1 > self.n:
-                raise ValueError(f"{g.label} at position {i} runs past qubit {self.n}")
+            if g.arity > 2:
+                raise UnsupportedGateError(f"{g.label} at ({r},{i}) acts on {g.arity} qubits; "
+                                           "a slot gate acts on at most two")
 
     def gate_at(self, r: int, i: int) -> Gate:
         return self.gates.get((r, i), gates.I1)
@@ -66,7 +62,7 @@ class Circuit:
     def applications(self) -> list[tuple[Gate, tuple[int, ...]]]:
         """All non-identity gates in application order (first applied first),
         read from the stored gates, not from every slot."""
-        return [(g, _slot_targets(g, i)) for (_, i), g in sorted(self.gates.items())
+        return [(g, tuple(range(i, i + g.arity))) for (_, i), g in sorted(self.gates.items())
                 if g.label != "I"]
 
 
@@ -129,10 +125,10 @@ def simulate_circuit(circuit: Circuit, initial: QubitState) -> QubitState:
     """Apply every gate round by round, left to right within a round."""
     if initial.n != circuit.n:
         raise ValueError(f"state has {initial.n} qubits, circuit has {circuit.n}")
-    state = initial
+    amps = initial.amps
     for g, targets in circuit.applications():
-        state = gates.apply_gate(state, g, targets)
-    return state
+        amps = gates.apply_unitary(amps, g.matrix, targets, circuit.n)
+    return QubitState(circuit.n, amps)
 
 
 # --- gate-set rewriting -----------------------------------------------------

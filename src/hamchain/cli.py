@@ -204,7 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out")
     t.set_defaults(fn=cmd_trace)
 
-    ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)")
+    # argparse would draw the group, which holds a positional, as two optional arguments
+    ev = sub.add_parser("evolve", help="CSV of history-line probabilities p(m|tau)", usage=(
+        "%(prog)s [-h] (circuit --scheme {ham5,ham8} | --T T) --taus TAUS [--out OUT]"))
     source = ev.add_mutually_exclusive_group(required=True)
     source.add_argument("circuit", nargs="?")
     source.add_argument("--T", type=int, help="history length directly (skip the circuit)")

@@ -5,7 +5,8 @@ cell j) with a program/data site.  Program symbols {I, S, W, .} march left
 one cell per cursor pass; data bits form a fixed 0/1 scaffold around n
 logical-qubit placeholders w1..wn whose values live in a separate register.
 The solid right cursor executes the program symbol it crosses as a two-qubit
-gate on the data pair beneath it; scaffold bits steer the turn-around rules.
+gate, the letter's circuit.GATE_NAMES matrix, on the data pair beneath it;
+scaffold bits steer the turn-around rules.
 
 Cursor tokens: L solid-left, l empty-left, R solid-right, r empty-right,
 D double-right-arrow, d right-arrow, t turn-around, * idle, X immovable.
@@ -26,8 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gates
-from .circuit import NATIVE, Circuit, UnsupportedGateError
+from .circuit import GATE_NAMES, NATIVE, Circuit, UnsupportedGateError
 from .machine import History, Machine, Rule, RuleEngineError
 
 # cursor symbols
@@ -43,7 +43,6 @@ XSTOP = "X"  # periodic-variant stopper; no rule mentions it
 
 CURSOR_SYMBOLS = frozenset({GAT, MOV, MOVL, MOVLE, DBLR, ARR, TUR, STAR})
 PROG_SYMBOLS = frozenset(NATIVE | {"."})
-LETTERS = {"S": gates.SWAP.matrix, "W": gates.W.matrix}  # the letter I fires nothing
 
 
 class GateOnScaffoldError(RuleEngineError):
@@ -144,7 +143,7 @@ class GateEvent8:
         None for the letter I; the unitary comes from the letter, not `circuit`."""
         if self.letter == "I":
             return None
-        mat = LETTERS[self.letter]
+        mat = GATE_NAMES[self.letter].matrix
         return (mat if self.forward else mat.conj().T), self.qubits
 
 
@@ -198,7 +197,7 @@ def _event(c: Config8, j: int, rule: Rule, forward: bool) -> GateEvent8 | None:
     if a[0] == "w" or b[0] == "w":
         raise GateOnScaffoldError(f"{rule.letter} fired on mixed pair {pair} at cell {j}")
     idx = int(a + b, 2)  # the letter's inverse fixes the same basis pairs
-    if abs(LETTERS[rule.letter][idx, idx] - 1.0) > 1e-12:
+    if abs(GATE_NAMES[rule.letter].matrix[idx, idx] - 1.0) > 1e-12:
         raise GateOnScaffoldError(f"{rule.letter} does not fix scaffold pair {pair} at cell {j}")
     return None
 

@@ -10,9 +10,9 @@ first_config: the rule table compiles at import into machine.Rule values
 whose boundary keys are conditions on that register, and `machine.Stepper`
 steps it either way.  A history keeps each rule-1 event under its step; an
 identity slot fires nothing.  A slot's gate term carries its gate on the
-slot's qubit pair, so first_config refuses a slot gate on three qubits (the
-Toffoli).  The scheme's interface (walk.scheme_module) is first_config,
-closed_forms, cells and history; ham5 has no ring.
+slot's qubit pair, which holds every slot gate circuit.Circuit admits.  The
+scheme's interface (walk.scheme_module) is first_config, closed_forms, cells
+and history; ham5 has no ring.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, UnsupportedGateError
+from .circuit import Circuit
 from .machine import History, Machine, Rule, RuleEngineError
 
 # odd-site symbols
@@ -93,7 +93,7 @@ class GateEvent:
         """The 4x4 unitary of the circuit's gate at this slot on its logical
         pair, a one-qubit gate acting on the pair's left qubit, or its
         inverse for a backward firing; None for an identity slot, which fires
-        nothing.  first_config has refused a wider slot gate."""
+        nothing.  Circuit admits no wider slot gate."""
         g = circuit.gate_at(self.round, self.position)
         if g.label == "I":
             return None
@@ -109,14 +109,10 @@ def cells(n: int, R: int, ring: bool = False) -> int:
 
 
 def first_config(circuit: Circuit, ring: bool = False) -> Config5:
-    """The turn-around, the qubit block, then R-1 empty blocks.  A ring is
-    refused (cells), and so is a slot gate that no gate term carries."""
+    """The turn-around, the qubit block, then R-1 empty blocks; a ring is
+    refused (cells)."""
     n, R = circuit.n, circuit.rounds
     cells(n, R, ring)
-    for (r, i), g in sorted(circuit.gates.items()):
-        if g.arity > 2:
-            raise UnsupportedGateError(f"gate {g.label} at ({r},{i}) acts on {g.arity} "
-                                       "qubits; a ham5 slot gate acts on at most two")
     syms = [TUR] + [Q, PLUS] * (n - 1) + [Q, BUL] + [BLANK, BUL] * (n * (R - 1))
     flags = (("+",) + ("-",) * (2 * n - 1)) * R + ("-",)
     return Config5(n, flags, tuple(syms))

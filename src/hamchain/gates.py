@@ -1,5 +1,8 @@
 """Gate constants, state-vector application, and the W-gate identity table.
 
+A Gate is its label and its unitary matrix; its arity is read from the
+matrix.  Which gates a circuit slot may hold is circuit.Circuit's decision.
+
 Two-qubit gates use the convention that the control qubit sits on the left
 (more significant) wire.  Qubit 1 is the most significant bit of a basis
 label, so a state on n qubits indexes amplitudes by int("q1 q2 ... qn", 2).
@@ -18,45 +21,50 @@ _SQ2 = 1.0 / np.sqrt(2.0)
 
 
 class InvalidTargetError(ValueError):
-    """Gate targets out of range, repeated, or of the wrong arity."""
+    """Targets of a gate sequence out of range or repeated."""
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A named unitary on `arity` qubits."""
+    """A named unitary; its arity is read from the matrix's side, 2^arity."""
 
     label: str
-    arity: int
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        dim = 2**self.arity
-        if m.shape != (dim, dim):
-            raise ValueError(f"{self.label}: matrix shape {m.shape} != 2^{self.arity}")
-        dev = np.max(np.abs(m.conj().T @ m - np.eye(dim)))
+        side = m.shape[0] if m.ndim == 2 else 0
+        if m.shape != (side, side) or side < 2 or side & (side - 1):
+            raise ValueError(f"{self.label}: matrix shape {m.shape} is not 2^k x 2^k, k >= 1")
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(side)))
         if dev > UNITARY_TOL:
             raise ValueError(f"{self.label}: not unitary (deviation {dev:.3g})")
 
-
-def _gate(label, matrix):
-    m = np.asarray(matrix, dtype=complex)
-    arity = int(round(np.log2(m.shape[0])))
-    return Gate(label, arity, m)
+    @property
+    def arity(self) -> int:
+        return self.matrix.shape[0].bit_length() - 1
 
 
-I1 = _gate("I", np.eye(2))
-Z = _gate("Z", [[1, 0], [0, -1]])
-X = _gate("X", [[0, 1], [1, 0]])
-H = _gate("H", np.array([[1, 1], [1, -1]]) * _SQ2)
+def controlled(gate: Gate) -> Gate:
+    """One extra control wire on the left of `gate`."""
+    d = len(gate.matrix)
+    m = np.eye(2 * d, dtype=complex)
+    m[d:, d:] = gate.matrix
+    return Gate("C" + gate.label, m)
+
+
+I1 = Gate("I", np.eye(2))
+Z = Gate("Z", [[1, 0], [0, -1]])
+X = Gate("X", [[0, 1], [1, 0]])
+H = Gate("H", np.array([[1, 1], [1, -1]]) * _SQ2)
 # 45-degree real rotation: the action of W on its target when the control is |1>.
-HY = _gate("Hy", np.array([[1, -1], [1, 1]]) * _SQ2)
+HY = Gate("Hy", np.array([[1, -1], [1, 1]]) * _SQ2)
 # Real version of Pauli Y (= XZ, i.e. -i times the usual Y).
-Y = _gate("Y", [[0, -1], [1, 0]])
+Y = Gate("Y", [[0, -1], [1, 0]])
 
-SWAP = _gate("S", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-W = _gate(
+SWAP = Gate("S", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+W = Gate(
     "W",
     [
         [1, 0, 0, 0],
@@ -65,21 +73,10 @@ W = _gate(
         [0, 0, _SQ2, _SQ2],
     ],
 )
-CX = _gate("CX", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+CX = Gate("CX", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
-TOFFOLI = _gate("T", np.eye(8)[:, [0, 1, 2, 3, 4, 5, 7, 6]])
-# Control-Control-Y on the real Y above.
-_ccy = np.eye(8, dtype=complex)
-_ccy[6:, 6:] = Y.matrix
-CCY = _gate("CCY", _ccy)
-
-
-def controlled(gate: Gate) -> Gate:
-    """One extra control wire on the left of `gate`."""
-    d = 2**gate.arity
-    m = np.eye(2 * d, dtype=complex)
-    m[d:, d:] = gate.matrix
-    return Gate("C" + gate.label, gate.arity + 1, m)
+TOFFOLI = Gate("T", np.eye(8)[:, [0, 1, 2, 3, 4, 5, 7, 6]])
+CCY = controlled(controlled(Y))  # on the real Y above
 
 
 REGISTER_BYTES = 2**30  # memory budget of one 2^n-amplitude complex register
@@ -133,17 +130,6 @@ def apply_unitary(amps: np.ndarray, matrix: np.ndarray, targets: tuple[int, ...]
     return psi.reshape(amps.shape)
 
 
-def apply_gate(state: QubitState, gate: Gate, targets: tuple[int, ...]) -> QubitState:
-    """Return `state` with `gate` applied on the given 1-based target qubits."""
-    if len(targets) != gate.arity:
-        raise InvalidTargetError(f"{gate.label} has arity {gate.arity}, got targets {targets}")
-    if len(set(targets)) != len(targets):
-        raise InvalidTargetError(f"repeated target in {targets}")
-    if any(t < 1 or t > state.n for t in targets):
-        raise InvalidTargetError(f"targets {targets} out of range 1..{state.n}")
-    return QubitState(state.n, apply_unitary(state.amps, gate.matrix, targets, state.n))
-
-
 # --- identity synthesis ----------------------------------------------------
 #
 # A GateSequence is a sequence of (Gate, targets) in matrix-product order:
@@ -173,7 +159,7 @@ _SWAP12 = ((SWAP, (1, 2)),)
 # tuple, so no reader can change the table.
 IDENTITIES: dict[str, tuple[GateSequence, Gate]] = {
     "Z": (_rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4),
-          _gate("IxZ", np.kron(np.eye(2), Z.matrix))),
+          Gate("IxZ", np.kron(np.eye(2), Z.matrix))),
     # W equals Hy controlled on the left qubit; this is the ancilla realization
     # of Hy (control held at |1>) stated as an exact matrix identity.
     "Hy": (((W, (1, 2)),), controlled(HY)),
@@ -190,7 +176,7 @@ IDENTITIES: dict[str, tuple[GateSequence, Gate]] = {
               + ((CX, (1, 2)),)
               + _rep(W, (2, 3), 3)
               + ((X, (2,)), (X, (1,))), CCY),
-    "W^8": (_rep(W, (1, 2), 8), _gate("II", np.eye(4))),
+    "W^8": (_rep(W, (1, 2), 8), Gate("II", np.eye(4))),
 }
 
 

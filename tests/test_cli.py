@@ -30,7 +30,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 BIG_CIRCUIT = "QUBITS 2\nROUNDS 1000000000\nGATE W 1 1\n"
 
-# a Toffoli slot, which no ham5 gate term carries
+# a Toffoli slot: T is no gate name, as a slot gate acts on at most two qubits
 TOFFOLI_CIRCUIT = "QUBITS 3\nROUNDS 1\nGATE T 1 1\n"
 
 
@@ -158,7 +158,7 @@ def test_ham5_refuses_a_toffoli_before_any_step(argv, tmp_path, monkeypatch, cap
         raise AssertionError("stepped")
 
     monkeypatch.setattr(machine.Stepper, "step", no_step)
-    why = "gate T at (1,1) acts on 3 qubits; a ham5 slot gate acts on at most two"
+    why = "line 3: unknown gate 'T'; names: ['CX', 'H', 'I', 'S', 'W', 'X', 'Y', 'Z']"
     path = tmp_path / "t.txt"
     path.write_text(TOFFOLI_CIRCUIT)
     assert cli.main([argv[0], str(path), *argv[1:]]) == 2
@@ -302,6 +302,15 @@ def test_evolve_requires_circuit_or_T(w_file, capsys):
         out, err = capsys.readouterr()
         assert out == "", argv
         assert err.startswith("error: ") and err.count("\n") == 1 and "--T" in err, err
+
+
+def test_evolve_help_shows_a_circuit_or_T_is_required(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evolve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "usage: hamchain evolve [-h] (circuit --scheme {ham5,ham8} | --T T) "
+        "--taus TAUS [--out OUT]")
 
 
 def test_evolve_bad_grid_exits_2(w_file, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from hamchain import five_state as f5
 from hamchain import gates, machine, walk
-from hamchain.circuit import Circuit, UnsupportedGateError
+from hamchain.circuit import Circuit
 
 from oracles import matches, step_config
 
@@ -62,14 +62,6 @@ def test_gate_event_promotes_a_one_qubit_slot_gate(g):
     assert np.array_equal(back[0], np.kron(g.matrix, np.eye(2)).conj().T)
     assert np.allclose(fwd[0] @ back[0], np.eye(4))
     assert f5.GateEvent(round=1, position=2, forward=True).gate(c) is None
-
-
-def test_first_config_refuses_a_slot_gate_on_three_qubits():
-    c = Circuit(4, 2, {(1, 1): gates.W, (2, 2): gates.TOFFOLI})
-    with pytest.raises(UnsupportedGateError,
-                       match=r"^gate T at \(2,2\) acts on 3 qubits; a ham5 slot gate "
-                             r"acts on at most two$"):
-        f5.first_config(c)
 
 
 def test_config_rejects_wrong_parity_symbol():

@@ -135,15 +135,6 @@ def test_certify_refuses_a_history_past_max_T_before_any_step(scheme, monkeypatc
         subspace.certify_subspace(scheme, Circuit(2, 10**9))
 
 
-def test_certify_refuses_a_ham5_toffoli_before_any_step(monkeypatch):
-    def no_step(self, reverse=False):
-        raise AssertionError("stepped")
-
-    monkeypatch.setattr(machine.Stepper, "step", no_step)
-    with pytest.raises(ValueError, match=r"^gate T at \(1,1\) acts on 3 qubits"):
-        subspace.certify_subspace("ham5", Circuit(3, 1, {(1, 1): gates.TOFFOLI}))
-
-
 def test_certify_rejects_unknown_scheme(w_circuit_2q):
     with pytest.raises(ValueError):
         subspace.certify_subspace("ham9", w_circuit_2q)

@@ -213,8 +213,7 @@ def test_commands_call_the_bindings_the_benchmark_traces(tmp_path, monkeypatch):
 # interface (first_config, closed_forms, cells, history), and the names of a
 # machine's own types, layout and gate table that they must not use
 SCHEME_BLIND = ("walk.py", "subspace.py", "runner.py", "cli.py")
-MACHINE_PRIVATE = {"Config5", "Config8", "GateEvent", "GateEvent8", "program_layout",
-                   "LETTERS"}
+MACHINE_PRIVATE = {"Config5", "Config8", "GateEvent", "GateEvent8", "program_layout"}
 
 
 def test_every_machine_private_name_is_a_machines_own():

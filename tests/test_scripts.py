@@ -91,6 +91,8 @@ def test_example_scripts_refuse_bad_input_with_one_line(script, args, blocked, t
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     if blocked is None:
         assert not out.exists()
+    else:  # every target is refused before the first write
+        assert [p.name for p in out.rglob("*")] == [blocked]
 
 
 @pytest.mark.parametrize("argv", [
