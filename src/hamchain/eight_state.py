@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .circuit import GATE_NAMES, NATIVE, Circuit, UnsupportedGateError
+from .gates import Gate
 from .machine import History, Machine, Rule, RuleEngineError
 
 # cursor symbols
@@ -108,11 +107,8 @@ class Config8:
         return Config8(self.ring, registers[0], registers[1], self.datas)
 
     def dump(self, step: int) -> str:
-        return ("\n" if step else "") + self.dump_block(step)
-
-    def dump_block(self, step: int) -> str:
         return (
-            f"[{step}]\n"
+            ("\n" if step else "") + f"[{step}]\n"
             "b\t" + " ".join(self.cursors) + "\n"
             "p\t" + " ".join(self.progs) + "\n"
             "d\t" + " ".join(self.datas) + "\n"
@@ -138,13 +134,10 @@ class GateEvent8:
     letter: str  # I, S, or W
     forward: bool
 
-    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
-        """(the letter's 4x4 unitary, its inverse backward, logical pair), or
-        None for the letter I; the unitary comes from the letter, not `circuit`."""
-        if self.letter == "I":
-            return None
-        mat = GATE_NAMES[self.letter].matrix
-        return (mat if self.forward else mat.conj().T), self.qubits
+    def gate(self, circuit) -> tuple[Gate, tuple[int, int]]:
+        """(the letter's gate, logical pair), read from the letter, not
+        `circuit`; machine.fire applies it."""
+        return GATE_NAMES[self.letter], self.qubits
 
 
 # Rule table.  Window keys: "s-" cursor left of cell j, "s" cursor of cell j,

@@ -8,9 +8,9 @@ their left-to-right order, so placeholder rank = logical qubit index.  Block
 boundaries are not symbols but a fixed register of flags, built once by
 first_config: the rule table compiles at import into machine.Rule values
 whose boundary keys are conditions on that register, and `machine.Stepper`
-steps it either way.  A history keeps each rule-1 event under its step; an
-identity slot fires nothing.  A slot's gate term carries its gate on the
-slot's qubit pair, which holds every slot gate circuit.Circuit admits.  The
+steps it either way.  A history keeps each rule-1 event under its step.  A
+slot's gate term carries its gate on the slot's qubit pair, which holds
+every slot gate circuit.Circuit admits; machine.fire applies it.  The
 scheme's interface (walk.scheme_module) is first_config, closed_forms, cells
 and history; ham5 has no ring.
 """
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit
+from .gates import Gate
 from .machine import History, Machine, Rule, RuleEngineError
 
 # odd-site symbols
@@ -89,16 +88,10 @@ class GateEvent:
     def qubits(self) -> tuple[int, int]:
         return (self.position, self.position + 1)
 
-    def gate(self, circuit) -> tuple[np.ndarray, tuple[int, int]] | None:
-        """The 4x4 unitary of the circuit's gate at this slot on its logical
-        pair, a one-qubit gate acting on the pair's left qubit, or its
-        inverse for a backward firing; None for an identity slot, which fires
-        nothing.  Circuit admits no wider slot gate."""
-        g = circuit.gate_at(self.round, self.position)
-        if g.label == "I":
-            return None
-        mat = np.kron(g.matrix, np.eye(2)) if g.arity == 1 else g.matrix
-        return (mat if self.forward else mat.conj().T), self.qubits
+    def gate(self, circuit) -> tuple[Gate, tuple[int, int]]:
+        """(the circuit's gate at this slot, its logical pair); machine.fire
+        applies it."""
+        return circuit.gate_at(self.round, self.position), self.qubits
 
 
 def cells(n: int, R: int, ring: bool = False) -> int:

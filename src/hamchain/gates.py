@@ -159,7 +159,7 @@ _SWAP12 = ((SWAP, (1, 2)),)
 # tuple, so no reader can change the table.
 IDENTITIES: dict[str, tuple[GateSequence, Gate]] = {
     "Z": (_rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4) + _SWAP12 + _rep(W, (1, 2), 4),
-          Gate("IxZ", np.kron(np.eye(2), Z.matrix))),
+          Gate("IxZ", np.diag([1, -1, 1, -1]))),
     # W equals Hy controlled on the left qubit; this is the ancilla realization
     # of Hy (control held at |1>) stated as an exact matrix identity.
     "Hy": (((W, (1, 2)),), controlled(HY)),

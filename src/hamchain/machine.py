@@ -217,8 +217,8 @@ class History:
 
     An event is a slot firing, and its transition index is its key; it
     stores no copy of it.  Every event has its circuit `round`, at least 1,
-    and answers `gate(circuit)` with (4x4 unitary, logical pair), or None
-    for an identity slot, which fires nothing.
+    and `forward`, and answers `gate(circuit)` with (the slot's Gate, its
+    logical pair); `fire` alone decides what that does to a register.
     """
 
     first: object
@@ -265,9 +265,14 @@ class History:
 
 
 def fire(event, circuit, q: gates.QubitState) -> gates.QubitState:
-    """The register `q` after `event` (None for no event) fires."""
-    gate = event.gate(circuit) if event is not None else None
-    if gate is None:
+    """The register `q` after `event` (None for no event) fires, as its gate
+    term -|post><pre| (x) U + h.c. acts: U forward, U^dagger backward, on the
+    first `arity` qubits of the pair, so a one-qubit gate acts on the left
+    one.  No event and an identity gate fire nothing and return `q` itself."""
+    if event is None:
         return q
-    mat, pair = gate
-    return gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair, q.n))
+    gate, pair = event.gate(circuit)
+    if gate.label == "I":
+        return q
+    mat = gate.matrix if event.forward else gate.matrix.conj().T
+    return gates.QubitState(q.n, gates.apply_unitary(q.amps, mat, pair[:gate.arity], q.n))

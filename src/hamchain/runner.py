@@ -12,8 +12,8 @@ exact because distinct configurations are orthogonal basis patterns.
 
 Only one register is kept: the one after the last real gate.  Padding puts
 the acceptance threshold past that gate, and no event after it fires: each
-is an identity slot of a padding round, whose gate is None.  So every
-accepted index reads that register bit for bit.
+is an identity slot of a padding round, which machine.fire leaves as it
+is.  So every accepted index reads that register bit for bit.
 """
 from __future__ import annotations
 

@@ -51,17 +51,19 @@ def test_initial_config_rejects_bad_sizes():
 
 
 @pytest.mark.parametrize("g", [gates.Z, gates.Y, gates.H], ids=["Z", "Y", "H"])
-def test_gate_event_promotes_a_one_qubit_slot_gate(g):
-    # a one-qubit slot gate acts on the pair's left qubit; the backward
-    # firing carries the conjugate transpose
+def test_fire_puts_a_one_qubit_slot_gate_on_the_pairs_left_qubit(g):
+    # the event names the bare gate and its pair; fire applies it to the
+    # pair's left qubit, undoes it backward, and fires nothing for I
     c = Circuit(3, 2, {(2, 2): g})
-    fwd = f5.GateEvent(round=2, position=2, forward=True).gate(c)
-    back = f5.GateEvent(round=2, position=2, forward=False).gate(c)
-    assert fwd[1] == back[1] == (2, 3)
-    assert np.array_equal(fwd[0], np.kron(g.matrix, np.eye(2)))
-    assert np.array_equal(back[0], np.kron(g.matrix, np.eye(2)).conj().T)
-    assert np.allclose(fwd[0] @ back[0], np.eye(4))
-    assert f5.GateEvent(round=1, position=2, forward=True).gate(c) is None
+    amps = np.arange(1, 9) * (1 + 0.5j) ** np.arange(8)
+    q = gates.QubitState(3, amps / np.linalg.norm(amps))
+    event = f5.GateEvent(round=2, position=2, forward=True)
+    assert event.gate(c)[1] == (2, 3)
+    fwd = machine.fire(event, c, q)
+    assert np.array_equal(fwd.amps, gates.apply_unitary(q.amps, g.matrix, (2,), 3))
+    back = machine.fire(dataclasses.replace(event, forward=False), c, fwd)
+    assert np.max(np.abs(back.amps - q.amps)) <= 1e-12
+    assert machine.fire(f5.GateEvent(round=1, position=2, forward=True), c, q) is q
 
 
 def test_config_rejects_wrong_parity_symbol():

@@ -53,7 +53,7 @@ def test_reference_steps_bit_exact(fixtures_dir, ws_circuit_3q2r):
     configs = list(tr.configs())
     assert tr.T == 154 and len(configs) == 155
     got = "".join(
-        configs[t].dump_block(t)
+        configs[t].dump(t).lstrip("\n")
         for t in [0, 1, 2] + list(range(9, 14)) + list(range(26, 31))
         + list(range(38, 43)) + list(range(55, 60)) + [154]
     )
@@ -111,7 +111,8 @@ def test_logical_gate_events_match_direct_simulation(ws_circuit_3q2r):
     ]
     u = np.eye(8, dtype=complex)
     for _, ev in logical:
-        u = gates.apply_unitary(np.eye(8), *ev.gate(None), 3) @ u
+        gate, pair = ev.gate(None)
+        u = gates.apply_unitary(np.eye(8), gate.matrix, pair, 3) @ u
     assert np.max(np.abs(u - circuit_matrix(ws_circuit_3q2r))) <= 1e-9
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hamchain import eight_state as e8
 from hamchain import five_state as f5
 from hamchain import gates, machine, subspace, walk
-from hamchain.circuit import Circuit
+from hamchain.circuit import GATE_NAMES, Circuit
 from hamchain.gates import QubitState
 
 from oracles import matches, step_config
@@ -92,10 +92,9 @@ def test_backward_event_undoes_the_forward_gate(scheme):
 def test_backward_gate_without_its_inverse_fails_certification(w_circuit_2q, monkeypatch):
     # make every backward firing apply U instead of U^dagger: each gate
     # term's h.c. then dresses the register with the wrong unitary
-    for event in (f5.GateEvent, e8.GateEvent8):
-        gate = event.gate
-        monkeypatch.setattr(event, "gate", lambda self, circuit, gate=gate:
-                            gate(dataclasses.replace(self, forward=True), circuit))
+    fire = machine.fire
+    monkeypatch.setattr(machine, "fire", lambda event, circuit, q: fire(
+        event and dataclasses.replace(event, forward=True), circuit, q))
     for scheme in ("ham5", "ham8"):
         rep = subspace.certify_subspace(scheme, w_circuit_2q, _superposed(2))
         assert not rep.passed
@@ -306,18 +305,23 @@ def test_real_term_tiled_twice_fails_with_a_register_mismatch(ws_circuit_3q2r, m
 def test_certify_random_wsi_circuits(data):
     n = data.draw(st.integers(2, 4), label="n")
     R = data.draw(st.integers(1, 3), label="R")
-    letters = st.sampled_from([gates.W, gates.SWAP, gates.I1])
-    circuit = Circuit(n, R, {(r, i): data.draw(letters)
-                             for r in range(1, R + 1) for i in range(1, n)})
+
+    def draw_circuit(names):
+        letters = st.sampled_from([GATE_NAMES[name] for name in names])
+        return Circuit(n, R, {(r, i): data.draw(letters)
+                              for r in range(1, R + 1) for i in range(1, n)})
+    circuit = draw_circuit("WSI")
     parts = data.draw(st.lists(st.floats(-1, 1), min_size=2 ** (n + 1),
                                max_size=2 ** (n + 1)), label="amps")
     amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
     init = QubitState(n, amps / norm)
-    for scheme in ("ham5", "ham8"):
-        rep = subspace.certify_subspace(scheme, circuit, init)
-        assert rep.passed, (scheme, [line for line in rep.lines if "FAIL" in line][:3])
+    # ham8 takes {W,S,I}; ham5 also runs every slot gate, one-qubit ones too
+    runs = (("ham5", circuit), ("ham8", circuit), ("ham5", draw_circuit(GATE_NAMES)))
+    for scheme, c in runs:
+        rep = subspace.certify_subspace(scheme, c, init)
+        assert rep.passed, (scheme, c, [line for line in rep.lines if "FAIL" in line][:3])
 
 
 def test_certificate_without_the_last_gate_term_fails_at_the_end(ws_circuit_3q2r, monkeypatch):

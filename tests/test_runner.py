@@ -11,8 +11,8 @@ import scipy.fft
 from scipy.stats import chisquare
 
 from hamchain import five_state as f5
-from hamchain import gates, runner, walk
-from hamchain.circuit import Circuit, simulate_circuit
+from hamchain import gates, machine, runner, walk
+from hamchain.circuit import GATE_NAMES, Circuit, simulate_circuit
 from hamchain.gates import QubitState
 from hamchain.runner import RunPlan, run
 
@@ -122,8 +122,10 @@ def test_only_the_real_gates_fire(scheme):
     # gate is every later register
     circuit = Circuit(3, 4, {(1, 1): gates.W, (2, 2): gates.SWAP})
     history = walk.enumerate_history(scheme, circuit)
-    fired = [ev for _, ev in sorted(history.events.items()) if ev.gate(circuit) is not None]
-    assert [(ev.round, ev.gate(circuit)[1]) for ev in fired] == [(1, (1, 2)), (2, (2, 3))]
+    q = QubitState.basis("000")
+    fired = [(ev.round, *ev.gate(circuit)) for _, ev in sorted(history.events.items())
+             if machine.fire(ev, circuit, q) is not q]
+    assert [(r, gate.label, pair) for r, gate, pair in fired] == [(1, "W", (1, 2)), (2, "S", (2, 3))]
 
 
 def test_every_accepted_shot_has_all_real_gates_fired(w_circuit_2q):
@@ -155,21 +157,22 @@ def test_engine_disagreeing_with_closed_form_raises_padding_error(w_circuit_2q, 
         runner.padded_history(RunPlan(w_circuit_2q, "ham5", shots=10, seed=1))
 
 
-def _random_circuits(count: int, seed: int):
+def _random_circuits(count: int, seed: int, names):
     rng = random.Random(seed)
-    letters = {"W": gates.W, "S": gates.SWAP, "I": None}
     for _ in range(count):
         n, R = rng.randint(2, 4), rng.randint(1, 3)
-        slots = {(r, i): letters[rng.choice("WSI")]
+        slots = {(r, i): GATE_NAMES[rng.choice(names)]
                  for r in range(1, R + 1) for i in range(1, n)}
         initial = "".join(rng.choice("01") for _ in range(n))
-        yield Circuit(n, R, {k: g for k, g in slots.items() if g is not None}), initial
+        yield Circuit(n, R, slots), initial
 
 
 @pytest.mark.parametrize("scheme", ["ham5", "ham8"])
 def test_register_after_last_real_gate_is_the_circuit_output(scheme):
-    # the one register the runner reads out is the circuit's output state
-    for circuit, initial in _random_circuits(8, seed=5):
+    # the one register the runner reads out is the circuit's output state;
+    # ham5 runs every slot gate, ham8 its own {W,S,I}
+    names = sorted(GATE_NAMES) if scheme == "ham5" else "WSI"
+    for circuit, initial in _random_circuits(8, seed=5, names=names):
         plan = RunPlan(circuit, scheme, shots=1, seed=0, initial=initial)
         history, _, register, last_real = runner.padded_history(plan)
         assert 0 <= last_real < history.T
